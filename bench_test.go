@@ -2,19 +2,16 @@
 // (see DESIGN.md §4 for the experiment index), plus ablation benches for
 // the design choices DESIGN.md calls out. Benchmarks default to the tiny
 // scale so `go test -bench=.` completes quickly; run cmd/stsl-bench with
-// -scale small|paper for full-fidelity reproductions, and EXPERIMENTS.md
-// for recorded paper-vs-measured results.
+// -scale small|paper for full-fidelity reproductions. Throughput of the
+// live runtime is measured by bench/, not here.
 package stsl_test
 
 import (
 	"bytes"
-	"context"
-	"fmt"
 	"testing"
 	"time"
 
 	"github.com/stsl/stsl/internal/baseline"
-	"github.com/stsl/stsl/internal/cluster"
 	"github.com/stsl/stsl/internal/compress"
 	"github.com/stsl/stsl/internal/core"
 	"github.com/stsl/stsl/internal/data"
@@ -371,63 +368,6 @@ func BenchmarkSplitProtocolStep(b *testing.B) {
 		if err := client.ApplyGradient(reply); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkClusterThroughput measures the live-concurrency runtime's
-// server throughput (training steps/sec) as the number of concurrent
-// end-system goroutines, the micro-batch coalescing cap, and the
-// data-parallel worker count grow, over net.Pipe with full wire
-// encode/decode — the perf trajectory of the real deployment path,
-// next to BenchmarkSimulationEventLoop's virtual-time twin. At 8+
-// clients the coalesced passes (b>1) amortise the server's conv/matmul
-// hot path across clients and beat b=1; extra workers (w>1) multiply
-// it with concurrent replicas that FedAvg-sync every SyncEvery steps
-// (the acceptance floor for the pool: ≥1.6× at w=2 and ≥2.5× at w=4
-// against the w=1 cell at 8 clients).
-func BenchmarkClusterThroughput(b *testing.B) {
-	cases := []struct{ clients, coalesce, workers int }{
-		{1, 1, 1},
-		{4, 1, 1}, {4, 4, 1},
-		{8, 1, 1}, {8, 1, 2}, {8, 1, 4}, {8, 4, 1},
-		{16, 1, 1}, {16, 1, 4}, {16, 4, 1}, {16, 8, 1},
-	}
-	for _, tc := range cases {
-		tc := tc
-		b.Run(fmt.Sprintf("clients=%d/b=%d/w=%d", tc.clients, tc.coalesce, tc.workers), func(b *testing.B) {
-			const steps = 8
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				ds, err := (data.SynthCIFAR{Height: 8, Width: 8, Classes: 4}).Generate(16*tc.clients, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				shards, err := data.PartitionIID(ds, tc.clients, mathx.NewRNG(2))
-				if err != nil {
-					b.Fatal(err)
-				}
-				dep, err := core.NewDeployment(core.Config{
-					Model: nn.PaperCNNConfig{Height: 8, Width: 8, Filters: []int{4, 8}, Hidden: 16, Classes: 4},
-					Cut:   1, Clients: tc.clients, Seed: 3, BatchSize: 8, LR: 0.05,
-					BatchCoalesce: tc.coalesce,
-				}, shards)
-				if err != nil {
-					b.Fatal(err)
-				}
-				runnerCfg := cluster.RunnerConfig{
-					StepsPerClient: steps, Transport: cluster.TransportPipe,
-				}
-				runnerCfg.Cluster.Workers = tc.workers
-				b.StartTimer()
-				res, err := cluster.Run(context.Background(), dep, runnerCfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(res.ServerSteps)/res.WallDuration.Seconds(), "steps/s")
-				b.StartTimer()
-			}
-		})
 	}
 }
 

@@ -68,7 +68,7 @@ func main() {
 		scale    = flag.String("scale", "small", "model scale: tiny|small|paper (must match the server)")
 		wseed    = flag.Uint64("weight-seed", 1, "server weight seed (must match the server)")
 		lr       = flag.Float64("lr", 0.05, "learning rate")
-		dtName   = flag.String("dtype", "float64", "wire precision (must match the server)")
+		dtName   = flag.String("dtype", "float64", "wire encoding of each end-system's activations: float64|float32; the server answers in kind")
 		idBase   = flag.Int("id-base", 1000, "first client id; arrival i uses id-base+i")
 		timeout  = flag.Duration("grad-timeout", 30*time.Second, "per-session hard wait bound")
 		retry    = flag.Int("retry", 0, "reconnect budget per session; also enables refusal retries with jittered backoff (0 = one-shot sessions)")
@@ -261,7 +261,6 @@ func runSession(ctx context.Context, sc sessionConfig, bounces *atomic.Int64) er
 	if err != nil {
 		return err
 	}
-	lower.SetDType(sc.dtype)
 	es.WireDType = sc.dtype
 
 	conn, err := transport.Dial(sc.addr)

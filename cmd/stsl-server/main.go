@@ -57,7 +57,6 @@ import (
 	"github.com/stsl/stsl/internal/opt"
 	"github.com/stsl/stsl/internal/paramsync"
 	"github.com/stsl/stsl/internal/queue"
-	"github.com/stsl/stsl/internal/tensor"
 	"github.com/stsl/stsl/internal/transport"
 )
 
@@ -88,7 +87,6 @@ func main() {
 		resume       = flag.Bool("resume", false, "restore training state from -checkpoint-dir before serving (missing checkpoint = fresh start)")
 		statusEvery  = flag.Duration("status-every", 5*time.Second, "periodic one-line status log interval (0 = off)")
 		adminAddr    = flag.String("admin-addr", "", "admin HTTP listener: /metrics (Prometheus), /statusz (JSON), /trace, /debug/pprof. Serves operational internals — bind loopback (e.g. 127.0.0.1:9090) unless the network is trusted. Empty = off")
-		dtypeName    = flag.String("dtype", "float64", "compute and wire precision: float64|float32 (float32 halves wire bytes via TSL2 frames; must match the end-systems)")
 		weights      = flag.String("weights", "", "path to write learned server weights (optional)")
 		checksum     = flag.Bool("checksum", false, "send CRC32C-checksummed wire frames (self-describing — plain peers interoperate; corrupted inbound frames are detected either way)")
 		aggregate    = flag.String("aggregate", "average", "replica aggregation rule at sync barriers: average|trimmed|clipped (robust rules bound what poisoned replicas can do; only with -workers > 1)")
@@ -123,12 +121,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	dtype, err := tensor.ParseDType(*dtypeName)
-	if err != nil {
-		fatal(err)
-	}
-	upper.SetDType(dtype)
-	coreSrv.WireDType = dtype
 	stragglerTimeout := *straggler
 	if *stragglerAut {
 		stragglerTimeout = cluster.StragglerAuto
@@ -173,13 +165,7 @@ func main() {
 			if err != nil {
 				return nil, err
 			}
-			replica, err := core.NewServer(up, o, p)
-			if err != nil {
-				return nil, err
-			}
-			up.SetDType(dtype)
-			replica.WireDType = dtype
-			return replica, nil
+			return core.NewServer(up, o, p)
 		},
 	}
 	// Telemetry comes alive with the admin listener: a registry for
@@ -249,8 +235,8 @@ func main() {
 		defer admin.Close()
 		fmt.Printf("stsl-server: admin listener on http://%s (/healthz /metrics /statusz /trace /debug/pprof)\n", admin.Addr())
 	}
-	fmt.Printf("stsl-server: listening on %s for %d end-system(s), cut=%d policy=%s cap=%d overflow=%s coalesce=%d workers=%d dtype=%s\n",
-		lis.Addr(), *clients, *cut, *policy, *queueCap, *overflow, *coalesce, *workers, dtype)
+	fmt.Printf("stsl-server: listening on %s for %d end-system(s), cut=%d policy=%s cap=%d overflow=%s coalesce=%d workers=%d\n",
+		lis.Addr(), *clients, *cut, *policy, *queueCap, *overflow, *coalesce, *workers)
 	go srv.ServeListener(lis)
 
 	// The ticker stops when training ends, not at process exit, so late

@@ -34,7 +34,6 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "seed")
 		farLatency = flag.Duration("far-latency", 0, "latency of client 0 (0 = same as others)")
 		latency    = flag.Duration("latency", time.Millisecond, "latency of the other clients")
-		dtype      = flag.String("dtype", "float64", "compute and wire precision: float64|float32")
 	)
 	flag.Parse()
 
@@ -78,7 +77,7 @@ func main() {
 
 	dep, err := core.NewDeployment(core.Config{
 		Model: s.Model, Cut: *cut, Clients: *clients, Seed: *seed,
-		BatchSize: *batch, LR: *lr, QueuePolicy: *policy, DType: *dtype,
+		BatchSize: *batch, LR: *lr, QueuePolicy: *policy,
 	}, shards)
 	if err != nil {
 		fatal(err)

@@ -124,20 +124,18 @@ type Config struct {
 	// forward/backward/step on its own replica of the server stack; the
 	// replicas synchronise through a FedAvg parameter average every
 	// SyncEvery pool steps. Workers > 1 requires NewReplica.
+	//
+	// Averaging N replicas' parameters folds N optimiser steps into
+	// roughly one, so the pool multiplies every replica's server-side
+	// learning rate by Workers — the linear scaling rule — which
+	// restores the sequential trajectory and keeps live-vs-sim loss
+	// parity. Client-side optimisers are never touched.
 	Workers int
 	// SyncEvery is the pool-wide number of served steps between replica
 	// parameter-averaging barriers (0 defaults to 16). Wider spacing
 	// buys throughput at the price of replica divergence — watch the
 	// stsl_replica_divergence gauge. Meaningful only at Workers > 1.
 	SyncEvery int
-	// LRScale multiplies every replica's server-side learning rate at
-	// Workers > 1. Averaging N replicas' parameters folds N optimiser
-	// steps into roughly one, so an unscaled pool advances ~1/N as far
-	// per served example as the single-worker server; 0 defaults to
-	// float64(Workers) — the linear scaling rule — which restores the
-	// sequential trajectory and keeps live-vs-sim loss parity. Set 1 to
-	// disable scaling. Client-side optimisers are never touched.
-	LRScale float64
 	// NewReplica builds one additional core server structurally
 	// identical to the primary (same stack shapes, fresh optimiser) for
 	// the worker pool; it is called Workers-1 times by NewServer and the
@@ -205,11 +203,6 @@ type Config struct {
 	// worker that serves everyone behind its backpressure. Carriers
 	// without deadlines keep the blocking behaviour. 0 = no bound.
 	SendTimeout time.Duration
-	// BrownoutCoalesce is the effective BatchCoalesce while the shed
-	// gate is open: brownout drains the backlog in bigger coalesced
-	// passes, trading per-item latency for queue recovery. 0 defaults to
-	// 4×BatchCoalesce (at least 4). Ignored while the gate is closed.
-	BrownoutCoalesce int
 	// RetryAfterHint is the floor of the RetryAfter hint carried by
 	// refusals; the live hint grows to twice the observed p95 service
 	// latency so refused clients retry after the backlog they were
@@ -235,20 +228,6 @@ type Config struct {
 	// garbage are quarantined (session aborted, id blocklisted). See
 	// sanitize.go for the envelope and suspicion mechanics.
 	Sanitize bool
-	// SuspicionLimit is the suspicion score at which a client is
-	// quarantined (0 defaults to 3). Non-finite payloads jump straight
-	// to the limit; norm outliers add 1 each and decay on clean traffic.
-	SuspicionLimit float64
-	// NormWindow is the size of the fleet-wide rolling window of
-	// accepted activation norms behind outlier detection (0 defaults
-	// to 64).
-	NormWindow int
-	// NormFactor is the outlier threshold in standard deviations: a
-	// payload norm beyond mean + NormFactor·std (and more than twice the
-	// mean) is rejected (0 defaults to 8 — deliberately loose; the
-	// sanitizer is a tripwire for order-of-magnitude bombs, not a
-	// similarity filter).
-	NormFactor float64
 }
 
 // validate rejects nonsensical knob values at construction with a
@@ -267,18 +246,6 @@ func (c Config) validate() error {
 	}
 	if c.ShedDepth < 0 {
 		return fmt.Errorf("cluster: ShedDepth must be >= 0 (0 = off), got %d", c.ShedDepth)
-	}
-	if c.BrownoutCoalesce < 0 {
-		return fmt.Errorf("cluster: BrownoutCoalesce must be >= 0 (0 = 4×BatchCoalesce), got %d", c.BrownoutCoalesce)
-	}
-	if c.SuspicionLimit < 0 {
-		return fmt.Errorf("cluster: SuspicionLimit must be >= 0 (0 = default 3), got %v", c.SuspicionLimit)
-	}
-	if c.NormWindow < 0 {
-		return fmt.Errorf("cluster: NormWindow must be >= 0 (0 = default 64), got %d", c.NormWindow)
-	}
-	if c.NormFactor < 0 {
-		return fmt.Errorf("cluster: NormFactor must be >= 0 (0 = default 8), got %v", c.NormFactor)
 	}
 	for _, d := range []struct {
 		name string
@@ -314,21 +281,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfterHint == 0 {
 		c.RetryAfterHint = 25 * time.Millisecond
-	}
-	if c.BrownoutCoalesce == 0 {
-		c.BrownoutCoalesce = 4 * c.BatchCoalesce
-		if c.BrownoutCoalesce < 4 {
-			c.BrownoutCoalesce = 4
-		}
-	}
-	if c.SuspicionLimit == 0 {
-		c.SuspicionLimit = 3
-	}
-	if c.NormWindow == 0 {
-		c.NormWindow = 64
-	}
-	if c.NormFactor == 0 {
-		c.NormFactor = 8
 	}
 	return c
 }

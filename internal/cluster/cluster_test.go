@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,8 @@ import (
 	"github.com/stsl/stsl/internal/data"
 	"github.com/stsl/stsl/internal/mathx"
 	"github.com/stsl/stsl/internal/nn"
+	"github.com/stsl/stsl/internal/obs"
+	"github.com/stsl/stsl/internal/tensor"
 	"github.com/stsl/stsl/internal/transport"
 )
 
@@ -110,6 +113,107 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 	if snap.LastLoss <= 0 {
 		t.Errorf("no loss recorded: %v", snap.LastLoss)
+	}
+}
+
+// frameTap counts the payload frames crossing one end-system's
+// connection and records the wire dtype of every gradient it receives
+// (the decoder sets the tag from the frame it read).
+type frameTap struct {
+	transport.Conn
+	acts, grads int
+	gradDTypes  map[tensor.DType]int
+}
+
+func (c *frameTap) Send(m *transport.Message) error {
+	if m.Type == transport.MsgActivation {
+		c.acts++
+	}
+	return c.Conn.Send(m)
+}
+
+func (c *frameTap) Recv() (*transport.Message, error) {
+	m, err := c.Conn.Recv()
+	if err == nil && m.Type == transport.MsgGradient {
+		c.grads++
+		c.gradDTypes[m.Payload.DType()]++
+	}
+	return m, err
+}
+
+// TestMixedPrecisionFleet: the wire dtype is each sender's choice and
+// the server answers in kind. One Float32 and one Float64 end-system
+// train against the same coalescing server over byte-counted pipes:
+// each must receive gradients only in its own encoding, the float32
+// link must carry half the bytes per payload frame, and both must be
+// served exactly once per step.
+func TestMixedPrecisionFleet(t *testing.T) {
+	dep := buildDeployment(t, 2, "fifo")
+	dep.Clients[0].WireDType = tensor.Float32
+	dep.Clients[1].WireDType = tensor.Float64
+	srv := startServer(t, dep, Config{BatchCoalesce: 2})
+
+	const steps = 8
+	type outcome struct {
+		id    int
+		tap   *frameTap
+		bytes int64
+		res   *ClientResult
+		err   error
+	}
+	outcomes := make(chan outcome, 2)
+	for _, es := range dep.Clients {
+		es := es
+		clientNC, serverNC := net.Pipe()
+		srv.Attach(transport.NewTCPConn(serverNC))
+		ins := &transport.ConnInstruments{BytesIn: new(obs.Counter), BytesOut: new(obs.Counter)}
+		tap := &frameTap{
+			Conn:       transport.NewInstrumentedTCPConn(clientNC, ins),
+			gradDTypes: map[tensor.DType]int{},
+		}
+		go func() {
+			res, err := RunClient(context.Background(), es, tap, ClientConfig{
+				Steps: steps, GradTimeout: 10 * time.Second,
+			})
+			tap.Close()
+			outcomes <- outcome{es.ID, tap, ins.BytesIn.Value() + ins.BytesOut.Value(), res, err}
+		}()
+	}
+	perFrame := make([]float64, 2)
+	for range dep.Clients {
+		o := <-outcomes
+		if o.err != nil {
+			t.Fatalf("client %d: %v", o.id, o.err)
+		}
+		if o.res.Steps != steps {
+			t.Errorf("client %d contributed %d steps, want %d", o.id, o.res.Steps, steps)
+		}
+		want := dep.Clients[o.id].WireDType
+		if len(o.tap.gradDTypes) != 1 || o.tap.gradDTypes[want] != o.tap.grads {
+			t.Errorf("client %d (%v) received gradient frames %v", o.id, want, o.tap.gradDTypes)
+		}
+		perFrame[o.id] = float64(o.bytes) / float64(o.tap.acts+o.tap.grads)
+	}
+	// 512 elements a payload: 2048 B against 4096 B, plus the same
+	// header, labels and join/leave frames on both links.
+	if ratio := perFrame[0] / perFrame[1]; ratio < 0.5 || ratio > 0.56 {
+		t.Errorf("float32 link carries %.0f B per payload frame, float64 %.0f B: ratio %.3f, want about 1/2",
+			perFrame[0], perFrame[1], ratio)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.AwaitClients(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	snap := srv.Snapshot()
+	if snap.ServerSteps != 2*steps {
+		t.Errorf("server processed %d batches, want %d", snap.ServerSteps, 2*steps)
+	}
+	for _, c := range snap.Clients {
+		if c.Served != steps || !c.Done {
+			t.Errorf("client %d: served %d (want %d), done %v", c.ID, c.Served, steps, c.Done)
+		}
 	}
 }
 

@@ -28,6 +28,21 @@ const (
 // the std estimate is noise — an honest early client could trip it.
 const sanitizeWarmup = 8
 
+// The server's sanitizer settings. The factor is deliberately loose: the
+// sanitizer is a tripwire for order-of-magnitude bombs, not a similarity
+// filter.
+const (
+	// normWindow is the size of the fleet-wide rolling window of
+	// accepted activation norms behind outlier detection.
+	normWindow = 64
+	// normFactor is the outlier threshold in standard deviations.
+	normFactor = 8
+	// suspicionLimit is the suspicion score at which a client is
+	// quarantined. Non-finite payloads jump straight to it; norm
+	// outliers add 1 each and decay on clean traffic.
+	suspicionLimit = 3
+)
+
 // sanitizer screens activation payloads before they reach the scheduling
 // queue: the semantic layer of the corruption defense, catching poison
 // the wire checksum cannot (a hostile client frames its garbage

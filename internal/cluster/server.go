@@ -135,8 +135,8 @@ type Server struct {
 	// before they can reach the queue; nil when Config.Sanitize is off.
 	san *sanitizer
 	// effCoalesce is the live PopBatch cap: BatchCoalesce normally,
-	// BrownoutCoalesce while the shed gate is open. Workers read it per
-	// iteration without taking s.mu.
+	// four times that (at least 4) while the shed gate is open. Workers
+	// read it per iteration without taking s.mu.
 	effCoalesce atomic.Int32
 
 	ctx    context.Context
@@ -253,7 +253,7 @@ func NewServer(srv *core.Server, cfg Config) (*Server, error) {
 		losses:      losses,
 	}
 	if cfg.Sanitize {
-		s.san = newSanitizer(cfg.NormWindow, cfg.NormFactor, cfg.SuspicionLimit)
+		s.san = newSanitizer(normWindow, normFactor, suspicionLimit)
 	}
 	if cfg.Obs != nil {
 		s.ins = newInstruments(cfg.Obs, cfg.Workers)
@@ -312,19 +312,10 @@ func NewServer(srv *core.Server, cfg Config) (*Server, error) {
 			s.replicas = append(s.replicas, rep)
 		}
 		// Linear scaling rule: averaging N replicas folds N steps into
-		// ~one, so the pool compensates with an N× (or LRScale×) server
-		// learning rate to preserve the sequential trajectory.
-		scale := cfg.LRScale
-		if scale == 0 {
-			scale = float64(cfg.Workers)
-		}
-		if scale < 0 {
-			return nil, fmt.Errorf("cluster: LRScale must be positive, got %v", scale)
-		}
-		if scale != 1 {
-			for _, rep := range s.replicas {
-				rep.Optim.SetLR(rep.Optim.LR() * scale)
-			}
+		// ~one, so the pool compensates with an N× server learning rate
+		// to preserve the sequential trajectory.
+		for _, rep := range s.replicas {
+			rep.Optim.SetLR(rep.Optim.LR() * float64(cfg.Workers))
 		}
 		s.pool.init(len(s.replicas), cfg.SyncEvery)
 	}
@@ -818,7 +809,9 @@ func (s *Server) setDegradedLocked(open bool) {
 		return
 	}
 	s.brownouts++
-	s.effCoalesce.Store(int32(s.cfg.BrownoutCoalesce))
+	// Brownout drains the backlog in bigger coalesced passes, trading
+	// per-item latency for queue recovery.
+	s.effCoalesce.Store(int32(max(4*s.cfg.BatchCoalesce, 4)))
 	var live []*session
 	for _, sess := range s.sessions {
 		if !sess.retired && !sess.parked {

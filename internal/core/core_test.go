@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -180,6 +181,22 @@ func TestServerProcessing(t *testing.T) {
 	if srv.Steps() != 1 {
 		t.Fatalf("Steps = %d", srv.Steps())
 	}
+	// The server answers in kind: an untagged activation gets a Float64
+	// (TSL1) gradient, a Float32-tagged one a Float32 (TSL2) gradient.
+	if dt := reply.Payload.DType(); dt != tensor.Float64 {
+		t.Fatalf("gradient for an untagged activation is tagged %v", dt)
+	}
+	msg32 := &transport.Message{
+		Type: transport.MsgActivation, ClientID: 3, Seq: 10,
+		Payload: smashed.Clone().SetDType(tensor.Float32), Labels: []int{0, 1},
+	}
+	reply32, err := srv.Process(queue.Item{Msg: msg32}, 4*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dt := reply32.Payload.DType(); dt != tensor.Float32 {
+		t.Fatalf("gradient for a Float32 activation is tagged %v", dt)
+	}
 	// Wrong message type rejected at enqueue.
 	if err := srv.Enqueue(reply, 0); err == nil {
 		t.Fatal("gradient enqueued as activation")
@@ -224,8 +241,10 @@ func TestServerProcessBatch(t *testing.T) {
 		}}
 	}
 
-	// Success: two items, one stacked pass, per-item replies.
+	// Success: two items, one stacked pass, per-item replies, each
+	// tagged with the wire dtype of the activation it answers.
 	items := []queue.Item{makeItem(0, 2, 21), makeItem(1, 3, 22)}
+	items[1].Msg.Payload.SetDType(tensor.Float32)
 	replies, err := srv.ProcessBatch(items, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -237,6 +256,9 @@ func TestServerProcessBatch(t *testing.T) {
 		if reply.ClientID != i || !reply.Payload.SameShape(items[i].Msg.Payload) {
 			t.Fatalf("reply %d: client %d, gradient shape %v for activation %v",
 				i, reply.ClientID, reply.Payload.Shape(), items[i].Msg.Payload.Shape())
+		}
+		if got, want := reply.Payload.DType(), items[i].Msg.Payload.DType(); got != want {
+			t.Fatalf("reply %d: gradient tagged %v for a %v activation", i, got, want)
 		}
 	}
 	if srv.Steps() != 2 {
@@ -372,52 +394,82 @@ func TestSplitEquivalentToMonolithic(t *testing.T) {
 
 // TestSimulationDeterminism is invariant #4: identical seeds produce
 // identical final weights and identical virtual-time traces.
-func TestSimulationDeterminism(t *testing.T) {
-	run := func() (*Deployment, *SimResult) {
-		ds := smallData(t, 80, 11)
-		shards, err := data.PartitionDirichlet(ds, 2, 0.5, mathx.NewRNG(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		dep, err := NewDeployment(Config{
-			Model: smallModel(), Cut: 1, Clients: 2, Seed: 99,
-			BatchSize: 8, LR: 0.05,
-		}, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		paths := make([]*simnet.Path, 2)
-		for i := range paths {
-			p, err := simnet.NewSymmetricPath(
-				simnet.Uniform{Lo: time.Millisecond, Hi: 10 * time.Millisecond}, 0,
-				mathx.NewRNG(uint64(55+i)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			paths[i] = p
-		}
-		sim, err := NewSimulation(dep, SimConfig{Paths: paths, MaxStepsPerClient: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sim.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dep, res
+// runSeededSim trains a fixed two-client deployment for 12 steps per
+// client in virtual time; everything but dtype is pinned.
+func runSeededSim(t *testing.T, dtype string) (*Deployment, *SimResult) {
+	t.Helper()
+	ds := smallData(t, 80, 11)
+	shards, err := data.PartitionDirichlet(ds, 2, 0.5, mathx.NewRNG(5))
+	if err != nil {
+		t.Fatal(err)
 	}
-	depA, resA := run()
-	depB, resB := run()
+	dep, err := NewDeployment(Config{
+		Model: smallModel(), Cut: 1, Clients: 2, Seed: 99,
+		BatchSize: 8, LR: 0.05, DType: dtype,
+	}, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := make([]*simnet.Path, 2)
+	for i := range paths {
+		p, err := simnet.NewSymmetricPath(
+			simnet.Uniform{Lo: time.Millisecond, Hi: 10 * time.Millisecond}, 0,
+			mathx.NewRNG(uint64(55+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths[i] = p
+	}
+	sim, err := NewSimulation(dep, SimConfig{Paths: paths, MaxStepsPerClient: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dep, res
+}
+
+// requireSameTraining fails unless two runs ended bit-identical: final
+// loss bits, virtual duration, and every client-0 and server parameter.
+func requireSameTraining(t *testing.T, depA, depB *Deployment, resA, resB *SimResult) {
+	t.Helper()
 	if resA.VirtualDuration != resB.VirtualDuration {
 		t.Fatalf("virtual durations differ: %v vs %v", resA.VirtualDuration, resB.VirtualDuration)
+	}
+	if a, b := math.Float64bits(resA.FinalLoss), math.Float64bits(resB.FinalLoss); a != b {
+		t.Fatalf("final loss bits differ: %v (%#x) vs %v (%#x)", resA.FinalLoss, a, resB.FinalLoss, b)
 	}
 	pa := append(depA.Clients[0].Stack.Params(), depA.Server.Stack.Params()...)
 	pb := append(depB.Clients[0].Stack.Params(), depB.Server.Stack.Params()...)
 	for i := range pa {
 		if !pa[i].Value.Equal(pb[i].Value, 0) {
-			t.Fatalf("parameter %s differs between identical runs", pa[i].Name)
+			t.Fatalf("parameter %s differs", pa[i].Name)
 		}
 	}
+}
+
+func TestSimulationDeterminism(t *testing.T) {
+	depA, resA := runSeededSim(t, "")
+	depB, resB := runSeededSim(t, "")
+	requireSameTraining(t, depA, depB, resA, resB)
+}
+
+// TestSimulationSingleComputePath: Config.DType is a wire encoding and
+// nothing else. The virtual-time simulation has no codec in the loop, so
+// a "float32" deployment must train bit-identically to the default one
+// — there is one set of kernels, and it computes in float64.
+func TestSimulationSingleComputePath(t *testing.T) {
+	dep64, res64 := runSeededSim(t, "")
+	dep32, res32 := runSeededSim(t, "float32")
+	if res64.FinalLoss <= 0 {
+		t.Fatalf("degenerate final loss %v", res64.FinalLoss)
+	}
+	if dt := dep32.Clients[0].WireDType; dt != tensor.Float32 {
+		t.Fatalf("DType \"float32\" set WireDType %v", dt)
+	}
+	requireSameTraining(t, dep64, dep32, res64, res32)
 }
 
 func TestSimulationRespectsBudgets(t *testing.T) {

@@ -49,11 +49,11 @@ type Config struct {
 	// cluster.Config.BatchCoalesce. With sync-rounds the gated round is
 	// atomic and may exceed this cap.
 	BatchCoalesce int
-	// DType selects the deployment's precision: "" or "float64" keeps
-	// the full-precision kernels and TSL1 wire frames; "float32" runs
-	// every client and server matmul in single precision and ships
-	// activations and gradients as TSL2 float32 frames (half the wire
-	// bytes). Both runtimes inherit it, so sim and live stay comparable.
+	// DType selects the wire encoding — wire only, compute is always
+	// float64: "" or "float64" has every end-system emit TSL1 frames;
+	// "float32" sets EndSystem.WireDType so activations ship as TSL2
+	// float32 frames (half the wire bytes), and the server answers each
+	// in kind. The virtual-time simulation has no codec and ignores it.
 	DType string
 }
 
@@ -117,10 +117,6 @@ func NewDeployment(cfg Config, shards []*data.Dataset) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One config field switches the whole deployment: compute precision
-	// on every stack, wire precision on every payload either direction.
-	serverStack.SetDType(dtype)
-	server.WireDType = dtype
 
 	seedGen := mathx.NewRNG(cfg.Seed ^ 0xc2b2ae3d27d4eb4f)
 	clients := make([]*EndSystem, cfg.Clients)
@@ -158,7 +154,6 @@ func NewDeployment(cfg Config, shards []*data.Dataset) (*Deployment, error) {
 			}
 			es.QuantizeBits = cfg.QuantizeBits
 		}
-		lower.SetDType(dtype)
 		es.WireDType = dtype
 		clients[i] = es
 	}
@@ -194,19 +189,7 @@ func (d *Deployment) NewServerReplica() (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	replica, err := NewServer(serverStack, serverOpt, pol)
-	if err != nil {
-		return nil, err
-	}
-	// Replicas inherit the deployment precision; cfg.DType was validated
-	// when the deployment was built.
-	dtype, err := tensor.ParseDType(cfg.DType)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	serverStack.SetDType(dtype)
-	replica.WireDType = dtype
-	return replica, nil
+	return NewServer(serverStack, serverOpt, pol)
 }
 
 func newOptimizer(name string, lr float64) (opt.Optimizer, error) {

@@ -32,9 +32,6 @@ type Server struct {
 	// and the running loss — the same bundle whichever runtime drives
 	// the server, so simulated and live step counters stay comparable.
 	Instr *ServerInstruments
-	// WireDType tags outgoing gradient payloads: tensor.Float32 ships
-	// them as TSL2 float32 frames. The zero value keeps TSL1 float64.
-	WireDType tensor.DType
 
 	steps int
 	// lastBatchLoss is the raw (unwindowed) loss of the most recent
@@ -100,6 +97,10 @@ func (s *Server) ProcessNext(now time.Duration) (reply *transport.Message, ok bo
 // the compute half of ProcessNext, exposed so callers that own the
 // dequeue (the live cluster worker) can observe the popped item — its
 // client, staleness, arrival time — before handing it to the model.
+//
+// The reply answers in kind: its payload carries the wire dtype of the
+// activation it answers, so each end-system chooses its own link's
+// encoding and the server has no setting for it.
 func (s *Server) Process(it queue.Item, now time.Duration) (*transport.Message, error) {
 	s.QueueMetrics.ObserveServe(it, now)
 
@@ -134,7 +135,7 @@ func (s *Server) Process(it queue.Item, now time.Duration) (*transport.Message, 
 		Seq:      it.Msg.Seq,
 		Epoch:    it.Msg.Epoch,
 		SentAt:   now,
-		Payload:  dact.SetDType(s.WireDType),
+		Payload:  dact.SetDType(act.DType()),
 	}, nil
 }
 
@@ -271,7 +272,7 @@ func (s *Server) ProcessBatch(items []queue.Item, now time.Duration) ([]*transpo
 			Seq:      it.Msg.Seq,
 			Epoch:    it.Msg.Epoch,
 			SentAt:   now,
-			Payload:  grads[i].SetDType(s.WireDType),
+			Payload:  grads[i].SetDType(it.Msg.Payload.DType()),
 		}
 	}
 	return replies, nil

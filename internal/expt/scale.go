@@ -2,7 +2,7 @@
 // the paper, each producing a rendered results table plus structured
 // values that tests and benchmarks assert against. Every experiment runs
 // at a configurable Scale so the same code serves quick CI runs and
-// paper-scale reproductions (see EXPERIMENTS.md).
+// paper-scale reproductions (DESIGN.md §4 indexes them).
 package expt
 
 import (

@@ -23,14 +23,7 @@ type Conv2D struct {
 	cachedCols *tensor.Tensor
 	cachedN    int
 	cachedGeom tensor.ConvGeom
-	// dtype selects the matmul precision (see tensor.DType); the zero
-	// value keeps the float64 kernels.
-	dtype tensor.DType
 }
-
-// SetDType selects the layer's compute precision. Sequential.SetDType
-// fans this out across a whole stack.
-func (c *Conv2D) SetDType(dt tensor.DType) { c.dtype = dt }
 
 // Conv2DConfig collects the constructor arguments for NewConv2D. Zero
 // stride defaults to 1; padding defaults to "same" for odd kernels when
@@ -140,7 +133,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	cols := tensor.Im2Col(x, g) // (N*oh*ow, inC*kh*kw)
 	// (N*oh*ow, outC) = cols · Wᵀ. The parallel kernel is bitwise equal
 	// to the serial one, so determinism guarantees are unaffected.
-	mat := tensor.MatMulTransBPDT(cols, c.weight.Value, c.dtype)
+	mat := tensor.MatMulTransBP(cols, c.weight.Value)
 	mat.AddRowVector(c.bias.Value)
 
 	if train {
@@ -167,11 +160,11 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	dmat := nchwToNHWCMat(grad) // (N*oh*ow, outC)
 	// dW (outC, K) += dmatᵀ · cols
-	c.weight.Grad.AddInPlace(tensor.MatMulTransADT(dmat, c.cachedCols, c.dtype))
+	c.weight.Grad.AddInPlace(tensor.MatMulTransA(dmat, c.cachedCols))
 	// db += column sums of dmat
 	c.bias.Grad.AddInPlace(dmat.SumRows())
 	// dcols (R, K) = dmat · W
-	dcols := tensor.MatMulDT(dmat, c.weight.Value, c.dtype)
+	dcols := tensor.MatMul(dmat, c.weight.Value)
 	dx := tensor.Col2Im(dcols, n, g)
 	c.cachedCols = nil
 	return dx

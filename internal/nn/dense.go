@@ -16,14 +16,7 @@ type Dense struct {
 	bias    *Param
 	params  []*Param
 	cachedX *tensor.Tensor
-	// dtype selects the matmul precision (see tensor.DType); the zero
-	// value keeps the float64 kernels.
-	dtype tensor.DType
 }
-
-// SetDType selects the layer's compute precision. Sequential.SetDType
-// fans this out across a whole stack.
-func (d *Dense) SetDType(dt tensor.DType) { d.dtype = dt }
 
 // NewDense constructs a fully connected layer initialised from r; init
 // defaults to XavierUniform.
@@ -61,7 +54,7 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if len(s) != 2 || s[1] != d.in {
 		panic(shapeErr(d.name, fmt.Sprintf("(N,%d)", d.in), s))
 	}
-	out := tensor.MatMulDT(x, d.weight.Value, d.dtype)
+	out := tensor.MatMul(x, d.weight.Value)
 	out.AddRowVector(d.bias.Value)
 	if train {
 		d.cachedX = x
@@ -80,9 +73,9 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if len(s) != 2 || s[1] != d.out || s[0] != d.cachedX.Dim(0) {
 		panic(shapeErr(d.name, fmt.Sprintf("grad (N,%d)", d.out), s))
 	}
-	d.weight.Grad.AddInPlace(tensor.MatMulTransADT(d.cachedX, grad, d.dtype))
+	d.weight.Grad.AddInPlace(tensor.MatMulTransA(d.cachedX, grad))
 	d.bias.Grad.AddInPlace(grad.SumRows())
-	dx := tensor.MatMulTransBDT(grad, d.weight.Value, d.dtype)
+	dx := tensor.MatMulTransB(grad, d.weight.Value)
 	d.cachedX = nil
 	return dx
 }

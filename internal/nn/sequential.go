@@ -58,19 +58,6 @@ func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return grad
 }
 
-// SetDType selects the compute precision for every contained layer that
-// supports one (Dense, Conv2D, nested Sequentials); layers without a
-// precision choice (activations, pooling, flatten) are untouched. It
-// makes Sequential itself satisfy the same optional interface, so the
-// setting recurses through nested stacks.
-func (s *Sequential) SetDType(dt tensor.DType) {
-	for _, l := range s.layers {
-		if dl, ok := l.(interface{ SetDType(tensor.DType) }); ok {
-			dl.SetDType(dt)
-		}
-	}
-}
-
 // Params implements Layer: the concatenation of all layer parameters.
 func (s *Sequential) Params() []*Param {
 	var ps []*Param

@@ -71,100 +71,8 @@ func TestBlockedMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestMatMul32Parity: the float32 kernels agree with the float64 result
-// to single-precision accuracy, and the parallel f32 wrappers are
-// bitwise identical to their serial counterparts.
-func TestMatMul32Parity(t *testing.T) {
-	r := mathx.NewRNG(11)
-	for _, s := range []struct{ m, k, n int }{{5, 9, 4}, {96, 128, 80}} {
-		a := Rand(r, -1, 1, s.m, s.k)
-		b := Rand(r, -1, 1, s.k, s.n)
-		want := MatMul(a, b)
-		got := MatMul32(a, b)
-		if got.DType() != Float32 {
-			t.Fatalf("MatMul32 output dtype %v", got.DType())
-		}
-		tol := float64(s.k) * 1e-6
-		if maxAbsDiff(got, want) > tol {
-			t.Errorf("MatMul32 %v: max diff %g > %g", s, maxAbsDiff(got, want), tol)
-		}
-		if !MatMulP32(a, b).Equal(got, 0) {
-			t.Error("MatMulP32 differs from MatMul32 (must be bitwise equal)")
-		}
-
-		wantTA := MatMulTransA(a.Transpose(), b)
-		if g := MatMulTransA32(a.Transpose(), b); maxAbsDiff(g, wantTA) > tol {
-			t.Errorf("MatMulTransA32 %v: max diff %g > %g", s, maxAbsDiff(g, wantTA), tol)
-		}
-		gotTB := MatMulTransB32(a, b.Transpose())
-		if maxAbsDiff(gotTB, want) > tol {
-			t.Errorf("MatMulTransB32 %v: max diff %g > %g", s, maxAbsDiff(gotTB, want), tol)
-		}
-		if !MatMulTransBP32(a, b.Transpose()).Equal(gotTB, 0) {
-			t.Error("MatMulTransBP32 differs from MatMulTransB32 (must be bitwise equal)")
-		}
-	}
-}
-
-// TestDTDispatch: the DT helpers route exactly to the kernels they name.
-func TestDTDispatch(t *testing.T) {
-	r := mathx.NewRNG(3)
-	a := Rand(r, -1, 1, 6, 8)
-	b := Rand(r, -1, 1, 8, 5)
-	if !MatMulDT(a, b, Float64).Equal(MatMul(a, b), 0) {
-		t.Error("MatMulDT(Float64) != MatMul")
-	}
-	if !MatMulDT(a, b, Float32).Equal(MatMul32(a, b), 0) {
-		t.Error("MatMulDT(Float32) != MatMul32")
-	}
-	at := a.Transpose() // TransA wants its first operand k×m
-	if !MatMulTransADT(at, b, Float64).Equal(MatMulTransA(at, b), 0) {
-		t.Error("MatMulTransADT(Float64) != MatMulTransA")
-	}
-	bt := b.Transpose()
-	if !MatMulTransBDT(a, bt, Float32).Equal(MatMulTransB32(a, bt), 0) {
-		t.Error("MatMulTransBDT(Float32) != MatMulTransB32")
-	}
-	if !MatMulPDT(a, b, Float32).Equal(MatMulP32(a, b), 0) {
-		t.Error("MatMulPDT(Float32) != MatMulP32")
-	}
-	if !MatMulTransBPDT(a, bt, Float64).Equal(MatMulTransBP(a, bt), 0) {
-		t.Error("MatMulTransBPDT(Float64) != MatMulTransBP")
-	}
-}
-
-// TestMatMul32PanicContracts: the float32 kernels keep the same panic
-// messages as the float64 originals.
-func TestMatMul32PanicContracts(t *testing.T) {
-	bad := New(3)
-	a := New(2, 3)
-	b := New(4, 5)
-	if got, want := panicMessage(func() { MatMul32(bad, a) }), panicMessage(func() { MatMul(bad, a) }); got != want || want == "" {
-		t.Errorf("rank panic %q, want %q", got, want)
-	}
-	if got, want := panicMessage(func() { MatMul32(a, b) }), panicMessage(func() { MatMul(a, b) }); got != want || want == "" {
-		t.Errorf("mismatch panic %q, want %q", got, want)
-	}
-}
-
-// TestMatMul32SteadyStateAllocs: after warm-up the f32 kernels allocate
-// only the output tensor (3 allocs: struct, shape+stride via New, data).
-func TestMatMul32SteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under -race; alloc counts are nondeterministic")
-	}
-	a := New(16, 32)
-	b := New(32, 8)
-	MatMul32(a, b) // warm the scratch pool
-	baseline := testing.AllocsPerRun(50, func() { MatMul(a, b) })
-	withConv := testing.AllocsPerRun(50, func() { MatMul32(a, b) })
-	if withConv > baseline {
-		t.Errorf("MatMul32 allocs/op %v exceeds float64 kernel's %v — scratch pooling broken", withConv, baseline)
-	}
-}
-
-// BenchmarkMatMul pins the acceptance numbers: blocked f64 vs the naive
-// reference, and f32 ≥1.5× naive f64, all at 256×256.
+// BenchmarkMatMul pins the acceptance number: blocked vs the naive
+// reference at 256×256.
 func BenchmarkMatMul(b *testing.B) {
 	r := mathx.NewRNG(1)
 	const dim = 256
@@ -182,22 +90,10 @@ func BenchmarkMatMul(b *testing.B) {
 			MatMul(x, y)
 		}
 	})
-	b.Run("blocked-f32-256", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			MatMul32(x, y)
-		}
-	})
 	b.Run("transB-f64-256", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			MatMulTransB(x, y)
-		}
-	})
-	b.Run("transB-f32-256", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			MatMulTransB32(x, y)
 		}
 	})
 }

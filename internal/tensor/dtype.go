@@ -3,24 +3,20 @@ package tensor
 import "fmt"
 
 // DType identifies the element precision a tensor carries on the wire
-// and through the matmul compute path. In-memory storage is always
-// []float64 — the interchange representation every op understands — so
-// a DType is a *tag*: it selects the TSL2 float32 wire encoding (half
-// the bytes, half the memory bandwidth) and the float32 kernel set in
-// the deployments that opt in, while leaving the float64 default
-// bit-for-bit unchanged.
+// — wire only: in-memory storage is always []float64 and every kernel
+// computes in float64. A DType is the codec's *tag*: it selects which
+// frame WriteTo emits (TSL1 float64, or TSL2 float32 at half the
+// bytes), and ReadFrom sets it from the frame it decoded.
 //
-// The zero value is Float64, so tensors constructed anywhere in the
-// codebase behave exactly as before the tag existed.
+// The zero value is Float64, so an untagged tensor encodes as TSL1.
 type DType uint8
 
 const (
 	// Float64 is the default full-precision element type (TSL1 wire
-	// format, float64 kernels).
+	// format).
 	Float64 DType = 0
-	// Float32 is the half-bandwidth element type (TSL2 wire format,
-	// float32 kernels). Values round through IEEE-754 single precision
-	// at every encode and every float32 kernel call.
+	// Float32 is the half-bandwidth element type (TSL2 wire format).
+	// Values round through IEEE-754 single precision at every encode.
 	Float32 DType = 1
 )
 
@@ -61,9 +57,9 @@ func ParseDType(s string) (DType, error) {
 // DType returns the tensor's precision tag.
 func (t *Tensor) DType() DType { return t.dtype }
 
-// SetDType tags the tensor with a precision and returns t. It does not
-// touch the stored values: rounding to float32 happens at encode time
-// and inside the float32 kernels, not here.
+// SetDType tags the tensor with a wire precision and returns t. It does
+// not touch the stored values: rounding to float32 happens at encode
+// time, not here.
 func (t *Tensor) SetDType(d DType) *Tensor {
 	t.dtype = d
 	return t

@@ -27,8 +27,8 @@ type Tensor struct {
 	// dimension i.
 	stride []int
 	data   []float64
-	// dtype tags the wire/compute precision (see dtype.go). Storage is
-	// always float64; the zero value Float64 preserves legacy behaviour.
+	// dtype tags the wire precision (see dtype.go). Storage is always
+	// float64; the zero value Float64 encodes as TSL1.
 	dtype DType
 }
 
