@@ -45,7 +45,7 @@ func main() {
 		timeout     = flag.Duration("grad-timeout", time.Minute, "max wait for any gradient (0 = forever)")
 		retry       = flag.Int("retry", 0, "reconnect attempts after a lost connection (0 = fail immediately); reconnects resume the session and resend the in-flight batch")
 		retryBk     = flag.Duration("retry-backoff", 250*time.Millisecond, "pause before each reconnect attempt")
-		dtName      = flag.String("dtype", "float64", "wire encoding of this end-system's activations: float64|float32 (float32 halves wire bytes via TSL2 frames); the server answers in kind")
+		dtName      = flag.String("dtype", "float64", "wire encoding of this end-system's activations: float64|float32 (float32 halves the payload bytes); the server answers in kind")
 		cksum       = flag.Bool("checksum", false, "send CRC32C-checksummed wire frames (self-describing; a plain server interoperates)")
 		poison      = flag.String("poison", "", "emulate a hostile/broken client: nan (upload NaN activations) or scale (norm-bomb uploads) — for exercising the server's -sanitize quarantine")
 		poisonAfter = flag.Int("poison-after", 0, "clean activation uploads before poisoning starts")

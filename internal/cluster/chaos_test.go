@@ -44,7 +44,13 @@ func chaosDeployment(t testing.TB, clients int) *core.Deployment {
 // seed, and budget — the chaos suite's convergence reference.
 func faultFreeLoss(t testing.TB, clients, steps int) float64 {
 	t.Helper()
-	dep := chaosDeployment(t, clients)
+	return faultFreeLossOf(t, chaosDeployment(t, clients), steps)
+}
+
+// faultFreeLossOf is faultFreeLoss for a deployment the caller built.
+func faultFreeLossOf(t testing.TB, dep *core.Deployment, steps int) float64 {
+	t.Helper()
+	clients := len(dep.Clients)
 	paths := make([]*simnet.Path, clients)
 	for i := range paths {
 		p, err := simnet.NewSymmetricPath(simnet.Constant{D: 5 * time.Millisecond}, 0,
@@ -458,7 +464,7 @@ func TestServerRestartFromCheckpoint(t *testing.T) {
 		ckptMu.Lock()
 		defer ckptMu.Unlock()
 		ckpt.Reset()
-		return core.SavePoolState(&ckpt, srvs)
+		return core.SavePoolState(&ckpt, srvs, 0, 0)
 	}
 
 	dep := chaosDeployment(t, clients)

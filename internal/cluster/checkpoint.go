@@ -28,7 +28,7 @@ const DefaultCheckpointKeep = 3
 //     leave a torn or unpublished checkpoint where a reader would trust
 //     it (rename alone is not durable on ext4-class filesystems).
 //   - Generation chain: every save also lands as path.g<N> carrying its
-//     generation and parent in the STSLPOOL2 header, and the last
+//     generation and parent in its header, and the last
 //     DefaultCheckpointKeep generations are retained. RestoreFromFile
 //     verifies checksums and falls back to the newest generation that
 //     passes, so one corrupted file costs one checkpoint interval of
@@ -55,7 +55,7 @@ func GenerationalCheckpointer(path string, keep int) func([]*core.Server) error 
 		parent := gen
 		gen++
 		var buf bytes.Buffer
-		if err := core.SavePoolStateGen(&buf, srvs, gen, parent); err != nil {
+		if err := core.SavePoolState(&buf, srvs, gen, parent); err != nil {
 			return err
 		}
 		// The generation file is published first, then the stable path:
@@ -141,14 +141,14 @@ func publishSync(path string, data []byte) error {
 
 // RestoreFromFile loads a checkpoint written by FileCheckpointer into a
 // structurally identical core server, returning the restored step count.
-// All checkpoint formats load: a pool checkpoint lands as the FedAvg
-// average of its replica stacks (see core.LoadState), which NewServer
-// then fans out to however many replicas the restarted server runs — an
-// N-worker checkpoint restores into an M-worker server for any N and M.
+// The checkpoint lands as the FedAvg average of its replica stacks (see
+// core.LoadState), which NewServer then fans out to however many replicas
+// the restarted server runs — an N-worker checkpoint restores into an
+// M-worker server for any N and M.
 //
 // Integrity: path is tried first, then the retained generation files
-// newest-first; the first candidate that verifies (STSLPOOL2 checksums
-// are validated before any weight is touched) wins. A torn or
+// newest-first; the first candidate that verifies (the checksum is
+// validated before any weight is touched) wins. A torn or
 // bit-flipped latest checkpoint therefore costs one generation of
 // progress, not the run. No checkpoint files at all is not an error —
 // it reports (0, false, nil) so callers can pass -resume unconditionally

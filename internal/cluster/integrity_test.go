@@ -198,7 +198,7 @@ func TestRobustSyncHealsPoisonedReplica(t *testing.T) {
 // compose: corrupted frames are detected and resent (never trained on),
 // both hostile clients end quarantined, every healthy client still
 // trains its exact budget, and the converged loss stays within ±10% of
-// the fault-free simulation.
+// the fault-free simulation of the healthy clients.
 func TestHostileFleetChaos(t *testing.T) {
 	const (
 		clients    = 8
@@ -206,7 +206,14 @@ func TestHostileFleetChaos(t *testing.T) {
 		nanClient  = 6
 		bombClient = 7
 	)
-	reference := faultFreeLoss(t, clients, steps)
+	// The reference is the fault-free simulation of the clients that
+	// end up training: the same deployment without the two hostile ones,
+	// whose batches the model must never see. (Measured against the
+	// whole fleet's simulation the gap sat at 3–11 %, most of it the two
+	// missing clients, and crossed the band in about one run in fifteen.)
+	healthy := chaosDeployment(t, clients)
+	healthy.Clients = healthy.Clients[:nanClient]
+	reference := faultFreeLossOf(t, healthy, steps)
 	dep := chaosDeployment(t, clients)
 	reg := obs.NewRegistry()
 

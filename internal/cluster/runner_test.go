@@ -19,13 +19,27 @@ import (
 // in-memory pairs, net.Pipe under the wire framing, and real loopback
 // TCP — and checks the full batch budget is trained on each.
 func TestRunnerTransports(t *testing.T) {
-	for _, tr := range []Transport{TransportPair, TransportPipe, TransportTCP} {
-		tr := tr
-		t.Run(string(tr), func(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		tr       Transport
+		quantize int
+	}{
+		{"pair", TransportPair, 0},
+		{"pipe", TransportPipe, 0},
+		{"tcp", TransportTCP, 0},
+		// 8-bit quantized uplinks must flow through the real codec and
+		// the session protocol unchanged.
+		{"tcp-quantize8", TransportTCP, 8},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
 			dep := buildDeployment(t, 2, "fifo")
+			for _, es := range dep.Clients {
+				es.QuantizeBits = tc.quantize
+			}
 			const steps = 4
 			res, err := Run(context.Background(), dep, RunnerConfig{
-				StepsPerClient: steps, Transport: tr, GradTimeout: 10 * time.Second,
+				StepsPerClient: steps, Transport: tc.tr, GradTimeout: 10 * time.Second,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -99,7 +113,7 @@ func TestGatedPolicyOverCap(t *testing.T) {
 // both unbatched and with micro-batch coalescing — the coalesced pass
 // must change throughput, not learning — and repeats the comparison in
 // float32 mode, where the live run additionally rounds every payload
-// through TSL2 float32 wire frames while the in-process simulation does
+// through float32 wire frames while the in-process simulation does
 // not, so the parity tolerance widens to ±10%.
 func TestLiveMatchesSimulation(t *testing.T) {
 	for _, tc := range []struct {

@@ -24,41 +24,19 @@ var ErrCheckpointCorrupt = errors.New("core: checkpoint corrupt")
 // layer.
 var ckptCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
-// SaveState writes the server's own training state — the step counter
-// followed by the shared stack's weights — so a restarted server process
-// can resume serving from where it stopped. Unlike the deployment-level
-// SaveCheckpoint it covers only the centralized side: end-systems are
-// separate processes that keep (and checkpoint) their own private
-// stacks. Optimiser slot state (momentum, Adam moments) is not included;
-// plain SGD resumes exactly, stateful optimisers restart their slots
-// cold.
-func (s *Server) SaveState(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "STSLSRV1 steps=%d\n", s.steps); err != nil {
-		return fmt.Errorf("core: server state header: %w", err)
-	}
-	if err := s.Stack.SaveWeights(w); err != nil {
-		return fmt.Errorf("core: server state weights: %w", err)
-	}
-	return nil
-}
-
-// SavePoolState writes a worker pool's training state in the current
-// (STSLPOOL2) checkpoint format: a header carrying the replica count,
-// pool step total, generation chain metadata, and the payload's length
-// and CRC32C, followed by the replica weight stacks. Readers verify the
-// CRC before trusting a byte, so torn writes and bit rot are detected
-// instead of silently restored. Legacy STSLSRV1/STSLPOOL1 checkpoints
-// still load (LoadState recognises all three headers); this writer is
-// gen-chain position zero — use SavePoolStateGen to record lineage.
-func SavePoolState(w io.Writer, replicas []*Server) error {
-	return SavePoolStateGen(w, replicas, 0, 0)
-}
-
-// SavePoolStateGen is SavePoolState recording the checkpoint's position
-// in a generation chain: gen is this checkpoint's generation number and
-// parent the generation it was taken from, so an auditor (or a restore
-// that distrusts mtimes) can reconstruct lineage from the files alone.
-func SavePoolStateGen(w io.Writer, replicas []*Server, gen, parent int) error {
+// SavePoolState writes the server side's training state — the one server
+// checkpoint format: a header carrying the replica count (a single-model
+// server is a pool of one), the pool's step total, this checkpoint's
+// position in its generation chain (gen, taken from parent — so an
+// auditor, or a restore that distrusts mtimes, can reconstruct lineage
+// from the files alone), and the payload's length and CRC32C, followed by
+// the replica weight stacks. Readers verify the CRC before trusting a
+// byte, so torn writes and bit rot are detected instead of silently
+// restored. It covers only the centralized side: end-systems are separate
+// processes that keep (and checkpoint) their own private stacks.
+// Optimiser slot state (momentum, Adam moments) is not included; plain
+// SGD resumes exactly, stateful optimisers restart their slots cold.
+func SavePoolState(w io.Writer, replicas []*Server, gen, parent int) error {
 	if len(replicas) == 0 {
 		return fmt.Errorf("core: pool state needs at least one replica")
 	}
@@ -85,97 +63,72 @@ func SavePoolStateGen(w io.Writer, replicas []*Server, gen, parent int) error {
 	return nil
 }
 
-// LoadState restores state written by SaveState or SavePoolState into a
-// server of identical stack structure, resuming the step counter and
-// the shared weights. A pool (STSLPOOL1) checkpoint carrying N replica
-// stacks is restored as their uniform FedAvg average — the same
-// aggregation the pool would have produced at its next sync barrier —
-// so an N-replica checkpoint loads into an M-worker server for any N
-// and M: the caller fans the averaged weights out to however many
-// replicas it runs (average-then-fan-out, never dropped replicas).
+// LoadState restores state written by SavePoolState into a server of
+// identical stack structure, resuming the step counter and the shared
+// weights. A checkpoint carrying N replica stacks is restored as their
+// uniform FedAvg average — the same aggregation the pool would have
+// produced at its next sync barrier — so an N-replica checkpoint loads
+// into an M-worker server for any N and M: the caller fans the averaged
+// weights out to however many replicas it runs (average-then-fan-out,
+// never dropped replicas). Any other header is refused as unrecognised.
 func (s *Server) LoadState(r io.Reader) error {
 	br := bufio.NewReader(r)
 	header, err := br.ReadString('\n')
 	if err != nil {
 		return fmt.Errorf("core: server state header: %w", err)
 	}
-	var steps, workers int
-	if n, _ := fmt.Sscanf(header, "STSLSRV1 steps=%d", &steps); n == 1 {
-		if steps < 0 {
-			return fmt.Errorf("core: server state has negative step count %d", steps)
-		}
-		if err := s.Stack.LoadWeights(br); err != nil {
-			return fmt.Errorf("core: restore server weights: %w", err)
-		}
-		s.steps = steps
-		return nil
-	}
-	var gen, parent, plen int
+	var steps, workers, gen, parent, plen int
 	var sum uint32
 	if n, _ := fmt.Sscanf(header, "STSLPOOL2 workers=%d steps=%d gen=%d parent=%d len=%d crc=%x",
-		&workers, &steps, &gen, &parent, &plen, &sum); n == 6 {
-		if workers <= 0 {
-			return fmt.Errorf("core: pool state has non-positive worker count %d", workers)
-		}
-		if steps < 0 {
-			return fmt.Errorf("core: pool state has negative step count %d", steps)
-		}
-		if plen < 0 {
-			return fmt.Errorf("core: pool state has negative payload length %d", plen)
-		}
-		// The whole payload is read and CRC-verified before a single
-		// weight is touched: a corrupt checkpoint must leave the server
-		// untouched so the caller can fall back to an older generation.
-		// LimitReader bounds the read by the stream's real size even if
-		// a corrupted header announces an absurd length.
-		var payload bytes.Buffer
-		got, err := io.Copy(&payload, io.LimitReader(br, int64(plen)))
-		if err != nil {
-			return fmt.Errorf("core: read pool state payload: %w", err)
-		}
-		if got != int64(plen) {
-			return fmt.Errorf("core: pool state payload %d of %d bytes (torn write): %w",
-				got, plen, ErrCheckpointCorrupt)
-		}
-		if s := crc32.Checksum(payload.Bytes(), ckptCRCTable); s != sum {
-			return fmt.Errorf("core: pool state crc32c %08x, header says %08x: %w",
-				s, sum, ErrCheckpointCorrupt)
-		}
-		pr := bytes.NewReader(payload.Bytes())
-		if workers == 1 {
-			if err := s.Stack.LoadWeights(pr); err != nil {
-				return fmt.Errorf("core: restore server weights: %w", err)
-			}
-			s.steps = steps
-			return nil
-		}
-		if err := s.loadAveraged(pr, workers); err != nil {
-			return err
-		}
-		s.steps = steps
-		return nil
+		&workers, &steps, &gen, &parent, &plen, &sum); n != 6 {
+		return fmt.Errorf("core: unrecognised server state header %q", header)
 	}
-	if n, _ := fmt.Sscanf(header, "STSLPOOL1 workers=%d steps=%d", &workers, &steps); n == 2 {
-		if workers <= 0 {
-			return fmt.Errorf("core: pool state has non-positive worker count %d", workers)
-		}
-		if steps < 0 {
-			return fmt.Errorf("core: pool state has negative step count %d", steps)
-		}
-		if err := s.loadAveraged(br, workers); err != nil {
-			return err
-		}
-		s.steps = steps
-		return nil
+	if workers <= 0 {
+		return fmt.Errorf("core: pool state has non-positive worker count %d", workers)
 	}
-	return fmt.Errorf("core: unrecognised server state header %q", header)
+	if steps < 0 {
+		return fmt.Errorf("core: pool state has negative step count %d", steps)
+	}
+	if plen < 0 {
+		return fmt.Errorf("core: pool state has negative payload length %d", plen)
+	}
+	// The whole payload is read and CRC-verified before a single weight
+	// is touched: a corrupt checkpoint must leave the server untouched so
+	// the caller can fall back to an older generation. LimitReader bounds
+	// the read by the stream's real size even if a corrupted header
+	// announces an absurd length.
+	var payload bytes.Buffer
+	got, err := io.Copy(&payload, io.LimitReader(br, int64(plen)))
+	if err != nil {
+		return fmt.Errorf("core: read pool state payload: %w", err)
+	}
+	if got != int64(plen) {
+		return fmt.Errorf("core: pool state payload %d of %d bytes (torn write): %w",
+			got, plen, ErrCheckpointCorrupt)
+	}
+	if s := crc32.Checksum(payload.Bytes(), ckptCRCTable); s != sum {
+		return fmt.Errorf("core: pool state crc32c %08x, header says %08x: %w",
+			s, sum, ErrCheckpointCorrupt)
+	}
+	if err := s.loadAveraged(bytes.NewReader(payload.Bytes()), workers); err != nil {
+		return err
+	}
+	s.steps = steps
+	return nil
 }
 
 // loadAveraged reads workers consecutive weight stacks from r and
 // restores their uniform FedAvg average into s.Stack: each stack is
 // loaded into s.Stack in turn (the only structural twin we hold) and
-// folded into accumulator tensors at weight 1/N.
+// folded into accumulator tensors at weight 1/N. A pool of one is its own
+// average and is loaded as is.
 func (s *Server) loadAveraged(r io.Reader, workers int) error {
+	if workers == 1 {
+		if err := s.Stack.LoadWeights(r); err != nil {
+			return fmt.Errorf("core: restore server weights: %w", err)
+		}
+		return nil
+	}
 	params := s.Stack.Params()
 	accs := make([]*tensor.Tensor, len(params))
 	for i, p := range params {

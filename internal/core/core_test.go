@@ -182,7 +182,7 @@ func TestServerProcessing(t *testing.T) {
 		t.Fatalf("Steps = %d", srv.Steps())
 	}
 	// The server answers in kind: an untagged activation gets a Float64
-	// (TSL1) gradient, a Float32-tagged one a Float32 (TSL2) gradient.
+	// gradient, a Float32-tagged one a Float32 gradient.
 	if dt := reply.Payload.DType(); dt != tensor.Float64 {
 		t.Fatalf("gradient for an untagged activation is tagged %v", dt)
 	}

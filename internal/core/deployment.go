@@ -50,9 +50,9 @@ type Config struct {
 	// atomic and may exceed this cap.
 	BatchCoalesce int
 	// DType selects the wire encoding — wire only, compute is always
-	// float64: "" or "float64" has every end-system emit TSL1 frames;
-	// "float32" sets EndSystem.WireDType so activations ship as TSL2
-	// float32 frames (half the wire bytes), and the server answers each
+	// float64: "" or "float64" has every end-system ship float64
+	// payloads; "float32" sets EndSystem.WireDType so activations ship at
+	// float32 width (half the wire bytes), and the server answers each
 	// in kind. The virtual-time simulation has no codec and ignores it.
 	DType string
 }

@@ -42,8 +42,8 @@ type EndSystem struct {
 	// actually see, and the network is charged the compressed size.
 	QuantizeBits int
 	// WireDType tags outgoing activation payloads: tensor.Float32 ships
-	// them as TSL2 float32 frames (half the wire bytes). The zero value
-	// keeps the legacy TSL1 float64 frames.
+	// their elements at float32 width (half the wire bytes). The zero
+	// value ships float64.
 	WireDType tensor.DType
 }
 

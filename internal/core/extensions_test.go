@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -61,6 +62,56 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if err := other.LoadCheckpoint(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("cut mismatch accepted")
+	}
+}
+
+// TestLoadStateOneFormat: the CRC'd pool header is the only server state
+// LoadState reads. A pool of one round-trips exactly; a stream that opens
+// with either retired header — even one followed by perfectly good
+// weights — is refused as unrecognised, with the weights and step counter
+// left as they were.
+func TestLoadStateOneFormat(t *testing.T) {
+	ds := smallData(t, 32, 43)
+	mk := func(seed uint64) *Server {
+		dep, err := NewDeployment(Config{
+			Model: smallModel(), Cut: 1, Clients: 1, Seed: seed, BatchSize: 8, LR: 0.05,
+		}, []*data.Dataset{ds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dep.Server
+	}
+	weights := func(s *Server) []byte {
+		var b bytes.Buffer
+		if err := s.Stack.SaveWeights(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	src, dst := mk(7), mk(99)
+	src.steps = 5
+	before := weights(dst)
+
+	for _, retired := range []string{"SRV1 steps=5", "POOL1 workers=1 steps=5"} {
+		file := append([]byte("STSL"+retired+"\n"), weights(src)...)
+		err := dst.LoadState(bytes.NewReader(file))
+		if err == nil || !strings.Contains(err.Error(), "unrecognised server state header") {
+			t.Fatalf("%q: err = %v, want the unrecognised-header error", retired, err)
+		}
+		if !bytes.Equal(weights(dst), before) || dst.Steps() != 0 {
+			t.Fatalf("%q: a refused checkpoint touched the server", retired)
+		}
+	}
+
+	var ckpt bytes.Buffer
+	if err := SavePoolState(&ckpt, []*Server{src}, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.LoadState(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(weights(dst), weights(src)) || dst.Steps() != 5 {
+		t.Fatal("a pool of one did not restore its weights and step counter exactly")
 	}
 }
 

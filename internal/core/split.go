@@ -6,10 +6,10 @@
 // scheduling queue that absorbs geo-distributed arrival skew.
 //
 // The package provides the model-splitting machinery (Split, Deployment),
-// the two protocol actors (EndSystem, Server), a deterministic
+// the two protocol actors (EndSystem, Server), and a deterministic
 // event-driven simulation over virtual time (Simulation) reproducing the
-// paper's experiments, and connection-driven loops (ServeConn, RunClient)
-// that speak the same protocol over real transports.
+// paper's experiments. The connection-driven runtime that drives the same
+// actors over real transports is internal/cluster.
 package core
 
 import (

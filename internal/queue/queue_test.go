@@ -260,16 +260,34 @@ func TestSyncRoundsPopBatchDrainsAfterDeactivation(t *testing.T) {
 	}
 }
 
-func TestStalenessDropPopBatchDiscardsExpired(t *testing.T) {
-	q := NewStalenessDrop(NewFIFO(), 10*time.Millisecond)
-	q.Push(item(0, 1, 0, 0))                    // stale at now=1s
-	q.Push(item(0, 2, 999*time.Millisecond, 0)) // fresh
-	batch := q.PopBatch(time.Second, 4)
-	if len(batch) != 1 || batch[0].Msg.Seq != 2 {
-		t.Fatalf("batch %v, want only the fresh item", batch)
+func TestSyncRoundsGateAndDeactivate(t *testing.T) {
+	q := NewSyncRounds([]int{0, 1})
+	q.Push(item(0, 1, 0, 0))
+	// Gate closed: client 1 has nothing yet.
+	if _, ok := q.Pop(0); ok {
+		t.Fatal("gate open with missing client")
 	}
-	if q.Dropped() != 1 {
-		t.Fatalf("Dropped = %d, want 1", q.Dropped())
+	q.Push(item(1, 2, 0, 0))
+	if _, ok := q.Pop(0); !ok {
+		t.Fatal("gate closed with all clients present")
+	}
+	// After the pop one bucket is empty → gate closed again.
+	if _, ok := q.Pop(0); ok {
+		t.Fatal("gate open after bucket drained")
+	}
+	// Deactivating the empty client lets the rest drain.
+	q.Deactivate(0) // popped client was 0 (rotation starts at first seen)
+	q.Deactivate(1)
+	if q.Len() > 0 {
+		if _, ok := q.Pop(0); !ok {
+			t.Fatal("drain failed after deactivation")
+		}
+	}
+}
+
+func TestSyncRoundsName(t *testing.T) {
+	if got := NewSyncRounds(nil).Name(); got != "sync-rounds" {
+		t.Fatalf("Name = %q", got)
 	}
 }
 

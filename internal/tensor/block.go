@@ -29,7 +29,8 @@ const (
 // The kernel choice depends only on the FULL problem size (m, not hi-lo),
 // and both kernels accumulate each output element in an order fixed by
 // (k, n) alone — so any row partition of the same product is bitwise
-// identical to the serial whole, which MatMulP's contract pins.
+// identical to the serial whole. matMulTransBRange keeps the same rule,
+// and MatMulTransBP's row partition relies on it.
 func matMulRange(a, b, out []float64, m, k, n, lo, hi int) {
 	if m*k*n >= blockedThreshold && k >= 4 {
 		matMulRowsBlocked(a, b, out, k, n, lo, hi)

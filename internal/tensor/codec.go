@@ -10,33 +10,26 @@ import (
 )
 
 // The wire format is deliberately simple and explicit rather than gob-based
-// so that the transport layer has a stable, versioned encoding. Two formats
-// coexist; the magic makes every frame self-describing, so a decoder needs
-// no out-of-band negotiation:
+// so that the transport layer has a stable encoding. There is one frame; its
+// dtype byte says how wide the elements are:
 //
-// TSL1 — the legacy full-precision format, emitted for Float64 tensors
-// (byte-for-byte identical to every release before dtypes existed):
-//
-//	magic   uint32 = 0x54534c31 ("TSL1")
-//	rank    uint32
-//	shape   rank × uint32
-//	data    volume × float64 (IEEE-754, little endian)
-//
-// TSL2 — the dtype-tagged format, emitted for Float32 tensors:
-//
-//	magic   uint32 = 0x54534c32 ("TSL2")
+//	magic   uint32 = 0x54534c33 ("TSL3")
 //	dtype   uint8  (0 = float64, 1 = float32)
-//	rank    uint32
+//	rank    uint8  (at most maxRank)
+//	zero    2 bytes, must be 0
 //	shape   rank × uint32
-//	data    volume × elemSize(dtype) (IEEE-754, little endian)
+//	data    volume × dtype.Size() (IEEE-754, little endian)
 //
 // Both directions stream through one pooled scratch buffer: encode converts
 // directly into it and writes straight to the (typically bufio-backed)
 // connection, decode reads into it and converts straight into the tensor's
 // backing slice — no staging copies, zero allocations at steady state.
 const (
-	codecMagic  uint32 = 0x54534c31
-	codecMagic2 uint32 = 0x54534c32
+	codecMagic  uint32 = 0x54534c33
+	codecHdrLen        = 8
+	// maxRank bounds the shape a header may announce; it also keeps the
+	// header plus shape far inside the scratch buffer.
+	maxRank = 8
 )
 
 // ErrBadEncoding is wrapped by all decode failures. A clean end of stream
@@ -51,7 +44,8 @@ const maxDecodeElems = 32 << 20
 
 // codecChunk is the number of float64 elements converted per streamed
 // chunk; the scratch buffer holds 8×codecChunk bytes (32 KiB — within L1
-// on anything modern, big enough to amortise the Write call).
+// on anything modern, big enough to amortise the Write call). Float32
+// elements are half as wide, so twice as many fit per chunk.
 const codecChunk = 4096
 
 // codecBufPool recycles codec scratch buffers across WriteTo/ReadFrom
@@ -63,25 +57,22 @@ var codecBufPool = sync.Pool{
 	},
 }
 
-// WriteTo serialises t to w: TSL1 for Float64 tensors (the legacy bytes,
-// unchanged), TSL2 for Float32. It implements io.WriterTo and performs no
-// allocations — header and data stream through one pooled scratch buffer.
+// WriteTo serialises t to w at the width its dtype tag names. It
+// implements io.WriterTo and performs no allocations — header and data
+// stream through one pooled scratch buffer.
 func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
+	if len(t.shape) > maxRank {
+		return 0, fmt.Errorf("tensor: rank %d does not fit the wire format (max %d)", len(t.shape), maxRank)
+	}
 	bufp := codecBufPool.Get().(*[]byte)
 	defer codecBufPool.Put(bufp)
 	buf := *bufp
 
-	h := 0
-	if t.dtype == Float64 {
-		binary.LittleEndian.PutUint32(buf[0:], codecMagic)
-		binary.LittleEndian.PutUint32(buf[4:], uint32(len(t.shape)))
-		h = 8
-	} else {
-		binary.LittleEndian.PutUint32(buf[0:], codecMagic2)
-		buf[4] = byte(t.dtype)
-		binary.LittleEndian.PutUint32(buf[5:], uint32(len(t.shape)))
-		h = 9
-	}
+	binary.LittleEndian.PutUint32(buf[0:], codecMagic)
+	buf[4] = byte(t.dtype)
+	buf[5] = byte(len(t.shape))
+	buf[6], buf[7] = 0, 0 // pooled scratch is dirty; every byte must be set
+	h := codecHdrLen
 	for _, d := range t.shape {
 		binary.LittleEndian.PutUint32(buf[h:], uint32(d))
 		h += 4
@@ -92,34 +83,19 @@ func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
 		return written, fmt.Errorf("tensor: write header: %w", err)
 	}
 
-	if t.dtype == Float32 {
-		// 4-byte elements: twice as many fit per scratch chunk.
-		for off := 0; off < len(t.data); {
-			chunk := len(t.data) - off
-			if chunk > 2*codecChunk {
-				chunk = 2 * codecChunk
-			}
-			for i := 0; i < chunk; i++ {
-				binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(float32(t.data[off+i])))
-			}
-			n, err = w.Write(buf[:4*chunk])
-			written += int64(n)
-			if err != nil {
-				return written, fmt.Errorf("tensor: write data: %w", err)
-			}
-			off += chunk
-		}
-		return written, nil
-	}
+	size := t.dtype.Size()
 	for off := 0; off < len(t.data); {
-		chunk := len(t.data) - off
-		if chunk > codecChunk {
-			chunk = codecChunk
+		chunk := min(len(t.data)-off, len(buf)/size)
+		if t.dtype == Float32 {
+			for i, v := range t.data[off : off+chunk] {
+				binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(float32(v)))
+			}
+		} else {
+			for i, v := range t.data[off : off+chunk] {
+				binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+			}
 		}
-		for i := 0; i < chunk; i++ {
-			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(t.data[off+i]))
-		}
-		n, err = w.Write(buf[:8*chunk])
+		n, err = w.Write(buf[:size*chunk])
 		written += int64(n)
 		if err != nil {
 			return written, fmt.Errorf("tensor: write data: %w", err)
@@ -129,8 +105,8 @@ func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
 	return written, nil
 }
 
-// ReadFrom deserialises a TSL1- or TSL2-format tensor from r, replacing
-// t's shape, contents and dtype tag. It implements io.ReaderFrom.
+// ReadFrom deserialises one tensor frame from r, replacing t's shape,
+// contents and dtype tag. It implements io.ReaderFrom.
 //
 // Two properties matter to receive loops:
 //
@@ -146,7 +122,7 @@ func (t *Tensor) ReadFrom(r io.Reader) (int64, error) {
 	defer codecBufPool.Put(bufp)
 	buf := *bufp
 
-	n, err := io.ReadFull(r, buf[:4])
+	n, err := io.ReadFull(r, buf[:codecHdrLen])
 	read := int64(n)
 	if err != nil {
 		if n == 0 && err == io.EOF {
@@ -154,34 +130,18 @@ func (t *Tensor) ReadFrom(r io.Reader) (int64, error) {
 		}
 		return read, fmt.Errorf("%w: header: %v", ErrBadEncoding, err)
 	}
-	dt := Float64
-	var rank uint32
-	switch magic := binary.LittleEndian.Uint32(buf[:4]); magic {
-	case codecMagic:
-		n, err = io.ReadFull(r, buf[:4])
-		read += int64(n)
-		if err != nil {
-			return read, fmt.Errorf("%w: header: %v", ErrBadEncoding, err)
-		}
-		rank = binary.LittleEndian.Uint32(buf[:4])
-	case codecMagic2:
-		n, err = io.ReadFull(r, buf[:5])
-		read += int64(n)
-		if err != nil {
-			return read, fmt.Errorf("%w: header: %v", ErrBadEncoding, err)
-		}
-		switch DType(buf[0]) {
-		case Float64, Float32:
-			dt = DType(buf[0])
-		default:
-			return read, fmt.Errorf("%w: unknown dtype %d", ErrBadEncoding, buf[0])
-		}
-		rank = binary.LittleEndian.Uint32(buf[1:5])
-	default:
+	if magic := binary.LittleEndian.Uint32(buf[:4]); magic != codecMagic {
 		return read, fmt.Errorf("%w: bad magic %#x", ErrBadEncoding, magic)
 	}
-	if rank > 8 {
+	dt, rank := DType(buf[4]), int(buf[5])
+	if dt != Float64 && dt != Float32 {
+		return read, fmt.Errorf("%w: unknown dtype %d", ErrBadEncoding, buf[4])
+	}
+	if rank > maxRank {
 		return read, fmt.Errorf("%w: implausible rank %d", ErrBadEncoding, rank)
+	}
+	if buf[6] != 0 || buf[7] != 0 {
+		return read, fmt.Errorf("%w: reserved header bytes %#x %#x", ErrBadEncoding, buf[6], buf[7])
 	}
 	n, err = io.ReadFull(r, buf[:4*rank])
 	read += int64(n)
@@ -189,11 +149,11 @@ func (t *Tensor) ReadFrom(r io.Reader) (int64, error) {
 		return read, fmt.Errorf("%w: shape: %v", ErrBadEncoding, err)
 	}
 	shape := t.shape[:0]
-	if cap(shape) < int(rank) {
+	if cap(shape) < rank {
 		shape = make([]int, 0, rank)
 	}
 	vol := 1
-	for i := 0; i < int(rank); i++ {
+	for i := 0; i < rank; i++ {
 		d := binary.LittleEndian.Uint32(buf[4*i:])
 		shape = append(shape, int(d))
 		vol *= int(d)
@@ -208,38 +168,24 @@ func (t *Tensor) ReadFrom(r io.Reader) (int64, error) {
 		data = data[:vol]
 	}
 
-	if dt == Float32 {
-		for off := 0; off < vol; {
-			chunk := vol - off
-			if chunk > 2*codecChunk {
-				chunk = 2 * codecChunk
-			}
-			n, err = io.ReadFull(r, buf[:4*chunk])
-			read += int64(n)
-			if err != nil {
-				return read, fmt.Errorf("%w: data: %v", ErrBadEncoding, err)
-			}
-			for i := 0; i < chunk; i++ {
+	size := dt.Size()
+	for off := 0; off < vol; {
+		chunk := min(vol-off, len(buf)/size)
+		n, err = io.ReadFull(r, buf[:size*chunk])
+		read += int64(n)
+		if err != nil {
+			return read, fmt.Errorf("%w: data: %v", ErrBadEncoding, err)
+		}
+		if dt == Float32 {
+			for i := range data[off : off+chunk] {
 				data[off+i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:])))
 			}
-			off += chunk
-		}
-	} else {
-		for off := 0; off < vol; {
-			chunk := vol - off
-			if chunk > codecChunk {
-				chunk = codecChunk
-			}
-			n, err = io.ReadFull(r, buf[:8*chunk])
-			read += int64(n)
-			if err != nil {
-				return read, fmt.Errorf("%w: data: %v", ErrBadEncoding, err)
-			}
-			for i := 0; i < chunk; i++ {
+		} else {
+			for i := range data[off : off+chunk] {
 				data[off+i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
 			}
-			off += chunk
 		}
+		off += chunk
 	}
 	t.shape = shape
 	t.stride = stridesInto(t.stride, shape)

@@ -2,68 +2,46 @@ package tensor
 
 import (
 	"bytes"
-	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
-	"math"
 	"testing"
 )
 
-// goldenTSL1 builds the byte-exact TSL1 frame for a 2×2 [1 2 3 4] tensor.
-func goldenTSL1() []byte {
-	var b bytes.Buffer
-	hdr := make([]byte, 4)
-	binary.LittleEndian.PutUint32(hdr, 0x54534c31)
-	b.Write(hdr)
-	for _, v := range []uint32{2, 2, 2} { // rank, then shape
-		binary.LittleEndian.PutUint32(hdr, v)
-		b.Write(hdr)
+// The one frame layout, pinned for a 2×2 [1 2 3 4] tensor at each width:
+// magic "TSL3" (little endian), dtype, rank, two zero bytes, the shape,
+// then the elements.
+const (
+	goldenF64 = "334c5354" + "00" + "02" + "0000" + "02000000" + "02000000" +
+		"000000000000f03f" + "0000000000000040" + "0000000000000840" + "0000000000001040"
+	goldenF32 = "334c5354" + "01" + "02" + "0000" + "02000000" + "02000000" +
+		"0000803f" + "00000040" + "00004040" + "00008040"
+)
+
+// golden decodes one of the pinned frames to bytes.
+func golden(tb testing.TB, h string) []byte {
+	tb.Helper()
+	b, err := hex.DecodeString(h)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	w := make([]byte, 8)
-	for _, v := range []float64{1, 2, 3, 4} {
-		binary.LittleEndian.PutUint64(w, math.Float64bits(v))
-		b.Write(w)
-	}
-	return b.Bytes()
+	return b
 }
 
-// goldenTSL2 builds the byte-exact TSL2 float32 frame for the same tensor.
-func goldenTSL2() []byte {
-	var b bytes.Buffer
-	hdr := make([]byte, 4)
-	binary.LittleEndian.PutUint32(hdr, 0x54534c32)
-	b.Write(hdr)
-	b.WriteByte(1) // dtype = float32
-	for _, v := range []uint32{2, 2, 2} {
-		binary.LittleEndian.PutUint32(hdr, v)
-		b.Write(hdr)
-	}
-	for _, v := range []float32{1, 2, 3, 4} {
-		binary.LittleEndian.PutUint32(hdr, math.Float32bits(v))
-		b.Write(hdr)
-	}
-	return b.Bytes()
-}
-
-// TestGoldenBytes pins both wire formats: TSL1 must stay byte-for-byte
-// what every pre-dtype release emitted, TSL2 is pinned from birth.
+// TestGoldenBytes pins the frame byte for byte at both widths.
 func TestGoldenBytes(t *testing.T) {
 	src := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
-
-	var buf bytes.Buffer
-	if _, err := src.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo (f64): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), goldenTSL1()) {
-		t.Errorf("TSL1 encoding drifted:\n got %x\nwant %x", buf.Bytes(), goldenTSL1())
-	}
-
-	buf.Reset()
-	if _, err := src.Clone().SetDType(Float32).WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo (f32): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), goldenTSL2()) {
-		t.Errorf("TSL2 encoding drifted:\n got %x\nwant %x", buf.Bytes(), goldenTSL2())
+	for _, tc := range []struct {
+		dt   DType
+		want string
+	}{{Float64, goldenF64}, {Float32, goldenF32}} {
+		var buf bytes.Buffer
+		if _, err := src.Clone().SetDType(tc.dt).WriteTo(&buf); err != nil {
+			t.Fatalf("WriteTo (%v): %v", tc.dt, err)
+		}
+		if got := hex.EncodeToString(buf.Bytes()); got != tc.want {
+			t.Errorf("%v encoding drifted:\n got %s\nwant %s", tc.dt, got, tc.want)
+		}
 	}
 }
 
@@ -72,26 +50,25 @@ func TestGoldenBytes(t *testing.T) {
 func TestGoldenDecode(t *testing.T) {
 	want := []float64{1, 2, 3, 4}
 	for _, tc := range []struct {
-		name  string
 		frame []byte
 		dt    DType
 	}{
-		{"TSL1", goldenTSL1(), Float64},
-		{"TSL2", goldenTSL2(), Float32},
+		{golden(t, goldenF64), Float64},
+		{golden(t, goldenF32), Float32},
 	} {
 		var got Tensor
 		n, err := got.ReadFrom(bytes.NewReader(tc.frame))
 		if err != nil {
-			t.Fatalf("%s: ReadFrom: %v", tc.name, err)
+			t.Fatalf("%v: ReadFrom: %v", tc.dt, err)
 		}
 		if n != int64(len(tc.frame)) {
-			t.Errorf("%s: read %d bytes, frame is %d", tc.name, n, len(tc.frame))
+			t.Errorf("%v: read %d bytes, frame is %d", tc.dt, n, len(tc.frame))
 		}
 		if got.DType() != tc.dt {
-			t.Errorf("%s: decoded dtype %v, want %v", tc.name, got.DType(), tc.dt)
+			t.Errorf("decoded dtype %v, want %v", got.DType(), tc.dt)
 		}
 		if !got.Equal(FromSlice(want, 2, 2), 0) {
-			t.Errorf("%s: decoded %v, want %v", tc.name, got.Data(), want)
+			t.Errorf("%v: decoded %v, want %v", tc.dt, got.Data(), want)
 		}
 	}
 }
@@ -113,17 +90,25 @@ func TestReadFromCleanEOF(t *testing.T) {
 }
 
 // TestReadFromTruncation: anything after the first byte is corruption,
-// including a TSL2 frame cut exactly at the dtype byte.
+// and so is a header that announces something the decoder must not
+// believe — each rejected before any storage is sized from it.
 func TestReadFromTruncation(t *testing.T) {
-	full2 := goldenTSL2()
+	full := golden(t, goldenF32)
+	mutate := func(at int, v byte) []byte {
+		f := append([]byte(nil), full...)
+		f[at] = v
+		return f
+	}
 	cases := map[string][]byte{
-		"mid-magic":        goldenTSL1()[:2],
-		"at-dtype-byte":    full2[:4], // magic complete, dtype byte missing
-		"mid-rank":         full2[:6],
-		"mid-shape":        full2[:11],
-		"mid-data":         full2[:len(full2)-3],
+		"mid-magic":        full[:2],
+		"at-dtype-byte":    full[:4], // magic complete, dtype byte missing
+		"truncated-header": full[:7],
+		"mid-shape":        full[:11],
+		"mid-data":         full[:len(full)-3],
 		"garbage-magic":    []byte("not a tensor at all"),
-		"truncated-header": goldenTSL1()[:7],
+		"implausible-rank": mutate(5, 9),
+		"reserved-nonzero": mutate(6, 1),
+		"oversized-volume": mutate(11, 0x7f), // 2 × 0x7f000002 elements
 	}
 	for name, frame := range cases {
 		var tt Tensor
@@ -134,14 +119,23 @@ func TestReadFromTruncation(t *testing.T) {
 	}
 }
 
-// TestReadFromUnknownDType rejects a TSL2 frame with a dtype the decoder
-// does not know.
+// TestReadFromUnknownDType rejects a frame with a dtype the decoder does
+// not know.
 func TestReadFromUnknownDType(t *testing.T) {
-	frame := goldenTSL2()
+	frame := golden(t, goldenF32)
 	frame[4] = 7
 	var tt Tensor
 	if _, err := tt.ReadFrom(bytes.NewReader(frame)); !errors.Is(err, ErrBadEncoding) {
 		t.Fatalf("unknown dtype: err = %v, want ErrBadEncoding", err)
+	}
+}
+
+// TestWriteToRejectsOversizeRank: the rank byte cannot announce more
+// dimensions than the decoder accepts, so such a tensor is not encoded.
+func TestWriteToRejectsOversizeRank(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := New(1, 1, 1, 1, 1, 1, 1, 1, 1).WriteTo(&buf); err == nil || buf.Len() != 0 {
+		t.Fatalf("rank-9 tensor: err = %v after %d bytes, want an error before any byte", err, buf.Len())
 	}
 }
 

@@ -4,19 +4,19 @@ import "fmt"
 
 // DType identifies the element precision a tensor carries on the wire
 // — wire only: in-memory storage is always []float64 and every kernel
-// computes in float64. A DType is the codec's *tag*: it selects which
-// frame WriteTo emits (TSL1 float64, or TSL2 float32 at half the
-// bytes), and ReadFrom sets it from the frame it decoded.
+// computes in float64. A DType is the codec's *tag*: it is the dtype
+// byte of the frame WriteTo emits and so the width of every element in
+// it (float32 at half the bytes), and ReadFrom sets it from the frame
+// it decoded.
 //
-// The zero value is Float64, so an untagged tensor encodes as TSL1.
+// The zero value is Float64, so an untagged tensor encodes at full width.
 type DType uint8
 
 const (
-	// Float64 is the default full-precision element type (TSL1 wire
-	// format).
+	// Float64 is the default full-precision element type.
 	Float64 DType = 0
-	// Float32 is the half-bandwidth element type (TSL2 wire format).
-	// Values round through IEEE-754 single precision at every encode.
+	// Float32 is the half-bandwidth element type. Values round through
+	// IEEE-754 single precision at every encode.
 	Float32 DType = 1
 )
 

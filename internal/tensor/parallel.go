@@ -5,63 +5,26 @@ import (
 	"sync"
 )
 
-// parallelThreshold is the minimum number of multiply-adds before MatMulP
-// fans work out to goroutines; below it the serial kernel wins.
+// parallelThreshold is the minimum volume of work (multiply-adds for
+// MatMulTransBP, elements for the stack/scatter copies) before it is
+// fanned out to goroutines; below it the serial path wins.
 const parallelThreshold = 1 << 18
-
-// MatMulP returns the matrix product of two rank-2 tensors like MatMul,
-// but splits the output rows across GOMAXPROCS goroutines for large
-// operands. Each worker writes a disjoint row range, so the result is
-// bitwise identical to the serial kernel regardless of scheduling.
-func MatMulP(a, b *Tensor) *Tensor {
-	if a.Dims() != 2 || b.Dims() != 2 {
-		// Validate before reading shape[1]: a rank-0/1 operand must reach
-		// the serial kernel's descriptive panic, not index out of range.
-		return MatMul(a, b)
-	}
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	if k != b.shape[0] || m*k*n < parallelThreshold {
-		// Delegate to the serial kernel: its validation panics for the
-		// mismatch, its tighter loop for the small case.
-		return MatMul(a, b)
-	}
-	out := New(m, n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > m {
-		workers = m
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * m / workers
-		hi := (w + 1) * m / workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			// Same range kernel (and same full-size dispatch decision) as
-			// the serial path, so results match it bitwise.
-			matMulRange(a.data, b.data, out.data, m, k, n, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	return out
-}
 
 // MatMulTransBP is the parallel variant of MatMulTransB (a·bᵀ), used by
 // the convolution forward pass where the im2col matrix can be very tall.
-// Output rows are partitioned across workers; results are bitwise equal
-// to the serial kernel.
+// Each worker writes a disjoint range of output rows, so the result is
+// bitwise identical to the serial kernel regardless of scheduling.
 func MatMulTransBP(a, b *Tensor) *Tensor {
 	if a.Dims() != 2 || b.Dims() != 2 {
-		// Same validation-first ordering as MatMulP.
+		// Validate before reading shape[1]: a rank-0/1 operand must reach
+		// the serial kernel's descriptive panic, not index out of range.
 		return MatMulTransB(a, b)
 	}
 	m, k := a.shape[0], a.shape[1]
 	n := b.shape[0]
 	if k != b.shape[1] || m*k*n < parallelThreshold {
+		// Delegate to the serial kernel: its validation panics for the
+		// mismatch, its tighter loop for the small case.
 		return MatMulTransB(a, b)
 	}
 	out := New(m, n)
@@ -79,7 +42,8 @@ func MatMulTransBP(a, b *Tensor) *Tensor {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			// Shared range kernel — see MatMulP.
+			// Same range kernel (and same full-size dispatch decision, see
+			// matMulRange) as the serial path, so results match it bitwise.
 			matMulTransBRange(a.data, b.data, out.data, m, k, n, lo, hi)
 		}(lo, hi)
 	}

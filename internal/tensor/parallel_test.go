@@ -3,22 +3,9 @@ package tensor
 import (
 	"fmt"
 	"testing"
-	"testing/quick"
 
 	"github.com/stsl/stsl/internal/mathx"
 )
-
-func TestMatMulPMatchesSerial(t *testing.T) {
-	r := mathx.NewRNG(1)
-	// Large enough to cross the parallel threshold.
-	a := Randn(r, 1, 300, 80)
-	b := Randn(r, 1, 80, 120)
-	want := MatMul(a, b)
-	got := MatMulP(a, b)
-	if !got.Equal(want, 0) {
-		t.Fatal("parallel matmul differs from serial (must be bitwise equal)")
-	}
-}
 
 func TestMatMulTransBPMatchesSerial(t *testing.T) {
 	r := mathx.NewRNG(2)
@@ -28,20 +15,6 @@ func TestMatMulTransBPMatchesSerial(t *testing.T) {
 	got := MatMulTransBP(a, b)
 	if !got.Equal(want, 0) {
 		t.Fatal("parallel transB differs from serial (must be bitwise equal)")
-	}
-}
-
-func TestMatMulPSmallDelegates(t *testing.T) {
-	// Below threshold, the result must still be exact.
-	f := func(seed uint64) bool {
-		r := mathx.NewRNG(seed)
-		m, k, n := 1+r.Intn(8), 1+r.Intn(8), 1+r.Intn(8)
-		a := Randn(r, 1, m, k)
-		b := Randn(r, 1, k, n)
-		return MatMulP(a, b).Equal(MatMul(a, b), 0)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -58,10 +31,10 @@ func panicMessage(f func()) (msg string) {
 }
 
 // TestMatMulPBadRankMatchesSerialPanic regresses the validation-order
-// bug: the parallel kernels read shape[1] before the rank guard, so a
+// bug: the parallel kernel read shape[1] before the rank guard, so a
 // rank-1 (or rank-3) operand large enough for the fast path panicked
 // with a raw index-out-of-range instead of the serial kernel's
-// descriptive shape panic. The panic text must now be identical to the
+// descriptive shape panic. The panic text must be identical to the
 // serial kernel's for every malformed-rank combination.
 func TestMatMulPBadRankMatchesSerialPanic(t *testing.T) {
 	r := mathx.NewRNG(4)
@@ -76,17 +49,12 @@ func TestMatMulPBadRankMatchesSerialPanic(t *testing.T) {
 		{"rank1-b", rank2, rank1},
 		{"rank3-a", rank3, rank2},
 		{"rank3-b", rank2, rank3},
+		// Two large rank-2 operands whose inner dimensions disagree.
+		{"inner-mismatch", Randn(r, 1, 600, 500), Randn(r, 1, 600, 400)},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			want := panicMessage(func() { MatMul(tc.a, tc.b) })
-			if want == "" {
-				t.Fatal("serial MatMul accepted malformed operands")
-			}
-			if got := panicMessage(func() { MatMulP(tc.a, tc.b) }); got != want {
-				t.Errorf("MatMulP panic %q, want serial kernel's %q", got, want)
-			}
 			wantTB := panicMessage(func() { MatMulTransB(tc.a, tc.b) })
 			if wantTB == "" {
 				t.Fatal("serial MatMulTransB accepted malformed operands")
@@ -95,29 +63,5 @@ func TestMatMulPBadRankMatchesSerialPanic(t *testing.T) {
 				t.Errorf("MatMulTransBP panic %q, want serial kernel's %q", got, wantTB)
 			}
 		})
-	}
-}
-
-// TestMatMulPMismatchMatchesSerialPanic checks the inner-dimension
-// mismatch of two large rank-2 operands also reaches the serial panic.
-func TestMatMulPMismatchMatchesSerialPanic(t *testing.T) {
-	r := mathx.NewRNG(5)
-	a := Randn(r, 1, 600, 500)
-	b := Randn(r, 1, 400, 600)
-	want := panicMessage(func() { MatMul(a, b) })
-	if got := panicMessage(func() { MatMulP(a, b) }); got != want || want == "" {
-		t.Errorf("MatMulP mismatch panic %q, want %q", got, want)
-	}
-}
-
-func TestMatMulPDeterministicAcrossRuns(t *testing.T) {
-	r := mathx.NewRNG(3)
-	a := Randn(r, 1, 256, 64)
-	b := Randn(r, 1, 64, 256)
-	first := MatMulP(a, b)
-	for i := 0; i < 5; i++ {
-		if !MatMulP(a, b).Equal(first, 0) {
-			t.Fatal("parallel matmul nondeterministic across runs")
-		}
 	}
 }

@@ -28,7 +28,7 @@ type Tensor struct {
 	stride []int
 	data   []float64
 	// dtype tags the wire precision (see dtype.go). Storage is always
-	// float64; the zero value Float64 encodes as TSL1.
+	// float64; the zero value Float64 encodes at full width.
 	dtype DType
 }
 

@@ -1,9 +1,7 @@
 package transport
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"io"
 	"sync"
@@ -19,116 +17,46 @@ import (
 // lost message exactly once.
 var ErrChecksum = errors.New("transport: frame checksum mismatch")
 
-// msgMagicC tags the checksummed frame: the magic, a complete inner
-// MSG1/MSG2 frame, then a 4-byte CRC32C of the inner bytes. Same
-// self-describing-magic rule as MSG2 and the tensor codec's TSL2 — no
-// negotiation, old frames keep decoding byte-for-byte, and a decoder
-// that sees this magic knows to verify. The value is ≥4 bits of Hamming
-// distance from both msgMagic and msgMagic2 in every byte that differs,
-// so no single bit flip can silently convert a checksummed frame into a
-// legacy one (or back).
-const msgMagicC uint32 = 0x4d534743 // "MSGC"
-
 // castagnoli is the CRC32C polynomial table — hardware-accelerated on
 // amd64/arm64, and the checksum production storage stacks use for
 // exactly this silent-corruption class.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// crcWriter tees writes into a running CRC32C. Pooled so the
-// steady-state encode path stays allocation-free.
-type crcWriter struct {
+// crcTee passes reads (decode) or writes (encode) through to the stream it
+// wraps while keeping a running CRC32C of the bytes that crossed. Pooled
+// so the steady-state codec path stays allocation-free.
+type crcTee struct {
+	r   io.Reader
 	w   io.Writer
 	crc uint32
 }
 
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.crc = crc32.Update(cw.crc, castagnoli, p[:n])
+func (t *crcTee) Read(p []byte) (int, error) {
+	n, err := t.r.Read(p)
+	t.crc = crc32.Update(t.crc, castagnoli, p[:n])
 	return n, err
 }
 
-// crcReader tees reads into a running CRC32C; the pooled counterpart of
-// crcWriter for the decode path.
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-}
-
-func (cr *crcReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.crc = crc32.Update(cr.crc, castagnoli, p[:n])
+func (t *crcTee) Write(p []byte) (int, error) {
+	n, err := t.w.Write(p)
+	t.crc = crc32.Update(t.crc, castagnoli, p[:n])
 	return n, err
 }
 
-var (
-	crcWriterPool = sync.Pool{New: func() any { return new(crcWriter) }}
-	crcReaderPool = sync.Pool{New: func() any { return new(crcReader) }}
-)
-
-// EncodeChecksummed writes the message as a checksummed frame: the MSGC
-// magic, the ordinary MSG1/MSG2 encoding, and a CRC32C trailer covering
-// the inner frame bytes. Decode verifies the trailer transparently and
-// returns ErrChecksum on mismatch. Like Encode it allocates nothing at
-// steady state.
-func (m *Message) EncodeChecksummed(w io.Writer) error {
-	// Validate before the magic hits the wire so a malformed message
-	// fails cleanly instead of poisoning the stream with a headerless
-	// magic word.
-	if err := m.Validate(); err != nil {
-		return err
-	}
-	bufp := framePool.Get().(*[]byte)
-	defer framePool.Put(bufp)
-	buf := *bufp
-	binary.LittleEndian.PutUint32(buf[0:], msgMagicC)
-	if _, err := w.Write(buf[:4]); err != nil {
-		return fmt.Errorf("transport: write checksum magic: %w", err)
-	}
-	cw := crcWriterPool.Get().(*crcWriter)
-	cw.w, cw.crc = w, 0
-	err := m.Encode(cw)
-	sum := cw.crc
-	cw.w = nil
-	crcWriterPool.Put(cw)
-	if err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(buf[0:], sum)
-	if _, err := w.Write(buf[:4]); err != nil {
-		return fmt.Errorf("transport: write checksum trailer: %w", err)
-	}
-	return nil
+// release drops the wrapped stream and returns t to the pool.
+func (t *crcTee) release() {
+	t.r, t.w = nil, nil
+	crcTeePool.Put(t)
 }
 
-// decodeChecksummed finishes decoding a frame whose MSGC magic has
-// already been consumed: the inner frame streams through a CRC tee, then
-// the trailer is read from the raw reader and compared.
-func decodeChecksummed(r io.Reader, m *Message) error {
-	cr := crcReaderPool.Get().(*crcReader)
-	cr.r, cr.crc = r, 0
-	err := decodeInto(cr, m, false)
-	sum := cr.crc
-	cr.r = nil
-	crcReaderPool.Put(cr)
-	if err != nil {
-		if err == io.EOF {
-			// The outer magic was already consumed, so a clean EOF here
-			// is a torn frame, not a graceful close.
-			err = io.ErrUnexpectedEOF
-		}
-		return fmt.Errorf("transport: checksummed frame: %w", err)
-	}
-	bufp := framePool.Get().(*[]byte)
-	defer framePool.Put(bufp)
-	buf := *bufp
-	if _, err := io.ReadFull(r, buf[:4]); err != nil {
-		return fmt.Errorf("transport: read checksum trailer: %w", err)
-	}
-	if want := binary.LittleEndian.Uint32(buf[:4]); want != sum {
-		return fmt.Errorf("transport: frame crc32c %08x, trailer says %08x: %w", sum, want, ErrChecksum)
-	}
-	return nil
-}
+var crcTeePool = sync.Pool{New: func() any { return new(crcTee) }}
+
+// EncodeChecksummed writes the message as Encode does with the flagCRC
+// bit set and a CRC32C trailer covering every frame byte before it, the
+// magic and the flags byte included. Decode verifies the trailer of any
+// frame that announces one and returns ErrChecksum on mismatch. Like
+// Encode it allocates nothing at steady state.
+func (m *Message) EncodeChecksummed(w io.Writer) error { return m.encode(w, true) }
 
 // Checksummer is implemented by carriers that can switch their outgoing
 // frames to the checksummed encoding. Decoding needs no switch — the

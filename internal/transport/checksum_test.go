@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -15,8 +16,8 @@ import (
 	"github.com/stsl/stsl/internal/tensor"
 )
 
-// encodeChecksummed renders a message as an MSGC frame, failing the test
-// on error.
+// encodeChecksummed renders a message as a checksummed frame, failing the
+// test on error.
 func encodeChecksummed(tb testing.TB, m *Message) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
@@ -26,44 +27,43 @@ func encodeChecksummed(tb testing.TB, m *Message) []byte {
 	return buf.Bytes()
 }
 
-// TestChecksummedGoldenFrame pins the MSGC frame byte-for-byte: outer
-// magic, the unchanged inner MSG1 encoding, and the little-endian CRC32C
-// trailer. If this test breaks, the wire format changed and deployed
-// peers will stop interoperating.
+// TestChecksummedGoldenFrame pins the checksummed shape of the frame byte
+// for byte: the plain layout with the crc flag set, then the little-endian
+// CRC32C trailer.
 func TestChecksummedGoldenFrame(t *testing.T) {
-	const golden = "4347534d" + // "MSGC" magic, little-endian on the wire
-		"3147534d0301000000000000000000000000000000000000000000000000040000006a6f696e" + // inner MSG1 frame
-		"dd507218" // CRC32C of the inner bytes, little-endian
+	const golden = "3347534d" + "03" + "01000000" + "00000000" + "00000000" + "0000000000000000" +
+		"b4" + "00000000" + // flags: crc trailer
+		"04000000" + "6a6f696e" +
+		"d43ca441" // CRC32C of every byte above, little-endian
 	frame := encodeChecksummed(t, &Message{Type: MsgControl, ClientID: 1, Note: "join"})
 	if got := hex.EncodeToString(frame); got != golden {
-		t.Fatalf("MSGC frame bytes changed:\n got  %s\n want %s", got, golden)
+		t.Fatalf("checksummed frame bytes changed:\n got  %s\n want %s", got, golden)
 	}
 }
 
-// TestChecksummedFrameLayout checks every corpus message's MSGC frame
-// against the layout contract with stdlib crc32 as an independent oracle:
-// the inner bytes are the plain encoding unchanged (so a legacy decoder
-// fed the inner region would accept them), and the trailer is their
-// CRC32C.
+// TestChecksummedFrameLayout checks every corpus message's checksummed
+// frame against the layout contract with stdlib crc32 as an independent
+// oracle: it is the plain encoding with only the flags byte changed (crc
+// bit set, complement nibble following it), plus a trailer that is the
+// CRC32C of everything before it — magic and flags byte included.
 func TestChecksummedFrameLayout(t *testing.T) {
 	table := crc32.MakeTable(crc32.Castagnoli)
 	for i, m := range corpusMessages(t) {
 		frame := encodeChecksummed(t, m)
-		if got := binary.LittleEndian.Uint32(frame); got != 0x4d534743 {
-			t.Fatalf("message %d: outer magic %#x, want MSGC", i, got)
+		body := frame[:len(frame)-4]
+		plain := encode(t, m)
+		plain[25] ^= 0x44 // set the crc flag, clear its complement bit
+		if !bytes.Equal(body, plain) {
+			t.Fatalf("message %d: frame body differs from the plain encoding beyond the crc flag", i)
 		}
-		inner := encode(t, m)
-		if !bytes.Equal(frame[4:len(frame)-4], inner) {
-			t.Fatalf("message %d: inner bytes differ from the plain encoding", i)
-		}
-		want := crc32.Checksum(inner, table)
+		want := crc32.Checksum(body, table)
 		if got := binary.LittleEndian.Uint32(frame[len(frame)-4:]); got != want {
 			t.Fatalf("message %d: trailer %08x, want crc32c %08x", i, got, want)
 		}
 	}
 }
 
-// TestChecksummedRoundTrip: every corpus message survives the MSGC
+// TestChecksummedRoundTrip: every corpus message survives the checksummed
 // framing field-for-field, through both Decode and a reused DecodeInto.
 func TestChecksummedRoundTrip(t *testing.T) {
 	var reused Message
@@ -85,27 +85,13 @@ func TestChecksummedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestChecksumMagicHamming: no single bit flip converts one frame magic
-// into another, so a flipped bit can never silently reroute a frame to
-// the wrong decoder (in particular it cannot strip the checksum).
-func TestChecksumMagicHamming(t *testing.T) {
-	magics := []uint32{0x4d534731, 0x4d534732, 0x4d534743} // MSG1, MSG2, MSGC
-	for _, a := range magics {
-		for bit := 0; bit < 32; bit++ {
-			flipped := a ^ (1 << bit)
-			for _, b := range magics {
-				if flipped == b {
-					t.Fatalf("magic %#x flips into %#x with one bit", a, b)
-				}
-			}
-		}
-	}
-}
-
 // TestChecksumSingleBitFlipRejected: every single-bit corruption of a
-// checksummed frame is rejected — no flipped frame decodes. Flips in the
-// frame body surface as ErrChecksum, which deliberately does NOT match
-// ErrClosed: the stream survived, only the frame is lost.
+// checksummed frame is rejected — no flipped frame decodes, whichever bit
+// of the magic, the flags byte, the body or the trailer it hits. A flip in
+// the flags byte is bad framing (so flipping the crc bit cannot strip the
+// check), and flips in the frame body surface as ErrChecksum, which
+// deliberately does NOT match ErrClosed: the stream survived, only the
+// frame is lost.
 func TestChecksumSingleBitFlipRejected(t *testing.T) {
 	if errors.Is(ErrChecksum, ErrClosed) {
 		t.Fatal("ErrChecksum must not match ErrClosed — the connection survives a corrupt frame")
@@ -119,6 +105,9 @@ func TestChecksumSingleBitFlipRejected(t *testing.T) {
 			_, err := Decode(bytes.NewReader(mut))
 			if err == nil {
 				t.Fatalf("message %d: flip of bit %d decoded successfully", i, bit)
+			}
+			if bit/8 == 25 && !strings.Contains(err.Error(), "bad flags byte") {
+				t.Fatalf("message %d: flip of flags bit %d: %v, want bad flags byte", i, bit%8, err)
 			}
 			if errors.Is(err, ErrChecksum) {
 				sawChecksum = true
@@ -135,7 +124,7 @@ func TestChecksumSingleBitFlipRejected(t *testing.T) {
 
 // TestChecksumStreamSurvivesCorruptFrame: after ErrChecksum the reader is
 // positioned at the next frame — a receive loop skips the bad frame and
-// keeps decoding, mixing checksummed and legacy frames freely.
+// keeps decoding, mixing checksummed and plain frames freely.
 func TestChecksumStreamSurvivesCorruptFrame(t *testing.T) {
 	msgs := corpusMessages(t)
 	bad := encodeChecksummed(t, msgs[0])
@@ -143,7 +132,7 @@ func TestChecksumStreamSurvivesCorruptFrame(t *testing.T) {
 	var stream bytes.Buffer
 	stream.Write(bad)
 	stream.Write(encodeChecksummed(t, msgs[1]))
-	stream.Write(encode(t, msgs[2])) // legacy frame after a checksummed one
+	stream.Write(encode(t, msgs[2])) // plain frame after a checksummed one
 
 	if _, err := Decode(&stream); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("corrupt frame: %v, want ErrChecksum", err)
@@ -154,11 +143,11 @@ func TestChecksumStreamSurvivesCorruptFrame(t *testing.T) {
 	}
 	m, err = Decode(&stream)
 	if err != nil || m.Note != "join" {
-		t.Fatalf("legacy frame after checksummed: %v %v", m, err)
+		t.Fatalf("plain frame after checksummed: %v %v", m, err)
 	}
 }
 
-// TestChecksummedTrailerTruncation: a frame cut in its trailer (or inner
+// TestChecksummedTrailerTruncation: a frame cut in its trailer (or its
 // body) is torn, never a clean EOF and never a silent accept.
 func TestChecksummedTrailerTruncation(t *testing.T) {
 	frame := encodeChecksummed(t, corpusMessages(t)[0])
@@ -170,8 +159,8 @@ func TestChecksummedTrailerTruncation(t *testing.T) {
 	}
 }
 
-// TestChecksummedSteadyStateAllocs: the MSGC codec path keeps the hot
-// path allocation-free, same gate as the plain codec.
+// TestChecksummedSteadyStateAllocs: the checksummed codec path keeps the
+// hot path allocation-free, same gate as the plain codec.
 func TestChecksummedSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race; alloc counts are nondeterministic")
@@ -251,7 +240,7 @@ func TestTCPChecksummedInterop(t *testing.T) {
 	if err := cli.Send(&Message{Type: MsgActivation, ClientID: 1, Seq: 9, Payload: payload, Labels: []int{0, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	m, err := srv.Recv() // plain server decodes the MSGC frame transparently
+	m, err := srv.Recv() // plain server verifies the checksummed frame transparently
 	if err != nil || m.Seq != 9 || m.Payload == nil {
 		t.Fatalf("server recv: %v %v", m, err)
 	}

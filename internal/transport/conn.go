@@ -22,7 +22,9 @@ type Conn interface {
 	Close() error
 }
 
-// chanConn is one endpoint of an in-memory duplex connection.
+// chanConn is one endpoint of an in-memory duplex connection. The two
+// data channels are never closed — a sender may still be inside Send when
+// either side closes — so closure travels on the closedCh signals alone.
 type chanConn struct {
 	send chan<- *Message
 	recv <-chan *Message
@@ -33,10 +35,9 @@ type chanConn struct {
 	// corrupt emulation) and tests can observe the configured framing.
 	checksum atomic.Bool
 
-	mu       sync.Mutex
-	closed   bool
-	closedCh chan struct{} // closed by Close; unblocks local Send/Recv
-	closeOut func()
+	closeOnce  sync.Once
+	closedCh   chan struct{}   // closed by Close; unblocks local Send/Recv
+	peerClosed <-chan struct{} // the peer's closedCh
 }
 
 // NewPair returns the two endpoints of an in-memory connection. Messages
@@ -50,11 +51,9 @@ type chanConn struct {
 func NewPair(buffer int) (Conn, Conn) {
 	ab := make(chan *Message, buffer)
 	ba := make(chan *Message, buffer)
-	var onceAB, onceBA sync.Once
-	a := &chanConn{send: ab, recv: ba, closedCh: make(chan struct{}),
-		closeOut: func() { onceAB.Do(func() { close(ab) }) }}
-	b := &chanConn{send: ba, recv: ab, closedCh: make(chan struct{}),
-		closeOut: func() { onceBA.Do(func() { close(ba) }) }}
+	aClosed, bClosed := make(chan struct{}), make(chan struct{})
+	a := &chanConn{send: ab, recv: ba, closedCh: aClosed, peerClosed: bClosed}
+	b := &chanConn{send: ba, recv: ab, closedCh: bClosed, peerClosed: aClosed}
 	return a, b
 }
 
@@ -63,18 +62,11 @@ func (c *chanConn) Send(m *Message) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
+	select {
+	case <-c.closedCh:
 		return ErrClosed
+	default:
 	}
-	defer func() {
-		// Sending on a channel the peer closed is impossible here:
-		// each direction is closed only by its sender. The recover
-		// guards the race where we close concurrently with Send.
-		_ = recover()
-	}()
 	select {
 	case c.send <- m:
 		return nil
@@ -83,25 +75,21 @@ func (c *chanConn) Send(m *Message) error {
 	}
 }
 
-// Recv implements Conn. Messages buffered before a local Close are still
-// delivered; the closed path only wins once nothing is immediately
-// readable.
+// Recv implements Conn. Messages buffered before either side's Close are
+// still delivered: a close only wins once nothing is immediately readable.
 func (c *chanConn) Recv() (*Message, error) {
 	select {
-	case m, ok := <-c.recv:
-		if !ok {
-			return nil, ErrClosed
-		}
-		return m, nil
-	default:
-	}
-	select {
-	case m, ok := <-c.recv:
-		if !ok {
-			return nil, ErrClosed
-		}
+	case m := <-c.recv:
 		return m, nil
 	case <-c.closedCh:
+	case <-c.peerClosed:
+	}
+	// Closed. The peer's sends happen before its Close, so anything it
+	// sent is already buffered: drain that before reporting the close.
+	select {
+	case m := <-c.recv:
+		return m, nil
+	default:
 		return nil, ErrClosed
 	}
 }
@@ -112,14 +100,7 @@ func (c *chanConn) SetChecksum(on bool) { c.checksum.Store(on) }
 
 // Close implements Conn.
 func (c *chanConn) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	close(c.closedCh)
-	c.closeOut()
+	c.closeOnce.Do(func() { close(c.closedCh) })
 	return nil
 }
 

@@ -20,8 +20,8 @@ func corpusMessages(tb testing.TB) []*Message {
 	}
 	grad := tensor.New(2, 8)
 	grad.Data()[3] = -1.5
-	// TSL2 frames: the same payloads tagged float32 exercise the
-	// dtype-byte header path end to end.
+	// The same payloads tagged float32 exercise the half-width element
+	// path end to end.
 	act32 := act.Clone().SetDType(tensor.Float32)
 	grad32 := grad.Clone().SetDType(tensor.Float32)
 	return []*Message{
@@ -35,8 +35,8 @@ func corpusMessages(tb testing.TB) []*Message {
 		{Type: MsgActivation, ClientID: 5, Seq: 9, Epoch: 2, SentAt: 3456,
 			Payload: act32, Labels: []int{1, 3}},
 		{Type: MsgGradient, ClientID: 5, Seq: 9, Epoch: 2, SentAt: 4567, Payload: grad32},
-		// MSG2 frames: structured refusals carrying a code and a
-		// RetryAfter hint in the extended header.
+		// Structured refusals carrying a code and a RetryAfter hint in
+		// the refusal extension.
 		{Type: MsgControl, ClientID: 9, Note: "refused: overloaded",
 			Code: RefusalOverloaded, RetryAfter: 25 * time.Millisecond},
 		{Type: MsgControl, ClientID: 9, Seq: 41, Note: "rejected",
@@ -63,9 +63,9 @@ func FuzzDecode(f *testing.F) {
 	for _, m := range corpusMessages(f) {
 		raw := encode(f, m)
 		f.Add(raw)
-		// Truncations at structural boundaries: header, payload header,
-		// the TSL2 dtype byte (34), the MSG2 refusal extension (31–38),
-		// mid-data, labels, note length.
+		// Truncations at structural boundaries: header, the refusal
+		// extension (31–38), the payload's dtype byte (34), mid-data,
+		// labels, note length.
 		for _, cut := range []int{1, 4, 29, 31, 34, 38, len(raw) / 2, len(raw) - 1} {
 			if cut > 0 && cut < len(raw) {
 				f.Add(raw[:cut])
@@ -80,17 +80,17 @@ func FuzzDecode(f *testing.F) {
 	// A flipped payload-present flag: must be rejected as bad framing,
 	// not silently decoded without its payload.
 	flag2 := encode(f, corpusMessages(f)[0])
-	flag2[25] = 2
+	flag2[25] ^= 1
 	f.Add(flag2)
-	// A TSL2 payload whose dtype byte is not a dtype.
+	// A payload whose dtype byte is not a dtype.
 	badDT := encode(f, corpusMessages(f)[6])
 	badDT[34] = 0x7f
 	f.Add(badDT)
-	// An MSG2 refusal whose code byte is not a defined code.
+	// A refusal whose code byte is not a defined code.
 	badCode := encode(f, corpusMessages(f)[8])
 	badCode[30] = 0x7f
 	f.Add(badCode)
-	// MSGC seeds: valid checksummed frames, trailer truncations, and a
+	// Checksummed seeds: valid frames, trailer truncations, and a
 	// CRC mismatch — the fuzzer mutates from wire bytes the checksummed
 	// codec actually produces.
 	for _, m := range corpusMessages(f) {
@@ -126,7 +126,7 @@ func FuzzDecode(f *testing.F) {
 		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 			t.Fatalf("round trip changed the wire bytes:\n first: %+v\nsecond: %+v", m, m2)
 		}
-		// Checksummed round trip: the MSGC framing of any decodable
+		// Checksummed round trip: the checksummed framing of any decodable
 		// message must decode back, and a single bit flipped anywhere in
 		// the frame must be rejected — that is the whole point of the
 		// trailer. The flipped bit is derived from the input so each
@@ -160,7 +160,7 @@ func FuzzDecodeStream(f *testing.F) {
 	msgs := corpusMessages(f)
 	f.Add(encode(f, msgs[0]), encode(f, msgs[2]))
 	f.Add(encode(f, msgs[1]), []byte{0xde, 0xad})
-	// Mixed framings on one stream: checksummed then legacy, legacy then
+	// Mixed framings on one stream: checksummed then plain, plain then
 	// checksummed, and a CRC-mismatched frame ahead of a valid one (the
 	// decoder must stay positioned to read the second).
 	f.Add(encodeChecksummed(f, msgs[0]), encode(f, msgs[2]))

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"sync"
 	"time"
@@ -59,15 +60,16 @@ func (t MsgType) String() string {
 }
 
 // RefusalCode classifies a structured refusal: a control reply that says
-// "no" to an admission and tells the client how to respond. Codes ride a
-// self-describing extended frame (MSG2) that is emitted only when set, so
-// every code-free message keeps the legacy MSG1 bytes exactly.
+// "no" to an admission and tells the client how to respond. A message
+// with a code (or a RetryAfter hint) carries the 9-byte refusal extension
+// on the wire, announced by its flags byte; every other message does not
+// pay for it.
 type RefusalCode uint8
 
 // Refusal codes. Values are part of the wire format; do not reorder.
 const (
 	// RefusalNone marks an ordinary message (never serialised — a zero
-	// code with a zero RetryAfter encodes as a legacy MSG1 frame).
+	// code with a zero RetryAfter has no refusal extension).
 	RefusalNone RefusalCode = iota
 	// RefusalOverloaded refuses a join: the server is at MaxSessions or
 	// its shed gate is open. Back off (at least RetryAfter) and rejoin.
@@ -117,7 +119,7 @@ type Message struct {
 	Note string
 	// Code classifies a structured refusal (overload, brownout, deadline
 	// shed). RefusalNone on ordinary traffic. A non-zero Code (or
-	// RetryAfter) selects the extended MSG2 frame on the wire.
+	// RetryAfter) adds the refusal extension to the frame.
 	Code RefusalCode
 	// RetryAfter is the server's backoff hint on a refusal: the client
 	// should not retry sooner. 0 means no hint.
@@ -171,24 +173,48 @@ func (m *Message) Validate() error {
 	return nil
 }
 
+// The frame. One layout carries every message; the flags byte says which
+// optional parts are present, so nothing is negotiated and nothing is
+// nested:
+//
+//	offset  0  magic      uint32 = 0x4d534733 ("MSG3")
+//	        4  type       uint8
+//	        5  client id  uint32
+//	        9  seq        uint32
+//	       13  epoch      uint32
+//	       17  sent-at    uint64 (nanoseconds)
+//	       25  flags      uint8, self-checking (see below)
+//	       26  label count uint32
+//	       30  [flagRefusal] code uint8, retry-after uint64
+//	           [flagPayload] one tensor frame
+//	           labels     count × uint32
+//	           note       uint32 length, then bytes
+//	           [flagCRC]  uint32 CRC32C of every byte before it
 const (
-	msgMagic uint32 = 0x4d534731 // "MSG1": the legacy frame
-	// msgMagic2 tags the extended frame carrying the refusal code and
-	// RetryAfter hint. Same self-describing-magic pattern as the tensor
-	// codec's TSL1/TSL2: no negotiation, the frame announces its own
-	// layout, and senders emit MSG2 only when the extension fields are
-	// set — so every pre-refusal message stays byte-identical to MSG1.
-	msgMagic2 uint32 = 0x4d534732 // "MSG2"
+	msgMagic   uint32 = 0x4d534733
+	msgHdrLen         = 30
+	refusalLen        = 9
 )
 
-// maxLabels bounds decoded label slices against corrupted headers.
-const maxLabels = 1 << 24
-
-// Fixed framing header sizes in bytes. MSG2 appends a refusal code byte
-// and a uint64 RetryAfter to the MSG1 layout.
+// Flags occupy the low nibble of header byte 25; the high nibble is their
+// bitwise complement. The byte decides how much of the stream belongs to
+// this frame and whether it is verified, so it must not be trusted after a
+// bit flip: any single flip breaks the complement and reads as bad
+// framing — in particular a flipped flagCRC can never turn a checksummed
+// frame into a valid unchecksummed one. The fourth bit is unassigned and
+// must be zero.
 const (
-	msgHdrLen  = 30
-	msgHdrLen2 = msgHdrLen + 9
+	flagPayload byte = 1 << iota
+	flagRefusal
+	flagCRC
+	flagsKnown = flagPayload | flagRefusal | flagCRC
+)
+
+// maxLabels and maxNote bound decoded label slices and control notes
+// against corrupted headers.
+const (
+	maxLabels = 1 << 24
+	maxNote   = 1 << 20
 )
 
 // frameChunk sizes the pooled framing scratch: big enough for the header,
@@ -205,11 +231,16 @@ var framePool = sync.Pool{
 	},
 }
 
-// Encode writes the message in the framing format. It is the inverse of
-// Decode and performs no allocations: header, labels and note length all
-// stream through one pooled scratch buffer straight to w, which in the
-// TCP carrier is the connection's bufio writer.
-func (m *Message) Encode(w io.Writer) error {
+// Encode writes the message as one frame without a checksum trailer. It
+// is the inverse of Decode and performs no allocations: header, labels
+// and note length all stream through one pooled scratch buffer straight
+// to w, which in the TCP carrier is the connection's bufio writer.
+func (m *Message) Encode(w io.Writer) error { return m.encode(w, false) }
+
+// encode is the one encoder behind Encode and EncodeChecksummed.
+func (m *Message) encode(w io.Writer, checksum bool) error {
+	// Validate before the first byte hits the wire so a malformed message
+	// fails cleanly instead of poisoning the stream with half a frame.
 	if err := m.Validate(); err != nil {
 		return err
 	}
@@ -217,27 +248,35 @@ func (m *Message) Encode(w io.Writer) error {
 	defer framePool.Put(bufp)
 	hdr := *bufp
 
-	// The extension fields select the frame: code-free messages must stay
-	// byte-identical MSG1 so pre-refusal peers and recorded streams keep
-	// decoding unchanged.
-	magic, hdrLen := msgMagic, msgHdrLen
-	if m.Code != RefusalNone || m.RetryAfter != 0 {
-		magic, hdrLen = msgMagic2, msgHdrLen2
+	var flags byte
+	if m.Payload != nil {
+		flags |= flagPayload
 	}
-	binary.LittleEndian.PutUint32(hdr[0:], magic)
+	if m.Code != RefusalNone || m.RetryAfter != 0 {
+		flags |= flagRefusal
+	}
+	raw := w
+	var tee *crcTee
+	if checksum {
+		flags |= flagCRC
+		tee = crcTeePool.Get().(*crcTee)
+		defer tee.release()
+		tee.w, tee.crc = raw, 0
+		w = tee
+	}
+	binary.LittleEndian.PutUint32(hdr[0:], msgMagic)
 	hdr[4] = uint8(m.Type)
 	binary.LittleEndian.PutUint32(hdr[5:], uint32(m.ClientID))
 	binary.LittleEndian.PutUint32(hdr[9:], uint32(m.Seq))
 	binary.LittleEndian.PutUint32(hdr[13:], uint32(m.Epoch))
 	binary.LittleEndian.PutUint64(hdr[17:], uint64(m.SentAt))
-	hdr[25] = 0 // pooled scratch is dirty; every byte must be set
-	if m.Payload != nil {
-		hdr[25] = 1
-	}
+	hdr[25] = flags | (^flags&0x0f)<<4
 	binary.LittleEndian.PutUint32(hdr[26:], uint32(len(m.Labels)))
-	if hdrLen == msgHdrLen2 {
+	hdrLen := msgHdrLen
+	if flags&flagRefusal != 0 {
 		hdr[30] = uint8(m.Code)
 		binary.LittleEndian.PutUint64(hdr[31:], uint64(m.RetryAfter))
+		hdrLen += refusalLen
 	}
 	if _, err := w.Write(hdr[:hdrLen]); err != nil {
 		return fmt.Errorf("transport: write header: %w", err)
@@ -248,12 +287,9 @@ func (m *Message) Encode(w io.Writer) error {
 		}
 	}
 	for off := 0; off < len(m.Labels); {
-		chunk := len(m.Labels) - off
-		if chunk > frameChunk/4 {
-			chunk = frameChunk / 4
-		}
-		for i := 0; i < chunk; i++ {
-			binary.LittleEndian.PutUint32(hdr[4*i:], uint32(m.Labels[off+i]))
+		chunk := min(len(m.Labels)-off, frameChunk/4)
+		for i, l := range m.Labels[off : off+chunk] {
+			binary.LittleEndian.PutUint32(hdr[4*i:], uint32(l))
 		}
 		if _, err := w.Write(hdr[:4*chunk]); err != nil {
 			return fmt.Errorf("transport: write labels: %w", err)
@@ -271,14 +307,23 @@ func (m *Message) Encode(w io.Writer) error {
 			return fmt.Errorf("transport: write note: %w", err)
 		}
 	}
+	if tee != nil {
+		binary.LittleEndian.PutUint32(hdr[0:], tee.crc)
+		if _, err := raw.Write(hdr[:4]); err != nil {
+			return fmt.Errorf("transport: write checksum trailer: %w", err)
+		}
+	}
 	return nil
 }
 
-// Decode reads one message in the framing format into a fresh Message.
+// Decode reads one frame into a fresh Message, verifying its checksum
+// trailer when the frame has one.
 //
 // A stream that ends cleanly before the first header byte returns bare
 // io.EOF — a graceful peer close, not an error. Truncation anywhere past
 // that point surfaces as a wrapped io.ErrUnexpectedEOF or decode error.
+// A frame whose trailer disagrees with its bytes returns ErrChecksum with
+// the stream positioned at the next frame.
 func Decode(r io.Reader) (*Message, error) {
 	m := new(Message)
 	if err := DecodeInto(r, m); err != nil {
@@ -287,51 +332,51 @@ func Decode(r io.Reader) (*Message, error) {
 	return m, nil
 }
 
+// readFull fills b from r mid-frame, where running out of stream — even
+// exactly at a field boundary — is a torn frame and never a clean close.
+func readFull(r io.Reader, b []byte, what string) error {
+	if _, err := io.ReadFull(r, b); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return fmt.Errorf("transport: read %s: %w", what, err)
+	}
+	return nil
+}
+
 // DecodeInto is Decode reusing m's storage: the payload tensor's backing
 // slices and the label slice are retained when their capacity suffices,
 // so a receive loop decoding into one long-lived Message allocates
 // nothing at steady state. All fields of m are overwritten; callers that
 // retain the previous payload or labels must decode into a fresh Message.
 func DecodeInto(r io.Reader, m *Message) error {
-	return decodeInto(r, m, true)
-}
-
-// decodeInto is DecodeInto with the checksummed-frame dispatch made
-// explicit: the outer decoder of an MSGC frame re-enters with
-// allowChecksum=false so a corrupted stream cannot nest frames.
-func decodeInto(r io.Reader, m *Message, allowChecksum bool) error {
 	bufp := framePool.Get().(*[]byte)
 	defer framePool.Put(bufp)
 	buf := *bufp
 
-	// The magic is read alone so the checksummed variant can hand the
-	// rest of the stream to a CRC-teeing reader before any header byte
-	// is consumed.
-	n, err := io.ReadFull(r, buf[:4])
-	if err != nil {
+	if n, err := io.ReadFull(r, buf[:msgHdrLen]); err != nil {
 		if n == 0 && err == io.EOF {
 			// Clean close at the frame boundary: not a decode failure.
 			return io.EOF
 		}
 		return fmt.Errorf("transport: read header: %w", err)
 	}
-	magic := binary.LittleEndian.Uint32(buf[0:])
-	if magic == msgMagicC {
-		if !allowChecksum {
-			return errors.New("transport: nested checksummed frame")
-		}
-		return decodeChecksummed(r, m)
-	}
-	if magic != msgMagic && magic != msgMagic2 {
+	if magic := binary.LittleEndian.Uint32(buf[0:]); magic != msgMagic {
 		return fmt.Errorf("transport: bad magic %#x", magic)
 	}
-	if _, err := io.ReadFull(r, buf[4:msgHdrLen]); err != nil {
-		if err == io.EOF {
-			// The stream ended after the magic: a torn header, not a
-			// clean close.
-			err = io.ErrUnexpectedEOF
-		}
-		return fmt.Errorf("transport: read header: %w", err)
+	flags := buf[25] & 0x0f
+	if buf[25]>>4 != ^flags&0x0f || flags&^flagsKnown != 0 {
+		return fmt.Errorf("transport: bad flags byte %#02x", buf[25])
+	}
+	raw := r
+	var tee *crcTee
+	if flags&flagCRC != 0 {
+		// Everything from the magic on is covered, so the running sum
+		// starts with the header already consumed.
+		tee = crcTeePool.Get().(*crcTee)
+		defer tee.release()
+		tee.r, tee.crc = raw, crc32.Update(0, castagnoli, buf[:msgHdrLen])
+		r = tee
 	}
 	m.Type = MsgType(buf[4])
 	m.ClientID = int(int32(binary.LittleEndian.Uint32(buf[5:])))
@@ -342,29 +387,18 @@ func decodeInto(r io.Reader, m *Message, allowChecksum bool) error {
 	m.WireSize = 0
 	m.Code = RefusalNone
 	m.RetryAfter = 0
-	if magic == msgMagic2 {
-		if _, err := io.ReadFull(r, buf[msgHdrLen:msgHdrLen2]); err != nil {
-			return fmt.Errorf("transport: read refusal header: %w", err)
-		}
-		m.Code = RefusalCode(buf[30])
-		m.RetryAfter = time.Duration(binary.LittleEndian.Uint64(buf[31:]))
-	}
-	// A flipped flag bit must read as bad framing, not as a silently
-	// dropped payload followed by a misleading Validate failure.
-	var hasPayload bool
-	switch buf[25] {
-	case 0:
-		hasPayload = false
-	case 1:
-		hasPayload = true
-	default:
-		return fmt.Errorf("transport: bad payload flag %d", buf[25])
-	}
 	nLabels := binary.LittleEndian.Uint32(buf[26:])
 	if nLabels > maxLabels {
 		return fmt.Errorf("transport: implausible label count %d", nLabels)
 	}
-	if hasPayload {
+	if flags&flagRefusal != 0 {
+		if err := readFull(r, buf[:refusalLen], "refusal extension"); err != nil {
+			return err
+		}
+		m.Code = RefusalCode(buf[0])
+		m.RetryAfter = time.Duration(binary.LittleEndian.Uint64(buf[1:]))
+	}
+	if flags&flagPayload != 0 {
 		if m.Payload == nil {
 			m.Payload = new(tensor.Tensor)
 		}
@@ -384,31 +418,37 @@ func decodeInto(r io.Reader, m *Message, allowChecksum bool) error {
 		m.Labels = m.Labels[:nLabels]
 	}
 	for off := 0; off < int(nLabels); {
-		chunk := int(nLabels) - off
-		if chunk > frameChunk/4 {
-			chunk = frameChunk / 4
+		chunk := min(int(nLabels)-off, frameChunk/4)
+		if err := readFull(r, buf[:4*chunk], "labels"); err != nil {
+			return err
 		}
-		if _, err := io.ReadFull(r, buf[:4*chunk]); err != nil {
-			return fmt.Errorf("transport: read labels: %w", err)
-		}
-		for i := 0; i < chunk; i++ {
+		for i := range m.Labels[off : off+chunk] {
 			m.Labels[off+i] = int(int32(binary.LittleEndian.Uint32(buf[4*i:])))
 		}
 		off += chunk
 	}
-	if _, err := io.ReadFull(r, buf[:4]); err != nil {
-		return fmt.Errorf("transport: read note length: %w", err)
+	if err := readFull(r, buf[:4], "note length"); err != nil {
+		return err
 	}
 	noteLen := binary.LittleEndian.Uint32(buf[:4])
-	if noteLen > 1<<20 {
+	if noteLen > maxNote {
 		return fmt.Errorf("transport: implausible note length %d", noteLen)
 	}
 	if noteLen > 0 {
 		nbuf := make([]byte, noteLen)
-		if _, err := io.ReadFull(r, nbuf); err != nil {
-			return fmt.Errorf("transport: read note: %w", err)
+		if err := readFull(r, nbuf, "note"); err != nil {
+			return err
 		}
 		m.Note = string(nbuf)
+	}
+	if tee != nil {
+		// The trailer is read past the tee: it is not part of its own sum.
+		if err := readFull(raw, buf[:4], "checksum trailer"); err != nil {
+			return err
+		}
+		if want := binary.LittleEndian.Uint32(buf[:4]); want != tee.crc {
+			return fmt.Errorf("transport: frame crc32c %08x, trailer says %08x: %w", tee.crc, want, ErrChecksum)
+		}
 	}
 	return m.Validate()
 }

@@ -2,7 +2,7 @@ package transport
 
 import (
 	"bytes"
-	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"strings"
@@ -38,21 +38,35 @@ func TestDecodeTruncation(t *testing.T) {
 	}
 }
 
-// TestDecodeBadPayloadFlag: flag bytes other than 0/1 are bad framing.
+// TestDecodeBadPayloadFlag: the flags byte is self-checking. Of its 256
+// values only those whose high nibble complements the low one, with the
+// unassigned bit clear, are framing; every other value — which includes
+// every single-bit flip of a valid one — is rejected as bad framing and
+// never read as a frame with different parts.
 func TestDecodeBadPayloadFlag(t *testing.T) {
 	frame := encode(t, corpusMessages(t)[0])
-	for _, flag := range []byte{2, 0x80, 0xff} {
-		frame[25] = flag
+	valid := 0
+	for v := 0; v < 256; v++ {
+		low, high := byte(v)&0x0f, byte(v)>>4
+		frame[25] = byte(v)
 		_, err := Decode(bytes.NewReader(frame))
-		if err == nil || !strings.Contains(err.Error(), "bad payload flag") {
-			t.Errorf("flag=%d: err = %v, want bad payload flag rejection", flag, err)
+		if high == ^low&0x0f && low&0x08 == 0 {
+			valid++
+			continue // framing; whether the rest decodes is not this test's business
 		}
+		if err == nil || !strings.Contains(err.Error(), "bad flags byte") {
+			t.Errorf("flags=%#02x: err = %v, want bad flags byte rejection", v, err)
+		}
+	}
+	if valid != 8 {
+		t.Fatalf("%d flags bytes accepted as framing, want 8", valid)
 	}
 }
 
-// TestTSL2MessageRoundTrip: a float32-tagged payload crosses the wire in
-// TSL2 (half the payload bytes) and comes back float32-rounded.
-func TestTSL2MessageRoundTrip(t *testing.T) {
+// TestFloat32MessageRoundTrip: a float32-tagged payload crosses the wire
+// at half the payload bytes, in the same frame, and comes back
+// float32-rounded.
+func TestFloat32MessageRoundTrip(t *testing.T) {
 	payload := tensor.FromSlice([]float64{0.1, 0.2, 0.3, 1.0 / 3.0}, 2, 2)
 	m64 := &Message{Type: MsgActivation, ClientID: 1, Seq: 1, Payload: payload.Clone(), Labels: []int{0, 1}}
 	m32 := &Message{Type: MsgActivation, ClientID: 1, Seq: 1,
@@ -65,8 +79,8 @@ func TestTSL2MessageRoundTrip(t *testing.T) {
 	if err := m32.Encode(&b32); err != nil {
 		t.Fatal(err)
 	}
-	// TSL2 spends 1 extra header byte (dtype) and saves 4 per element.
-	if want := 4*payload.Size() - 1; b64.Len()-b32.Len() != want {
+	// Same header at both widths; float32 saves 4 bytes per element.
+	if want := 4 * payload.Size(); b64.Len()-b32.Len() != want {
 		t.Errorf("f32 frame saves %d bytes, want %d", b64.Len()-b32.Len(), want)
 	}
 
@@ -85,7 +99,7 @@ func TestTSL2MessageRoundTrip(t *testing.T) {
 }
 
 // TestRefusalRoundTrip: a message carrying a refusal code and RetryAfter
-// selects the MSG2 frame, costs exactly the 9-byte extension, and decodes
+// sets the refusal flag, costs exactly the 9-byte extension, and decodes
 // back field-for-field.
 func TestRefusalRoundTrip(t *testing.T) {
 	plain := &Message{Type: MsgControl, ClientID: 7, Seq: 3, Note: "refused: overloaded"}
@@ -99,8 +113,8 @@ func TestRefusalRoundTrip(t *testing.T) {
 	if err := refusal.Encode(&bRef); err != nil {
 		t.Fatal(err)
 	}
-	if got := binary.LittleEndian.Uint32(bRef.Bytes()); got != 0x4d534732 {
-		t.Fatalf("refusal frame magic %#x, want MSG2", got)
+	if got, want := bRef.Bytes()[25], byte(0xd2); got != want {
+		t.Fatalf("refusal frame flags byte %#02x, want %#02x", got, want)
 	}
 	if diff := bRef.Len() - bPlain.Len(); diff != 9 {
 		t.Fatalf("refusal extension costs %d bytes, want 9", diff)
@@ -115,20 +129,40 @@ func TestRefusalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLegacyFrameUnchanged: any message without refusal fields must emit
-// the MSG1 magic — pre-refusal decoders and recorded streams keep working
-// byte-for-byte.
-func TestLegacyFrameUnchanged(t *testing.T) {
-	for i, m := range corpusMessages(t)[:8] { // the pre-MSG2 corpus
-		frame := encode(t, m)
-		if got := binary.LittleEndian.Uint32(frame); got != 0x4d534731 {
-			t.Fatalf("corpus message %d emitted magic %#x, want legacy MSG1", i, got)
+// TestGoldenFrames pins the one frame layout byte for byte in each of its
+// shapes: no optional part, the refusal extension, and a payload.
+func TestGoldenFrames(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    *Message
+		want string
+	}{
+		{"plain", &Message{Type: MsgControl, ClientID: 1, Note: "join"},
+			"3347534d" + "03" + "01000000" + "00000000" + "00000000" + "0000000000000000" +
+				"f0" + "00000000" + // flags: nothing optional
+				"04000000" + "6a6f696e"},
+		{"refusal", &Message{Type: MsgControl, ClientID: 9, Seq: 41, Note: "rejected",
+			Code: RefusalExpired, RetryAfter: 3 * time.Millisecond},
+			"3347534d" + "03" + "09000000" + "29000000" + "00000000" + "0000000000000000" +
+				"d2" + "00000000" + // flags: refusal extension
+				"03" + "c0c62d0000000000" +
+				"08000000" + "72656a6563746564"},
+		{"payload", &Message{Type: MsgGradient, ClientID: 3, Seq: 7, Epoch: 1, SentAt: 2345,
+			Payload: tensor.FromSlice([]float64{1, 2}, 1, 2).SetDType(tensor.Float32)},
+			"3347534d" + "02" + "03000000" + "07000000" + "01000000" + "2909000000000000" +
+				"e1" + "00000000" + // flags: payload
+				"334c5354" + "01" + "02" + "0000" + "01000000" + "02000000" + "0000803f" + "00000040" +
+				"00000000"},
+	} {
+		if got := hex.EncodeToString(encode(t, tc.m)); got != tc.want {
+			t.Errorf("%s frame bytes changed:\n got  %s\n want %s", tc.name, got, tc.want)
 		}
 	}
 }
 
-// TestRefusalFieldsResetOnReuse: decoding a legacy frame into a Message
-// that previously held a refusal must clear the extension fields.
+// TestRefusalFieldsResetOnReuse: decoding a frame without the refusal
+// extension into a Message that previously held a refusal must clear the
+// extension fields.
 func TestRefusalFieldsResetOnReuse(t *testing.T) {
 	var m Message
 	refusal := &Message{Type: MsgControl, Code: RefusalRetryLater, RetryAfter: time.Second}

@@ -119,9 +119,9 @@ func (c *tcpConn) Recv() (*Message, error) {
 	return m, nil
 }
 
-// SetChecksum implements Checksummer: subsequent Sends emit checksummed
-// (MSGC) frames. Recv verifies checksummed frames unconditionally — the
-// frame is self-describing — so the two directions need no agreement.
+// SetChecksum implements Checksummer: subsequent Sends emit frames with
+// a CRC32C trailer. Recv verifies every frame whose flags byte announces
+// one, so the two directions need no agreement.
 func (c *tcpConn) SetChecksum(on bool) { c.checksum.Store(on) }
 
 // SetWriteDeadline bounds subsequent Sends, forwarding to the carrier

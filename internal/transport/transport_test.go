@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -197,6 +198,69 @@ func TestPairCloseSemantics(t *testing.T) {
 	// Close is idempotent.
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPairSendRacesClose hammers Send on both endpoints against a
+// concurrent Close of each: under -race this is the regression for the
+// data channel that used to be closed beneath its own sender. Every Send
+// must return (nil or ErrClosed, never a panic), a local Close must
+// unblock a Send stuck on a full buffer, and once both ends are closed
+// Recv drains what was buffered and then reports ErrClosed.
+func TestPairSendRacesClose(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		a, b := NewPair(1)
+		var wg sync.WaitGroup
+		for _, end := range []Conn{a, b} {
+			end := end
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					if err := end.Send(&Message{Type: MsgControl, Seq: i}); err != nil {
+						if !errors.Is(err, ErrClosed) {
+							t.Errorf("send: %v, want ErrClosed", err)
+						}
+						return
+					}
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				end.Close()
+			}()
+		}
+		wg.Wait()
+		for _, end := range []Conn{a, b} {
+			for {
+				if _, err := end.Recv(); err != nil {
+					if !errors.Is(err, ErrClosed) {
+						t.Fatalf("recv after close: %v, want ErrClosed", err)
+					}
+					break
+				}
+			}
+		}
+	}
+}
+
+// TestPairPeerCloseUnblocksRecv: a Recv already blocked on an empty
+// connection returns ErrClosed when the peer closes.
+func TestPairPeerCloseUnblocksRecv(t *testing.T) {
+	a, b := NewPair(0)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := b.Recv()
+		errc <- err
+	}()
+	a.Close()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("recv after peer close: %v, want ErrClosed", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("peer Close did not unblock Recv")
 	}
 }
 
