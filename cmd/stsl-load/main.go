@@ -8,7 +8,7 @@
 // and understates the damage (coordinated omission).
 //
 // Each session joins with a distinct client id, contributes -steps
-// batches, and leaves. A refusal (session cap, shed gate) terminates the
+// batches, and leaves. A refusal (the session cap) terminates the
 // session and counts toward the refusal rate; with -retry > 0 the client
 // instead honours the server's RetryAfter hint, backs off with
 // decorrelated jitter, and rejoins — the refusal still counts, the

@@ -1,8 +1,9 @@
 // Command stsl-server runs the centralized server of the split-learning
 // protocol over real TCP, on the live cluster runtime: sessions join via
 // handshake, every arriving activation is admitted into one thread-safe
-// scheduling queue with bounded backpressure, a single worker goroutine
-// owns the model, stragglers are dropped after a configurable silence,
+// scheduling queue with bounded backpressure (past -queue-cap a session
+// parks until there is headroom), a single worker goroutine owns the
+// model, stragglers are dropped after a configurable silence,
 // and SIGINT triggers a graceful drain. It accepts the configured number
 // of end-systems, trains until every client announces completion, then
 // writes the learned server weights.
@@ -15,17 +16,14 @@
 // step while clients started with -retry re-handshake on their own.
 //
 // The server degrades gracefully under overload instead of collapsing:
-// -max-sessions caps admitted sessions, -shed-depth/-shed-p95 open a
-// hysteresis shed gate that refuses new joins (with a RetryAfter hint on
-// the wire) and brownouts the lowest-priority sessions until the backlog
-// drains, -work-deadline sheds queued activations too stale to be worth
-// serving, and -send-timeout evicts clients that stall reading their
-// replies. -straggler-auto derives the silence deadline from how fast
-// healthy clients actually talk instead of a fixed worst case.
+// -max-sessions caps admitted sessions (a join beyond the cap is refused
+// with a RetryAfter hint on the wire), -work-deadline sheds queued
+// activations too stale to be worth serving, and -send-timeout evicts
+// clients that stall reading their replies.
 //
 // With -admin-addr the server also exposes an admin HTTP listener:
-// readiness on /healthz (200 while serving, 503 once shedding or
-// stopped), Prometheus metrics on /metrics, a JSON status superset of
+// readiness on /healthz (200 while serving, 503 once stopped),
+// Prometheus metrics on /metrics, a JSON status superset of
 // the periodic -status-every log line on /statusz, the recent-event
 // flight recorder on /trace, and net/http/pprof under /debug/pprof. The
 // admin surface exposes operational internals, so bind it to loopback
@@ -69,16 +67,12 @@ func main() {
 		seed         = flag.Uint64("seed", 1, "weight seed (must match the end-systems)")
 		lr           = flag.Float64("lr", 0.05, "learning rate")
 		policy       = flag.String("policy", "fifo", "queue policy: fifo|staleness|fair-rr")
-		queueCap     = flag.Int("queue-cap", 64, "scheduling queue depth cap (-1 = unbounded)")
-		overflow     = flag.String("overflow", "park", "behaviour at the cap: park|reject")
+		queueCap     = flag.Int("queue-cap", 64, "scheduling queue depth cap; a session parks at the cap until there is headroom (-1 = unbounded)")
 		coalesce     = flag.Int("coalesce", 1, "micro-batch coalescing cap: stack up to this many queued activations per pass")
 		workers      = flag.Int("workers", 1, "data-parallel model replicas draining the queue concurrently (1 = classic single worker)")
 		syncEvery    = flag.Int("sync-every", 0, "pool steps between FedAvg replica-averaging barriers (0 = default; only with -workers > 1)")
-		straggler    = flag.Duration("straggler-timeout", 0, "drop silent clients after this long (0 = never; -straggler-auto overrides)")
-		stragglerAut = flag.Bool("straggler-auto", false, "derive the straggler deadline adaptively from observed client cadence (8× smoothed inter-message gap, clamped 250ms–20s)")
+		straggler    = flag.Duration("straggler-timeout", 0, "drop silent clients after this long (0 = never)")
 		maxSessions  = flag.Int("max-sessions", 0, "admission cap on concurrently live sessions; joins beyond it are refused with a RetryAfter hint (0 = unlimited)")
-		shedDepth    = flag.Int("shed-depth", 0, "queue depth at which the shed gate opens: new joins refused, brownout active until it drains (0 = off)")
-		shedP95      = flag.Duration("shed-p95", 0, "p95 service latency at which the shed gate opens (0 = off)")
 		workDeadline = flag.Duration("work-deadline", 0, "queued activations older than this are shed un-served and the client told to resend (0 = serve everything)")
 		sendTimeout  = flag.Duration("send-timeout", 0, "per-reply write deadline; a client that stalls reading longer than this is evicted instead of wedging a worker (0 = block forever)")
 		grace        = flag.Duration("resume-grace", 30*time.Second, "how long a disconnected client may reconnect and resume its session (0 = evict immediately)")
@@ -121,10 +115,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	stragglerTimeout := *straggler
-	if *stragglerAut {
-		stragglerTimeout = cluster.StragglerAuto
-	}
 	aggMethod, err := paramsync.ParseMethod(*aggregate)
 	if err != nil {
 		fatal(err)
@@ -134,15 +124,12 @@ func main() {
 		Aggregate:        aggMethod,
 		Sanitize:         *sanitize,
 		QueueCap:         *queueCap,
-		Overflow:         cluster.Overflow(*overflow),
-		StragglerTimeout: stragglerTimeout,
+		StragglerTimeout: *straggler,
 		BatchCoalesce:    *coalesce,
 		ResumeGrace:      *grace,
 		Workers:          *workers,
 		SyncEvery:        *syncEvery,
 		MaxSessions:      *maxSessions,
-		ShedDepth:        *shedDepth,
-		ShedLatencyP95:   *shedP95,
 		WorkDeadline:     *workDeadline,
 		SendTimeout:      *sendTimeout,
 		// Each extra worker gets a structurally identical replica of the
@@ -235,8 +222,8 @@ func main() {
 		defer admin.Close()
 		fmt.Printf("stsl-server: admin listener on http://%s (/healthz /metrics /statusz /trace /debug/pprof)\n", admin.Addr())
 	}
-	fmt.Printf("stsl-server: listening on %s for %d end-system(s), cut=%d policy=%s cap=%d overflow=%s coalesce=%d workers=%d\n",
-		lis.Addr(), *clients, *cut, *policy, *queueCap, *overflow, *coalesce, *workers)
+	fmt.Printf("stsl-server: listening on %s for %d end-system(s), cut=%d policy=%s cap=%d coalesce=%d workers=%d\n",
+		lis.Addr(), *clients, *cut, *policy, *queueCap, *coalesce, *workers)
 	go srv.ServeListener(lis)
 
 	// The ticker stops when training ends, not at process exit, so late

@@ -365,16 +365,7 @@ func TestGraceExpiryEvicts(t *testing.T) {
 	srv := startServer(t, dep, Config{ResumeGrace: 50 * time.Millisecond})
 
 	// Client 1 joins and vanishes.
-	ghost, ghostSide := transport.NewPair(1)
-	srv.Attach(ghostSide)
-	if err := ghost.Send(&transport.Message{
-		Type: transport.MsgControl, ClientID: 1, Note: core.JoinNote,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if msg, err := ghost.Recv(); err != nil || msg.Note != core.WelcomeNote {
-		t.Fatalf("ghost join: msg=%v err=%v", msg, err)
-	}
+	ghost := rawJoin(t, srv, 1)
 	ghost.Close()
 
 	// Client 0 trains normally through the churn.
@@ -740,16 +731,7 @@ func TestJoinDisplacesParkedSession(t *testing.T) {
 	srv := startServer(t, dep, Config{ResumeGrace: 10 * time.Second})
 
 	// First incarnation: join, get welcomed, die before using it.
-	first, firstSide := transport.NewPair(1)
-	srv.Attach(firstSide)
-	if err := first.Send(&transport.Message{
-		Type: transport.MsgControl, ClientID: 0, Note: core.JoinNote,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if msg, err := first.Recv(); err != nil || msg.Note != core.WelcomeNote {
-		t.Fatalf("first join: msg=%v err=%v", msg, err)
-	}
+	first := rawJoin(t, srv, 0)
 	first.Close()
 	waitFor(t, func() bool {
 		cs := srv.Snapshot().Clients

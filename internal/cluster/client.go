@@ -21,14 +21,20 @@ import (
 // exactly this.
 var (
 	// ErrServerOverloaded marks a join refused by admission control: the
-	// session cap is full or the shed gate is open. The refusal carries a
-	// RetryAfter hint; with a Dial configured the client backs off and
-	// retries on its own, so RunClient only returns this when it cannot
-	// (no Dial) or will not (budget exhausted) keep trying.
+	// session cap is full. The refusal carries a RetryAfter hint; with a
+	// Dial configured the client backs off and retries on its own, so
+	// RunClient only returns this when it cannot (no Dial).
 	ErrServerOverloaded = errors.New("cluster: server overloaded")
 	// ErrRetryLater marks any transient, hinted refusal — overload
 	// refusals match it too, so it is the broad "worth retrying" class.
 	ErrRetryLater = errors.New("cluster: server asked to retry later")
+)
+
+// The retry discipline's fixed points.
+const (
+	rejectBackoff     = 2 * time.Millisecond // jitter floor before resending a bounced batch
+	retryBurst        = 8                    // retry budget: tokens spendable ahead of the refill
+	retryRefillPerSec = 4                    // retry budget: refill rate
 )
 
 // ClientConfig parameterises one live end-system actor.
@@ -42,10 +48,6 @@ type ClientConfig struct {
 	// doubling per fire — and resends well before this bound; GradTimeout
 	// remains the terminal backstop.
 	GradTimeout time.Duration
-	// RejectBackoff is the jitter floor of the pause before resending an
-	// activation the server bounced for backpressure (default 2ms). When
-	// the bounce carries a RetryAfter hint the pause is hint + jitter.
-	RejectBackoff time.Duration
 	// Dial, when non-nil, re-establishes a lost connection: the client
 	// redials, resumes its session with the token issued at join, and
 	// resends the in-flight batch — surviving link drops, frame
@@ -58,7 +60,7 @@ type ClientConfig struct {
 	// across the whole run (default 8 when Dial is set). Failed dials
 	// count: a server that stays down exhausts the budget. Admission
 	// refusals do NOT count — the server is alive and explicitly asked
-	// for patience; those retries are bounded by RetryBudget instead.
+	// for patience; those retries are bounded by the retry budget instead.
 	MaxReconnects int
 	// ReconnectBackoff is the decorrelated-jitter floor of the pause
 	// before each redial (default 5ms). Delays grow up to 100× the floor
@@ -67,23 +69,14 @@ type ClientConfig struct {
 	// BackoffSeed seeds the jitter streams (0 derives one from the wall
 	// clock and the end-system id). Fix it for reproducible retry traces.
 	BackoffSeed uint64
-	// RetryBudget is the token-bucket burst of retries (refusal waits,
-	// adaptive resends) the client may spend ahead of the refill rate
-	// (0 = default 8).
-	RetryBudget float64
-	// RetryRefill is the budget's refill rate in tokens/second (0 =
-	// default 4; negative = no refill, a pure burst budget). A client out
-	// of tokens waits for the next refill instead of retrying — this is
-	// what keeps a refused cohort from amplifying the overload.
-	RetryRefill float64
 	// Now supplies protocol timestamps; nil uses a monotonic wall clock
 	// started at the first batch.
 	Now func() time.Duration
 	// GradRTT, when non-nil, records the send→gradient-applied round
 	// trip of every batch in seconds — queue wait, server compute, and
 	// both wire legs, as this client experiences them. After a resend
-	// (backpressure bounce, reconnect) the clock restarts at the resend,
-	// so the histogram reflects delivery latency, not retry budgets.
+	// (bounce, reconnect) the clock restarts at the resend, so the
+	// histogram reflects delivery latency, not retry budgets.
 	GradRTT *obs.Histogram
 }
 
@@ -93,16 +86,16 @@ type ClientResult struct {
 	Steps int
 	// Epochs is the number of completed local epochs.
 	Epochs int
-	// Rejected counts backpressure bounces that forced a resend.
+	// Rejected counts activations the server bounced (the sanitizer's
+	// below-quarantine verdict) that forced a resend.
 	Rejected int
 	// Reconnects counts redial attempts made after connection losses
 	// (successful or not).
 	Reconnects int
-	// Refused counts admission refusals the client waited out and
-	// retried (session cap, shed gate).
+	// Refused counts admission refusals the client waited out and retried.
 	Refused int
 	// Resends counts batch retransmissions triggered by the adaptive
-	// wait window or a deadline-shed notice — not backpressure bounces,
+	// wait window or a deadline-shed notice — not bounced batches,
 	// which Rejected counts.
 	Resends int
 	// JoinAttempts records the protocol timestamp of every join attempt
@@ -232,10 +225,6 @@ func RunClient(ctx context.Context, es *core.EndSystem, conn transport.Conn, cfg
 		start := time.Now()
 		now = func() time.Duration { return time.Since(start) }
 	}
-	rejectBackoff := cfg.RejectBackoff
-	if rejectBackoff <= 0 {
-		rejectBackoff = 2 * time.Millisecond
-	}
 	maxReconnects := cfg.MaxReconnects
 	if maxReconnects <= 0 && cfg.Dial != nil {
 		maxReconnects = 8
@@ -248,17 +237,14 @@ func RunClient(ctx context.Context, es *core.EndSystem, conn transport.Conn, cfg
 	if seed == 0 {
 		seed = uint64(time.Now().UnixNano()) ^ uint64(es.ID)<<32 ^ uint64(es.ID)
 	}
-	refill := cfg.RetryRefill
-	if refill == 0 {
-		refill = 4
-	}
 	// The overload-control kit: jittered redial delays, a second
-	// independent jitter stream for backpressure bounces, a token-bucket
-	// retry budget, a breaker that honours the server's RetryAfter hints,
-	// and an RTO estimator driving the adaptive gradient wait.
+	// independent jitter stream for bounced batches, a token-bucket
+	// budget charged by refusal waits and adaptive resends, a breaker that
+	// honours the server's RetryAfter hints, and an RTO estimator driving
+	// the adaptive gradient wait.
 	joinJitter := overload.NewBackoff(reconnectBackoff, 0, seed)
 	rejJitter := overload.NewBackoff(rejectBackoff, 0, seed^0x9e3779b97f4a7c15)
-	budget := overload.NewBudget(cfg.RetryBudget, refill)
+	budget := overload.NewBudget(retryBurst, retryRefillPerSec)
 	breaker := overload.NewBreaker(overload.BreakerConfig{})
 	rttMax := 30 * time.Second
 	if cfg.GradTimeout > 0 {
@@ -306,17 +292,14 @@ func RunClient(ctx context.Context, es *core.EndSystem, conn transport.Conn, cfg
 	// spendRetry withdraws one retry token, waiting out the refill when
 	// the burst is spent — throttling, not failing, is what keeps a
 	// cohort of retrying clients from amplifying the overload that
-	// bounced them. It fails only when the budget can never recover.
+	// bounced them. It fails only when the caller gives up.
 	spendRetry := func() error {
 		for {
 			n := now()
 			if budget.Take(n) {
 				return nil
 			}
-			at, ok := budget.NextAt(n)
-			if !ok {
-				return fmt.Errorf("cluster: client %d retry budget exhausted", es.ID)
-			}
+			at, _ := budget.NextAt(n) // the refill rate is positive: a token always comes
 			if err := sleep(at - n + time.Millisecond); err != nil {
 				return err
 			}
@@ -591,7 +574,7 @@ func RunClient(ctx context.Context, es *core.EndSystem, conn transport.Conn, cfg
 			}
 			switch {
 			case reply.Type == transport.MsgControl && reply.Note == core.RejectedNote:
-				// Backpressure (or a brownout park): wait out the server's
+				// The server bounced the batch un-queued: wait out its
 				// hint plus jitter and resend the same batch.
 				res.Rejected++
 				if err := sleep(reply.RetryAfter + rejJitter.Next()); err != nil {

@@ -28,7 +28,7 @@
 //
 //   - Server: accepts end-system sessions, runs the join/leave
 //     handshake, admits activations with bounded backpressure
-//     (park or reject past a queue-depth cap), detects stragglers,
+//     (sessions park past a queue-depth cap), detects stragglers,
 //     shuts down gracefully via context, and publishes live metric
 //     Snapshots (throughput, queue depth, per-client staleness).
 //     Sessions are elastic: a client that loses its link within
@@ -40,7 +40,7 @@
 //     the last step while retry-enabled clients re-handshake.
 //   - RunClient: drives one core.EndSystem over a connection with the
 //     lock-step split-learning semantics, a gradient straggler timeout,
-//     automatic resend on backpressure rejection, and — with
+//     automatic resend of a batch the server bounced, and — with
 //     ClientConfig.Dial — reconnect/resume across connection losses
 //     and server restarts.
 //   - Run (the ClusterRunner): wires M client goroutines to an
@@ -61,43 +61,20 @@ import (
 	"github.com/stsl/stsl/internal/paramsync"
 )
 
-// StragglerAuto, as Config.StragglerTimeout, derives the straggler
-// deadline from live traffic instead of a fixed constant: the janitor
-// uses 8× the smoothed inter-message gap (an RFC 6298-style estimator
-// fed by every received message), clamped to [250ms, 20s]. A fixed
-// timeout is either too tight for a far end-system or uselessly loose
-// for a near one; the adaptive deadline tracks what "silent too long"
-// means for the cadence the server actually observes.
-const StragglerAuto time.Duration = -1
-
-// Overflow selects what the server does with an activation that arrives
-// while the scheduling queue is at its depth cap.
-type Overflow string
-
-const (
-	// OverflowPark holds the arriving activation in the session
-	// goroutine until the queue has headroom — backpressure propagates
-	// to the client through the transport (its next Send blocks).
-	OverflowPark Overflow = "park"
-	// OverflowReject refuses the activation with a control message; the
-	// client backs off and resends.
-	OverflowReject Overflow = "reject"
-)
-
 // Config parameterises a cluster Server.
 type Config struct {
-	// QueueCap bounds the scheduling queue depth; arrivals beyond it
-	// hit the Overflow policy. 0 defaults to 64; negative = unbounded.
-	// With a gated policy (sync-rounds) the cap is lifted automatically
-	// — capping below the client count would deadlock (park) or livelock
-	// (reject) the gate, and lock-step already bounds depth to M.
+	// QueueCap bounds the scheduling queue depth; an arrival beyond it
+	// parks in its session goroutine until the queue has headroom, so
+	// backpressure reaches the client through the transport (its next
+	// Send blocks). 0 defaults to 64; negative = unbounded. With a gated
+	// policy (sync-rounds) the cap is lifted automatically — capping
+	// below the client count would deadlock the gate, and lock-step
+	// already bounds depth to M.
 	QueueCap int
-	// Overflow selects park (default) or reject behaviour at the cap.
-	Overflow Overflow
 	// StragglerTimeout drops a session whose client has been silent for
-	// this long (0 = never; StragglerAuto derives the deadline from the
-	// live inter-message cadence). Dropped clients are deactivated in
-	// gated queue policies so they cannot stall a synchronous round.
+	// this long, and closes a connection that has not introduced itself
+	// within it (0 = never). Dropped clients are deactivated in gated
+	// queue policies so they cannot stall a synchronous round.
 	StragglerTimeout time.Duration
 	// BatchCoalesce caps how many queued activations the worker drains
 	// per PopBatch and stacks into one coalesced forward/backward pass
@@ -182,15 +159,6 @@ type Config struct {
 	// Resuming a session the server still holds never counts against the
 	// cap (its slot is already held). 0 = unlimited.
 	MaxSessions int
-	// ShedDepth arms the admission gate's queue-depth input: when
-	// occupancy reaches it the server refuses new joins and enters
-	// brownout, recovering with hysteresis once depth falls back below
-	// roughly half the trip point. 0 disables the depth input.
-	ShedDepth int
-	// ShedLatencyP95 arms the admission gate's latency input: a p95
-	// service latency (enqueue → gradient sent) at or above it trips the
-	// shed gate. 0 disables the latency input.
-	ShedLatencyP95 time.Duration
 	// WorkDeadline stamps every admitted activation with an enqueue
 	// deadline; the worker sheds items that outlive it un-served (counted
 	// in stsl_queue_expired_total) and tells the client to resend, so a
@@ -203,11 +171,6 @@ type Config struct {
 	// worker that serves everyone behind its backpressure. Carriers
 	// without deadlines keep the blocking behaviour. 0 = no bound.
 	SendTimeout time.Duration
-	// RetryAfterHint is the floor of the RetryAfter hint carried by
-	// refusals; the live hint grows to twice the observed p95 service
-	// latency so refused clients retry after the backlog they were
-	// refused over has had time to drain. 0 defaults to 25ms.
-	RetryAfterHint time.Duration
 
 	// Checksum, when set, enables CRC32C-checksummed wire framing on
 	// every connection handed to Attach (via transport.SetChecksum), so
@@ -235,26 +198,17 @@ type Config struct {
 // costs real debugging time in a deployment manifest; fail loudly
 // instead.
 func (c Config) validate() error {
-	if c.StragglerTimeout < 0 && c.StragglerTimeout != StragglerAuto {
-		return fmt.Errorf("cluster: StragglerTimeout must be positive, 0 (off), or StragglerAuto, got %v", c.StragglerTimeout)
-	}
-	if c.ResumeGrace < 0 {
-		return fmt.Errorf("cluster: ResumeGrace must be >= 0, got %v", c.ResumeGrace)
-	}
 	if c.MaxSessions < 0 {
 		return fmt.Errorf("cluster: MaxSessions must be >= 0 (0 = unlimited), got %d", c.MaxSessions)
-	}
-	if c.ShedDepth < 0 {
-		return fmt.Errorf("cluster: ShedDepth must be >= 0 (0 = off), got %d", c.ShedDepth)
 	}
 	for _, d := range []struct {
 		name string
 		v    time.Duration
 	}{
-		{"ShedLatencyP95", c.ShedLatencyP95},
+		{"StragglerTimeout", c.StragglerTimeout},
+		{"ResumeGrace", c.ResumeGrace},
 		{"WorkDeadline", c.WorkDeadline},
 		{"SendTimeout", c.SendTimeout},
-		{"RetryAfterHint", c.RetryAfterHint},
 	} {
 		if d.v < 0 {
 			return fmt.Errorf("cluster: %s must be >= 0, got %v", d.name, d.v)
@@ -268,19 +222,13 @@ func (c Config) withDefaults() Config {
 		c.QueueCap = 64
 	}
 	if c.QueueCap < 0 {
-		c.QueueCap = 0 // unbounded for queue.Safe.TryPush
-	}
-	if c.Overflow == "" {
-		c.Overflow = OverflowPark
+		c.QueueCap = 0 // unbounded for queue.Safe.TryPushParking
 	}
 	if c.Workers < 1 {
 		c.Workers = 1
 	}
 	if c.SyncEvery <= 0 {
 		c.SyncEvery = 16
-	}
-	if c.RetryAfterHint == 0 {
-		c.RetryAfterHint = 25 * time.Millisecond
 	}
 	return c
 }

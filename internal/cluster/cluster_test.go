@@ -12,6 +12,7 @@ import (
 	"github.com/stsl/stsl/internal/mathx"
 	"github.com/stsl/stsl/internal/nn"
 	"github.com/stsl/stsl/internal/obs"
+	"github.com/stsl/stsl/internal/queue"
 	"github.com/stsl/stsl/internal/tensor"
 	"github.com/stsl/stsl/internal/transport"
 )
@@ -65,6 +66,24 @@ func startServer(t *testing.T, dep *core.Deployment, cfg Config) *Server {
 		}
 	})
 	return srv
+}
+
+// rawJoin attaches an in-memory connection and performs the join
+// handshake by hand, for tests that drive the wire protocol message by
+// message.
+func rawJoin(t *testing.T, srv *Server, id int) transport.Conn {
+	t.Helper()
+	conn, serverSide := transport.NewPair(1)
+	srv.Attach(serverSide)
+	if err := conn.Send(&transport.Message{
+		Type: transport.MsgControl, ClientID: id, Note: core.JoinNote,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := conn.Recv(); err != nil || msg.Note != core.WelcomeNote {
+		t.Fatalf("client %d join: msg=%v err=%v", id, msg, err)
+	}
+	return conn
 }
 
 // TestSessionLifecycle drives two concurrent clients through the full
@@ -223,16 +242,7 @@ func TestDuplicateJoinRejected(t *testing.T) {
 	dep := buildDeployment(t, 1, "fifo")
 	srv := startServer(t, dep, Config{})
 
-	first, firstSrv := transport.NewPair(1)
-	srv.Attach(firstSrv)
-	if err := first.Send(&transport.Message{
-		Type: transport.MsgControl, ClientID: 0, Note: core.JoinNote,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if msg, err := first.Recv(); err != nil || msg.Note != core.WelcomeNote {
-		t.Fatalf("first join: msg=%v err=%v", msg, err)
-	}
+	rawJoin(t, srv, 0) // the live holder of id 0
 
 	second, secondSrv := transport.NewPair(1)
 	srv.Attach(secondSrv)
@@ -250,77 +260,152 @@ func TestDuplicateJoinRejected(t *testing.T) {
 	}
 }
 
-// TestBackpressureReject floods a cap-1 queue in reject mode and checks
-// that bounced batches are resent and training still completes.
-func TestBackpressureReject(t *testing.T) {
-	dep := buildDeployment(t, 3, "fifo")
-	srv := startServer(t, dep, Config{QueueCap: 1, Overflow: OverflowReject})
+// heldFIFO is a FIFO that yields nothing until release is closed: it
+// holds the worker by construction, so a test can fill the queue to its
+// cap without racing the model.
+type heldFIFO struct {
+	*queue.FIFO
+	release chan struct{}
+}
 
-	const steps = 3
-	errs := make(chan error, 3)
-	for _, es := range dep.Clients {
-		es := es
-		client, server := transport.NewPair(1)
-		srv.Attach(server)
-		go func() {
-			_, err := RunClient(context.Background(), es, client, ClientConfig{
-				Steps: steps, GradTimeout: 5 * time.Second, RejectBackoff: time.Millisecond,
-			})
-			client.Close()
-			errs <- err
-		}()
-	}
-	for i := 0; i < 3; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.AwaitClients(ctx, 3); err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.Snapshot().ServerSteps; got != 3*steps {
-		t.Fatalf("server processed %d batches, want %d", got, 3*steps)
+func (q *heldFIFO) held() bool {
+	select {
+	case <-q.release:
+		return false
+	default:
+		return true
 	}
 }
 
-// TestBackpressurePark does the same with parking: the session goroutine
-// stalls admission instead of bouncing, and nothing is lost.
-func TestBackpressurePark(t *testing.T) {
-	dep := buildDeployment(t, 3, "fifo")
-	srv := startServer(t, dep, Config{QueueCap: 1, Overflow: OverflowPark})
-
-	const steps = 3
-	errs := make(chan error, 3)
-	for _, es := range dep.Clients {
-		es := es
-		client, server := transport.NewPair(1)
-		srv.Attach(server)
-		go func() {
-			_, err := RunClient(context.Background(), es, client, ClientConfig{
-				Steps: steps, GradTimeout: 5 * time.Second,
-			})
-			client.Close()
-			errs <- err
-		}()
+func (q *heldFIFO) Pop(now time.Duration) (queue.Item, bool) {
+	if q.held() {
+		return queue.Item{}, false
 	}
-	for i := 0; i < 3; i++ {
-		if err := <-errs; err != nil {
+	return q.FIFO.Pop(now)
+}
+
+func (q *heldFIFO) PopBatch(now time.Duration, max int) []queue.Item {
+	if q.held() {
+		return nil
+	}
+	return q.FIFO.PopBatch(now, max)
+}
+
+// heldServer starts a server whose worker is held (see heldFIFO) and
+// joins n raw sessions that each upload one activation. release lets the
+// worker drain; awaitGradients then collects each session's reply.
+func heldServer(t *testing.T, n int, cfg Config) (srv *Server, release func(), awaitGradients func()) {
+	t.Helper()
+	dep := buildDeployment(t, n, "fifo")
+	hold := &heldFIFO{FIFO: queue.NewFIFO(), release: make(chan struct{})}
+	dep.Server.Queue = hold
+	srv = startServer(t, dep, cfg)
+	conns := make([]transport.Conn, n)
+	seqs := make([]int, n)
+	for i, es := range dep.Clients {
+		conn := rawJoin(t, srv, es.ID)
+		t.Cleanup(func() { conn.Close() })
+		batch, err := es.ProduceBatch(0)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if err := conn.Send(batch); err != nil {
+			t.Fatal(err)
+		}
+		conns[i], seqs[i] = conn, batch.Seq
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.AwaitClients(ctx, 3); err != nil {
-		t.Fatal(err)
+	release = func() {
+		close(hold.release)
+		srv.q.Deactivate(-1) // the worker last saw an empty draw; wake it
 	}
-	snap := srv.Snapshot()
-	if snap.ServerSteps != 3*steps {
-		t.Fatalf("server processed %d batches, want %d", snap.ServerSteps, 3*steps)
+	awaitGradients = func() {
+		t.Helper()
+		for i, conn := range conns {
+			reply, err := conn.Recv()
+			if err != nil {
+				t.Fatalf("client %d: %v", i, err)
+			}
+			if reply.Type != transport.MsgGradient || reply.Seq != seqs[i] {
+				t.Fatalf("client %d got %v seq %d, want gradient seq %d", i, reply.Type, reply.Seq, seqs[i])
+			}
+		}
 	}
-	if snap.Rejected != 0 {
-		t.Fatalf("park mode rejected %d batches", snap.Rejected)
+	return srv, release, awaitGradients
+}
+
+// TestBackpressurePark fills a cap-1 queue while the worker is held: the
+// second arrival must wait in its session goroutine — depth stays at the
+// cap and the park is counted once — and once the worker drains, both
+// batches are served exactly once.
+func TestBackpressurePark(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv, release, awaitGradients := heldServer(t, 2, Config{QueueCap: 1, Obs: reg})
+	parked := reg.Counter("stsl_queue_parked_total", obs.Labels{"policy": "fifo"})
+
+	waitFor(t, func() bool { return parked.Value() == 1 })
+	if snap := srv.Snapshot(); snap.QueueDepth != 1 || snap.ServerSteps != 0 {
+		t.Fatalf("held at the cap: depth %d steps %d, want depth 1 steps 0", snap.QueueDepth, snap.ServerSteps)
+	}
+
+	release()
+	awaitGradients()
+	if snap := srv.Snapshot(); snap.ServerSteps != 2 || snap.MaxQueueDepth != 1 {
+		t.Fatalf("after release: steps %d max depth %d, want 2 and 1", snap.ServerSteps, snap.MaxQueueDepth)
+	}
+	if got := parked.Value(); got != 1 {
+		t.Fatalf("stsl_queue_parked_total = %d, want 1 (wait-retry rounds must not re-count)", got)
+	}
+}
+
+// TestProtocolViolationEvicts: a session that breaks the protocol is the
+// peer's fault, so even with resume enabled it is ended with its error
+// and recorded as an eviction — never parked for a client that will not
+// come back honest.
+func TestProtocolViolationEvicts(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*transport.Message)
+		want    string
+	}{
+		{"foreign client id", func(m *transport.Message) { m.ClientID = 7 }, "sent activation for client 7"},
+		{"negative seq", func(m *transport.Message) { m.Seq = -1 }, "sent negative seq -1"},
+		{"unexpected type", func(m *transport.Message) { m.Type, m.Labels = transport.MsgGradient, nil }, "sent unexpected"},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			dep := buildDeployment(t, 1, "fifo")
+			srv := startServer(t, dep, Config{ResumeGrace: 10 * time.Second, Obs: reg})
+			conn := rawJoin(t, srv, 0)
+			defer conn.Close()
+			msg, err := dep.Clients[0].ProduceBatch(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(msg)
+			if err := conn.Send(msg); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			err = srv.AwaitClients(ctx, 1)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("session ended with %v, want an error containing %q", err, tc.want)
+			}
+			if _, err := conn.Recv(); err == nil {
+				t.Fatal("violator's connection still open")
+			}
+			c := srv.Snapshot().Clients[0]
+			if c.Parked || !strings.Contains(c.Err, tc.want) {
+				t.Fatalf("session status %+v, want ended (not parked) with the violation recorded", c)
+			}
+			event := func(kind string) int64 {
+				return reg.Counter("stsl_cluster_sessions_total", obs.Labels{"event": kind}).Value()
+			}
+			if event("evict") != 1 || event("park") != 0 {
+				t.Fatalf("evict=%d park=%d, want 1 and 0", event("evict"), event("park"))
+			}
+		})
 	}
 }
 
@@ -331,16 +416,7 @@ func TestStragglerDropped(t *testing.T) {
 	srv := startServer(t, dep, Config{StragglerTimeout: 100 * time.Millisecond})
 
 	// Client 1 joins, then goes silent forever.
-	silent, silentSrv := transport.NewPair(1)
-	srv.Attach(silentSrv)
-	if err := silent.Send(&transport.Message{
-		Type: transport.MsgControl, ClientID: 1, Note: core.JoinNote,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if msg, err := silent.Recv(); err != nil || msg.Note != core.WelcomeNote {
-		t.Fatalf("silent join: msg=%v err=%v", msg, err)
-	}
+	silent := rawJoin(t, srv, 1)
 
 	// Client 0 trains normally; sync-rounds would deadlock on client 1
 	// unless the janitor deactivates it.
@@ -423,6 +499,47 @@ func TestGracefulShutdown(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("client did not unwind after shutdown")
+	}
+}
+
+// TestServeListenerAttachesUntilShutdown: the accept loop the binaries
+// run hands every dialled TCP connection to a session and returns once
+// the server stops.
+func TestServeListenerAttachesUntilShutdown(t *testing.T) {
+	dep := buildDeployment(t, 1, "fifo")
+	srv := startServer(t, dep, Config{})
+	lis, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	served := make(chan struct{})
+	go func() {
+		srv.ServeListener(lis)
+		close(served)
+	}()
+
+	conn, err := transport.Dial(lis.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunClient(context.Background(), dep.Clients[0], conn, ClientConfig{
+		Steps: 2, GradTimeout: 5 * time.Second,
+	})
+	conn.Close()
+	if err != nil || res.Steps != 2 {
+		t.Fatalf("client over the listener: %+v, %v", res, err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-served:
+	case <-time.After(5 * time.Second):
+		t.Fatal("ServeListener still accepting after Shutdown")
 	}
 }
 

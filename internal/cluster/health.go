@@ -4,8 +4,7 @@ import "time"
 
 // HealthState is the server's coarse operational state, served by the
 // admin listener's /healthz endpoint. The state machine (DESIGN.md
-// §3.7): ready ⇄ live (session cap), ready/live ⇄ degraded (shed gate),
-// any → stopped.
+// §3.7): ready ⇄ live (session cap), any → stopped.
 type HealthState string
 
 const (
@@ -14,9 +13,6 @@ const (
 	// HealthLive: up and serving admitted sessions, but at the session
 	// cap — new joins are refused with a RetryAfter hint.
 	HealthLive HealthState = "live"
-	// HealthDegraded: the shed gate is open — joins are refused and
-	// brownout is active until the backlog drains.
-	HealthDegraded HealthState = "degraded"
 	// HealthStopped: the server has not started, or has shut down.
 	HealthStopped HealthState = "stopped"
 )
@@ -24,8 +20,6 @@ const (
 // Health is a point-in-time operational summary, cheap enough to poll.
 type Health struct {
 	State HealthState `json:"state"`
-	// Shedding mirrors the shed gate's open state.
-	Shedding bool `json:"shedding"`
 	// Sessions is the number of live admission slots in use;
 	// MaxSessions the cap (0 = unlimited).
 	Sessions    int `json:"sessions"`
@@ -44,7 +38,7 @@ type Health struct {
 }
 
 // OK reports whether the state maps to HTTP 200 (ready, live) rather
-// than 503 (degraded, stopped).
+// than 503 (stopped).
 func (h Health) OK() bool { return h.State == HealthReady || h.State == HealthLive }
 
 // Health assembles the live health view; safe from any goroutine at any
@@ -54,7 +48,6 @@ func (s *Server) Health() Health {
 	p95 := time.Duration(s.svcLat.Quantile(0.95) * float64(time.Second))
 	s.mu.Lock()
 	h := Health{
-		Shedding:    s.degraded,
 		Sessions:    s.live,
 		MaxSessions: s.cfg.MaxSessions,
 		P95Service:  p95,
@@ -67,8 +60,6 @@ func (s *Server) Health() Health {
 	switch {
 	case stopped:
 		h.State = HealthStopped
-	case h.Shedding:
-		h.State = HealthDegraded
 	case h.MaxSessions > 0 && h.Sessions >= h.MaxSessions:
 		h.State = HealthLive
 	default:

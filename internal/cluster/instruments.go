@@ -23,7 +23,6 @@ type instruments struct {
 	leaves    *obs.Counter
 	evictions *obs.Counter
 	refusals  *obs.Counter
-	brownouts *obs.Counter
 
 	// corruptFrames counts inbound frames rejected by their CRC32C
 	// trailer (stsl_corrupt_frames_total); quarantines counts clients
@@ -73,7 +72,6 @@ func newInstruments(reg *obs.Registry, workers int) *instruments {
 		leaves:      event("leave"),
 		evictions:   event("evict"),
 		refusals:    event("refuse"),
-		brownouts:   event("brownout-park"),
 		workers:     make([]workerInstruments, workers),
 		syncSeconds: reg.Histogram("stsl_sync_seconds", nil),
 		divergence:  reg.Gauge("stsl_replica_divergence", nil),
@@ -118,8 +116,6 @@ func (s *Server) lifecycle(kind string, client int, note string) {
 			ins.evictions.Inc()
 		case "session.refuse":
 			ins.refusals.Inc()
-		case "session.brownout":
-			ins.brownouts.Inc()
 		case "session.quarantine":
 			ins.quarantines.Inc()
 		}

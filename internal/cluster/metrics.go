@@ -25,17 +25,11 @@ type Snapshot struct {
 	QueueDepth int
 	// MaxQueueDepth is the occupancy high-water mark over the run.
 	MaxQueueDepth int
-	// Rejected counts activations refused for backpressure.
-	Rejected int
-	// Refused counts join handshakes bounced by admission control — the
-	// session cap or an open shed gate.
+	// Refused counts join handshakes bounced by admission control.
 	Refused int
 	// Shed counts queued activations expired past WorkDeadline and shed
 	// un-served.
 	Shed int
-	// Degraded reports whether the shed gate is currently open (brownout
-	// active: joins refused, coalesce widened, newest sessions parked).
-	Degraded bool
 	// Workers is the number of data-parallel model replicas serving the
 	// queue (1 = the classic single model-owning worker).
 	Workers int
@@ -117,8 +111,8 @@ func (s Snapshot) String() string {
 	if s.CorruptFrames > 0 || s.Quarantined > 0 {
 		integrity = fmt.Sprintf(" corrupt=%d quar=%d", s.CorruptFrames, s.Quarantined)
 	}
-	return fmt.Sprintf("steps=%d (%.1f/s life, %.1f/s now) depth=%d/%d rejected=%d%s%s%s loss=%.4f per-client[%s]",
-		s.ServerSteps, s.StepsPerSec, s.StepsPerSecWindow, s.QueueDepth, s.MaxQueueDepth, s.Rejected, pool, ckpt, integrity, s.LastLoss,
+	return fmt.Sprintf("steps=%d (%.1f/s life, %.1f/s now) depth=%d/%d%s%s%s loss=%.4f per-client[%s]",
+		s.ServerSteps, s.StepsPerSec, s.StepsPerSecWindow, s.QueueDepth, s.MaxQueueDepth, pool, ckpt, integrity, s.LastLoss,
 		strings.Join(parts, " "))
 }
 

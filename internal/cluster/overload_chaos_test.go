@@ -34,13 +34,14 @@ func TestJoinStormAdmissionControl(t *testing.T) {
 
 	dep := chaosDeployment(t, clients)
 	srv := startServer(t, dep, Config{
-		MaxSessions:    maxSessions,
-		ResumeGrace:    10 * time.Second,
-		RetryAfterHint: 5 * time.Millisecond,
+		MaxSessions: maxSessions,
+		ResumeGrace: 10 * time.Second,
 	})
 
-	// Health poller: hammer the endpoint for the storm's whole duration;
-	// it must never block behind the accept path or a busy worker.
+	// Health poller: hammer the /healthz hook for the storm's whole
+	// duration; it must never block behind the accept path or a busy
+	// worker.
+	healthz := srv.HealthzFunc()
 	stopHealth := make(chan struct{})
 	healthDone := make(chan struct{})
 	var healthCalls atomic.Int64
@@ -55,14 +56,14 @@ func TestJoinStormAdmissionControl(t *testing.T) {
 			default:
 			}
 			begin := time.Now()
-			h := srv.Health()
+			ok, payload := healthz()
 			if d := time.Since(begin); d > time.Duration(healthMax.Load()) {
 				healthMax.Store(int64(d))
 			}
-			if !h.OK() {
-				// degraded/stopped mid-storm would be a gate misfire — no
-				// shed-gate thresholds are configured in this test.
-				badState.CompareAndSwap(nil, string(h.State))
+			if !ok {
+				// A full session cap is "live" and still 200; only a
+				// stopped server answers 503.
+				badState.CompareAndSwap(nil, string(payload.(Health).State))
 			}
 			healthCalls.Add(1)
 			time.Sleep(500 * time.Microsecond)
@@ -90,8 +91,6 @@ func TestJoinStormAdmissionControl(t *testing.T) {
 				MaxReconnects:    50,
 				ReconnectBackoff: 5 * time.Millisecond,
 				BackoffSeed:      uint64(1000 + i),
-				RetryBudget:      64,
-				RetryRefill:      256,
 			})
 			conn.Close()
 			results[i] = res
@@ -193,16 +192,7 @@ func TestRefusalWithoutDialIsTyped(t *testing.T) {
 	srv := startServer(t, dep, Config{MaxSessions: 1, ResumeGrace: 10 * time.Second})
 
 	// Fill the only slot with a manual join that never leaves.
-	holder, holderSide := transport.NewPair(1)
-	srv.Attach(holderSide)
-	if err := holder.Send(&transport.Message{
-		Type: transport.MsgControl, ClientID: 0, Note: core.JoinNote,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if msg, err := holder.Recv(); err != nil || msg.Note != core.WelcomeNote {
-		t.Fatalf("holder join: msg=%v err=%v", msg, err)
-	}
+	holder := rawJoin(t, srv, 0)
 	defer holder.Close()
 
 	late, lateSide := transport.NewPair(1)
@@ -344,16 +334,7 @@ func TestDeadlineShedRollsBackAndReports(t *testing.T) {
 		Obs:          reg,
 	})
 
-	conn, serverSide := transport.NewPair(1)
-	srv.Attach(serverSide)
-	if err := conn.Send(&transport.Message{
-		Type: transport.MsgControl, ClientID: 0, Note: core.JoinNote,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if msg, err := conn.Recv(); err != nil || msg.Note != core.WelcomeNote {
-		t.Fatalf("join: msg=%v err=%v", msg, err)
-	}
+	conn := rawJoin(t, srv, 0)
 	batch, err := dep.Clients[0].ProduceBatch(0)
 	if err != nil {
 		t.Fatal(err)

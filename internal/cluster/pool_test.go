@@ -311,16 +311,7 @@ func TestPoolEvictionDoesNotOrphan(t *testing.T) {
 
 	// The poisoned client speaks the protocol but ships a payload with
 	// the wrong trailing shape for the server's cut point.
-	poisoned, poisonedSrv := transport.NewPair(1)
-	srv.Attach(poisonedSrv)
-	if err := poisoned.Send(&transport.Message{
-		Type: transport.MsgControl, ClientID: healthy, Note: core.JoinNote,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if msg, err := poisoned.Recv(); err != nil || msg.Note != core.WelcomeNote {
-		t.Fatalf("poisoned join: msg=%v err=%v", msg, err)
-	}
+	poisoned := rawJoin(t, srv, healthy)
 	if err := poisoned.Send(&transport.Message{
 		Type: transport.MsgActivation, ClientID: healthy, Seq: 0,
 		Payload: tensor.New(8, 3), Labels: make([]int, 8),

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,7 +13,6 @@ import (
 	"github.com/stsl/stsl/internal/mathx"
 	"github.com/stsl/stsl/internal/metrics"
 	"github.com/stsl/stsl/internal/obs"
-	"github.com/stsl/stsl/internal/overload"
 	"github.com/stsl/stsl/internal/paramsync"
 	"github.com/stsl/stsl/internal/queue"
 	"github.com/stsl/stsl/internal/transport"
@@ -70,14 +68,6 @@ type session struct {
 	// already-served seq is answered from here rather than reprocessed —
 	// the other half of exactly-once.
 	lastReply *transport.Message
-	// joinOrder is the session's admission rank (the value of
-	// Server.joined at register time) — brownout parks the newest
-	// sessions first, since they have the least sunk training progress.
-	joinOrder int
-	// brownout marks a session parked by the shed gate: its new
-	// activations are bounced with RefusalRetryLater until the gate
-	// closes. Resends of already-admitted work are answered as usual.
-	brownout bool
 	// retired guards the live-session count: set on the first of
 	// done/ended, so a session frees its MaxSessions slot exactly once.
 	retired bool
@@ -116,28 +106,18 @@ type Server struct {
 	now      func() time.Duration
 
 	// Telemetry (all optional): ins holds the cluster-level counters
-	// and per-replica worker histograms, qIns the queue bundle shared
-	// with q, tr the event ring. All nil when Config.Obs/Tracer are
-	// unset.
-	ins  *instruments
-	qIns *queue.Instruments
-	tr   *obs.Tracer
+	// and per-replica worker histograms, tr the event ring. Both nil
+	// when Config.Obs/Tracer are unset.
+	ins *instruments
+	tr  *obs.Tracer
 
-	// Overload control plane. gate is the hysteresis admission gate (nil
-	// when neither ShedDepth nor ShedLatencyP95 is set), svcLat the
-	// service-latency histogram feeding its p95 input (always non-nil:
-	// registry-backed under Obs, standalone otherwise), gapRTT the
-	// inter-message-gap estimator behind StragglerAuto.
-	gate   *overload.Gate
+	// svcLat is the service-latency histogram (enqueue → gradient ready)
+	// behind the RetryAfter hint and Health's p95. Always non-nil:
+	// registry-backed under Obs, standalone otherwise.
 	svcLat *obs.Histogram
-	gapRTT *overload.RTTEstimator
 	// san screens activation payloads for NaN/Inf and norm outliers
 	// before they can reach the queue; nil when Config.Sanitize is off.
 	san *sanitizer
-	// effCoalesce is the live PopBatch cap: BatchCoalesce normally,
-	// four times that (at least 4) while the shed gate is open. Workers
-	// read it per iteration without taking s.mu.
-	effCoalesce atomic.Int32
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -167,14 +147,10 @@ type Server struct {
 	// neither done nor ended) — the MaxSessions denominator.
 	live int
 	// refused counts joins bounced by admission control; shed counts
-	// queued activations expired past WorkDeadline; degraded mirrors the
-	// shed gate's open state; brownouts counts closed→open transitions.
+	// queued activations expired past WorkDeadline.
 	refused     int
 	shed        int
-	degraded    bool
-	brownouts   int
 	steps       int
-	rejected    int
 	checkpoints int
 	ckptErr     error
 	lastLoss    float64
@@ -213,11 +189,6 @@ func NewServer(srv *core.Server, cfg Config) (*Server, error) {
 	if srv == nil {
 		return nil, fmt.Errorf("cluster: nil core server")
 	}
-	switch cfg.Overflow {
-	case "", OverflowPark, OverflowReject:
-	default:
-		return nil, fmt.Errorf("cluster: unknown overflow mode %q (want park or reject)", cfg.Overflow)
-	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -230,10 +201,9 @@ func NewServer(srv *core.Server, cfg Config) (*Server, error) {
 	if safe.Gated() && cfg.QueueCap > 0 {
 		// A gated policy (sync-rounds) refuses to pop until every active
 		// client has an item queued, so a cap below the client count can
-		// never fill the gate: park wedges the excess sessions forever
-		// and reject spins them in a resend livelock. The lock-step
-		// protocol already bounds depth to the client count, so lift the
-		// cap rather than wedge.
+		// never fill the gate and parks the excess sessions forever. The
+		// lock-step protocol already bounds depth to the client count, so
+		// lift the cap rather than wedge.
 		cfg.QueueCap = 0
 	}
 	// Same averaging window as the core servers' private curves, so at
@@ -248,6 +218,7 @@ func NewServer(srv *core.Server, cfg Config) (*Server, error) {
 		replicas:    []*core.Server{srv},
 		q:           safe,
 		tr:          cfg.Tracer,
+		svcLat:      new(obs.Histogram),
 		sessions:    make(map[int]*session),
 		quarantined: make(map[int]string),
 		losses:      losses,
@@ -257,35 +228,12 @@ func NewServer(srv *core.Server, cfg Config) (*Server, error) {
 	}
 	if cfg.Obs != nil {
 		s.ins = newInstruments(cfg.Obs, cfg.Workers)
-		s.qIns = queue.NewInstruments(cfg.Obs, safe.Name())
-		safe.SetInstruments(s.qIns)
+		safe.SetInstruments(queue.NewInstruments(cfg.Obs, safe.Name()))
 		if srv.Instr == nil {
 			srv.Instr = core.NewServerInstruments(cfg.Obs)
 		}
-	}
-	if cfg.ShedDepth > 0 || cfg.ShedLatencyP95 > 0 {
-		gate, err := overload.NewGate(overload.GateConfig{
-			MaxDepth: cfg.ShedDepth, MaxLatency: cfg.ShedLatencyP95,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.gate = gate
-	}
-	// The service-latency histogram feeds the gate's p95 input and the
-	// RetryAfter hint, so it must exist even without a registry; under
-	// Obs it is also exported as stsl_service_seconds.
-	if cfg.Obs != nil {
 		s.svcLat = cfg.Obs.Histogram("stsl_service_seconds", nil)
-	} else {
-		s.svcLat = new(obs.Histogram)
 	}
-	s.gapRTT = overload.NewRTTEstimator(time.Millisecond, 2500*time.Millisecond)
-	bc := cfg.BatchCoalesce
-	if bc < 1 {
-		bc = 1
-	}
-	s.effCoalesce.Store(int32(bc))
 	if cfg.Workers > 1 {
 		if cfg.NewReplica == nil {
 			return nil, fmt.Errorf("cluster: Workers=%d needs a NewReplica factory", cfg.Workers)
@@ -371,10 +319,7 @@ func (s *Server) Start(ctx context.Context) error {
 	// quiescent, and folds the replicas into the primary for Core().
 	s.wg.Add(1)
 	go s.supervise()
-	// The janitor also drives shed-gate recovery: with no arrivals and an
-	// idle worker nothing else would feed the gate, and an open gate
-	// would never close after the storm that tripped it drains.
-	if s.cfg.StragglerTimeout != 0 || s.cfg.ResumeGrace > 0 || s.gate != nil {
+	if s.cfg.StragglerTimeout > 0 || s.cfg.ResumeGrace > 0 {
 		s.wg.Add(1)
 		go s.janitor()
 	}
@@ -416,17 +361,14 @@ func (s *Server) worker(id int, rep *core.Server) {
 		}
 		var items []queue.Item
 		for {
-			// The batch cap is read per draw: brownout widens it while the
-			// shed gate is open so the backlog drains in fewer passes.
-			batchMax := int(s.effCoalesce.Load())
 			if s.cfg.WorkDeadline > 0 {
 				var dead []queue.Item
-				items, dead = s.q.PopBatchDeadline(s.now(), batchMax)
+				items, dead = s.q.PopBatchDeadline(s.now(), s.cfg.BatchCoalesce)
 				for _, it := range dead {
 					s.shedExpired(it)
 				}
 			} else {
-				items = s.q.PopBatch(s.now(), batchMax)
+				items = s.q.PopBatch(s.now(), s.cfg.BatchCoalesce)
 			}
 			if len(items) > 0 {
 				break
@@ -516,11 +458,6 @@ func (s *Server) worker(id int, rep *core.Server) {
 // the pool counter (which may arm a sync barrier) at Workers > 1, the
 // classic per-step checkpoint check otherwise.
 func (s *Server) accountSteps(pooled bool, n int) {
-	if s.gate != nil {
-		// Post-serve gate refresh: brownout must track the backlog as the
-		// worker drains it, not only at janitor ticks.
-		s.refreshGate()
-	}
 	if pooled {
 		wantCkpt := s.cfg.Checkpoint != nil && s.cfg.CheckpointEvery > 0
 		s.pool.account(n, wantCkpt, s.cfg.CheckpointEvery)
@@ -672,8 +609,8 @@ func (s *Server) deliver(it queue.Item, reply *transport.Message, now time.Durat
 		parked = sess.parked
 	}
 	s.mu.Unlock()
-	// Service latency — enqueue to gradient ready — is the admission
-	// gate's p95 input and the basis of the RetryAfter hint.
+	// Service latency — enqueue to gradient ready — is the basis of the
+	// RetryAfter hint.
 	s.svcLat.Observe(it.Staleness(s.now()).Seconds())
 	if sess == nil {
 		return // client left before its item was served
@@ -758,12 +695,15 @@ func (s *Server) shedExpired(it queue.Item) {
 	})
 }
 
+// retryAfterFloor is the smallest RetryAfter hint a refusal carries.
+const retryAfterFloor = 25 * time.Millisecond
+
 // retryAfterHint is the backoff hint attached to refusals and sheds:
-// the configured floor, raised to twice the observed p95 service
-// latency so a refused client's retry lands after the backlog it was
-// refused over has had time to drain, capped at 2s.
+// retryAfterFloor, raised to twice the observed p95 service latency so a
+// refused client's retry lands after the backlog it was refused over
+// has had time to drain, capped at 2s.
 func (s *Server) retryAfterHint() time.Duration {
-	hint := s.cfg.RetryAfterHint
+	hint := retryAfterFloor
 	if p95 := time.Duration(2 * s.svcLat.Quantile(0.95) * float64(time.Second)); p95 > hint {
 		hint = p95
 	}
@@ -773,67 +713,8 @@ func (s *Server) retryAfterHint() time.Duration {
 	return hint
 }
 
-// refreshGate feeds the admission gate its live inputs — queue depth
-// and p95 service latency — and applies the brownout transition when
-// the open state flips. Callers must not hold s.mu.
-func (s *Server) refreshGate() bool {
-	if s.gate == nil {
-		return false
-	}
-	p95 := time.Duration(s.svcLat.Quantile(0.95) * float64(time.Second))
-	open := s.gate.Update(s.now(), s.q.Len(), p95)
-	s.mu.Lock()
-	if open != s.degraded {
-		s.setDegradedLocked(open)
-	}
-	s.mu.Unlock()
-	return open
-}
-
-// setDegradedLocked flips the brownout machinery with the shed gate:
-// widen the effective coalesce so workers drain the backlog in bigger
-// passes, and park the newest quarter of live training sessions — the
-// least sunk progress — behind RetryLater bounces until the gate
-// closes, when both levers revert automatically. Caller must hold s.mu.
-func (s *Server) setDegradedLocked(open bool) {
-	s.degraded = open
-	if !open {
-		bc := s.cfg.BatchCoalesce
-		if bc < 1 {
-			bc = 1
-		}
-		s.effCoalesce.Store(int32(bc))
-		for _, sess := range s.sessions {
-			sess.brownout = false
-		}
-		return
-	}
-	s.brownouts++
-	// Brownout drains the backlog in bigger coalesced passes, trading
-	// per-item latency for queue recovery.
-	s.effCoalesce.Store(int32(max(4*s.cfg.BatchCoalesce, 4)))
-	var live []*session
-	for _, sess := range s.sessions {
-		if !sess.retired && !sess.parked {
-			live = append(live, sess)
-		}
-	}
-	if len(live) < 2 {
-		return // a lone session is the only source of progress; keep it
-	}
-	sort.Slice(live, func(i, j int) bool { return live[i].joinOrder > live[j].joinOrder })
-	n := (len(live) + 3) / 4
-	if n >= len(live) {
-		n = len(live) - 1
-	}
-	for _, sess := range live[:n] {
-		sess.brownout = true
-		s.lifecycle("session.brownout", sess.id, "")
-	}
-}
-
 // admissionLocked decides whether a fresh session may join right now:
-// refused past the MaxSessions cap or while the shed gate is open.
+// refused past the MaxSessions cap or once the model pool has failed.
 // Caller must hold s.mu.
 func (s *Server) admissionLocked() (transport.RefusalCode, string) {
 	if s.poolErr != nil {
@@ -844,9 +725,6 @@ func (s *Server) admissionLocked() (transport.RefusalCode, string) {
 	}
 	if s.cfg.MaxSessions > 0 && s.live >= s.cfg.MaxSessions {
 		return transport.RefusalOverloaded, "session cap reached"
-	}
-	if s.degraded {
-		return transport.RefusalOverloaded, "load shed"
 	}
 	return transport.RefusalNone, ""
 }
@@ -986,13 +864,6 @@ func (s *Server) janitor() {
 	if period < 5*time.Millisecond {
 		period = 5 * time.Millisecond
 	}
-	if s.cfg.StragglerTimeout == StragglerAuto || s.gate != nil {
-		// Adaptive deadlines and shed-gate recovery both need a steady
-		// cadence independent of the configured constants.
-		if period > 25*time.Millisecond {
-			period = 25 * time.Millisecond
-		}
-	}
 	t := time.NewTicker(period)
 	defer t.Stop()
 	for {
@@ -1001,11 +872,7 @@ func (s *Server) janitor() {
 			return
 		case <-t.C:
 		}
-		if s.gate != nil {
-			s.refreshGate()
-		}
 		now := s.now()
-		strag := s.stragglerDeadline()
 		var drop []*session
 		var conns []transport.Conn
 		s.mu.Lock()
@@ -1028,13 +895,13 @@ func (s *Server) janitor() {
 				}
 				continue
 			}
-			if strag <= 0 || sess.pending.Load() > 0 {
+			if s.cfg.StragglerTimeout <= 0 || sess.pending.Load() > 0 {
 				// A session with queued work is waiting on the server,
 				// not the other way round.
 				continue
 			}
 			idle := now - time.Duration(sess.lastActive.Load())
-			if idle > strag {
+			if idle > s.cfg.StragglerTimeout {
 				sess.err = fmt.Errorf("cluster: client %d dropped as straggler after %v silence",
 					sess.id, idle.Round(time.Millisecond))
 				sess.closed.Store(true)
@@ -1051,27 +918,6 @@ func (s *Server) janitor() {
 			s.q.Deactivate(sess.id)
 		}
 	}
-}
-
-// stragglerDeadline resolves the live straggler timeout: the configured
-// constant, or — with StragglerAuto — 8× the smoothed inter-message gap
-// (RFC 6298 style, fed by every received message), clamped to
-// [250ms, 20s]. Before any traffic the estimator sits at its ceiling,
-// so the adaptive deadline starts conservative and tightens as real
-// cadence data arrives.
-func (s *Server) stragglerDeadline() time.Duration {
-	d := s.cfg.StragglerTimeout
-	if d != StragglerAuto {
-		return d
-	}
-	d = 8 * s.gapRTT.Timeout()
-	if d < 250*time.Millisecond {
-		d = 250 * time.Millisecond
-	}
-	if d > 20*time.Second {
-		d = 20 * time.Second
-	}
-	return d
 }
 
 // Attach hands a freshly accepted connection to the server. The session
@@ -1114,7 +960,7 @@ func (s *Server) sessionLoop(conn transport.Conn) {
 	// the janitor cannot see (it only scans joined sessions) — the
 	// slow-loris pattern — so the handshake wait gets its own timeout.
 	var joinTimer *time.Timer
-	if d := s.stragglerDeadline(); d > 0 {
+	if d := s.cfg.StragglerTimeout; d > 0 {
 		joinTimer = time.AfterFunc(d, func() { conn.Close() })
 	}
 	first, err := conn.Recv()
@@ -1130,11 +976,6 @@ func (s *Server) sessionLoop(conn transport.Conn) {
 			Type: transport.MsgControl, Note: core.AbortNote + ": expected join", SentAt: s.now(),
 		})
 		return
-	}
-	// Admission decisions want a fresh view of the gate, not one from the
-	// last arrival or janitor tick.
-	if s.gate != nil {
-		s.refreshGate()
 	}
 	var sess *session
 	if first.Note == core.ResumeNote {
@@ -1167,7 +1008,6 @@ func (s *Server) registerLocked(id int, conn transport.Conn) *session {
 	s.sessions[id] = sess
 	s.joined++
 	s.live++
-	sess.joinOrder = s.joined
 	s.lifecycle("session.join", id, "")
 	s.cond.Broadcast()
 	return sess
@@ -1301,17 +1141,7 @@ func (s *Server) receive(sess *session, conn transport.Conn) error {
 			}
 			return err
 		}
-		if s.cfg.StragglerTimeout == StragglerAuto {
-			// Feed the adaptive straggler deadline with the session's
-			// inter-message gap (or time since its last serve — deliver
-			// also restarts the clock, which is the cadence that matters).
-			now := s.now()
-			if prev := sess.lastActive.Swap(int64(now)); time.Duration(prev) < now {
-				s.gapRTT.Observe(now - time.Duration(prev))
-			}
-		} else {
-			sess.lastActive.Store(int64(s.now()))
-		}
+		sess.lastActive.Store(int64(s.now()))
 		switch msg.Type {
 		case transport.MsgActivation:
 			if msg.ClientID != sess.id {
@@ -1340,8 +1170,8 @@ func (s *Server) receive(sess *session, conn transport.Conn) error {
 }
 
 // admit pushes one activation into the scheduling queue, honouring the
-// depth cap: park blocks this session (backpressure propagates to the
-// client through the transport), reject bounces the batch back.
+// depth cap: at the cap this session goroutine waits for headroom, so
+// backpressure propagates to the client through the transport.
 //
 // Admission is exactly-once per sequence number: a reconnecting client
 // resends its in-flight batch, and a retransmitting network can deliver
@@ -1364,8 +1194,7 @@ func (s *Server) admit(sess *session, conn transport.Conn, msg *transport.Messag
 		case sanitizeReject:
 			// Below the quarantine threshold the payload is still never
 			// queued — poison must not reach a replica — but the session
-			// survives: bounce with a RetryLater hint, reusing the
-			// backpressure note a pre-refusal client already understands.
+			// survives: bounce it with a RetryLater hint.
 			s.tr.Event("session.suspect", sess.id, msg.Seq, why)
 			return conn.Send(&transport.Message{
 				Type: transport.MsgControl, ClientID: sess.id, Seq: msg.Seq,
@@ -1386,27 +1215,14 @@ func (s *Server) admit(sess *session, conn transport.Conn, msg *transport.Messag
 		}
 		return nil
 	}
-	if sess.brownout {
-		// The shed gate parked this session: bounce the new batch with a
-		// RetryLater hint before claiming the seq, so the mandated resend
-		// is admitted normally once the gate closes. The note reuses
-		// RejectedNote — a pre-refusal client treats it as ordinary
-		// backpressure and resends after its fixed pause.
-		hint := s.retryAfterHint()
-		s.mu.Unlock()
-		return conn.Send(&transport.Message{
-			Type: transport.MsgControl, ClientID: sess.id, Seq: msg.Seq,
-			Note: core.RejectedNote, Code: transport.RefusalRetryLater,
-			RetryAfter: hint, SentAt: s.now(),
-		})
-	}
 	prev := sess.maxAdmitted
 	sess.maxAdmitted = msg.Seq
 	s.mu.Unlock()
-	// unclaim rolls the dedup watermark back when admission fails, so
-	// the client's mandated resend of the same seq is not mistaken for
-	// a duplicate.
-	unclaim := func() {
+	// abandon undoes a failed admission: the pending count, and the dedup
+	// watermark so the client's mandated resend of the same seq is not
+	// mistaken for a duplicate.
+	abandon := func() {
+		sess.pending.Add(-1)
 		s.mu.Lock()
 		if sess.maxAdmitted == msg.Seq {
 			sess.maxAdmitted = prev
@@ -1422,26 +1238,7 @@ func (s *Server) admit(sess *session, conn transport.Conn, msg *transport.Messag
 	// janitor never sees a gap between push and accounting.
 	sess.pending.Add(1)
 
-	if s.cfg.Overflow == OverflowReject {
-		// The queue counts the refusal (Instruments.Rejected) inside its
-		// own critical section; only the server-level snapshot counter and
-		// the bounce reply live here.
-		if !s.q.TryPush(it, s.cfg.QueueCap) {
-			sess.pending.Add(-1)
-			unclaim()
-			s.mu.Lock()
-			s.rejected++
-			s.mu.Unlock()
-			return conn.Send(&transport.Message{
-				Type: transport.MsgControl, ClientID: sess.id, Seq: msg.Seq,
-				Note: core.RejectedNote, SentAt: s.now(),
-			})
-		}
-		s.core.QueueMetrics.ObserveOccupancy(s.q.Len())
-		return nil
-	}
-
-	// Park mode: wait for headroom and retry. The queue counts the park
+	// At the cap, wait for headroom and retry. The queue counts the park
 	// (Instruments.Parked) on the first refusal only.
 	for first := true; !s.q.TryPushParking(it, s.cfg.QueueCap, first); first = false {
 		select {
@@ -1450,13 +1247,11 @@ func (s *Server) admit(sess *session, conn transport.Conn, msg *transport.Messag
 			// Popped is edge-triggered and shared; poll so a dropped
 			// wakeup cannot park a session forever.
 		case <-s.ctx.Done():
-			sess.pending.Add(-1)
-			unclaim()
+			abandon()
 			return s.ctx.Err()
 		}
 		if sess.closed.Load() {
-			sess.pending.Add(-1)
-			unclaim()
+			abandon()
 			return fmt.Errorf("cluster: session %d closed while parked", sess.id)
 		}
 	}
@@ -1624,10 +1419,8 @@ func (s *Server) Snapshot() Snapshot {
 	snap := Snapshot{
 		Workers:           len(s.replicas),
 		ServerSteps:       s.steps,
-		Rejected:          s.rejected,
 		Refused:           s.refused,
 		Shed:              s.shed,
-		Degraded:          s.degraded,
 		Checkpoints:       s.checkpoints,
 		LastLoss:          s.lastLoss,
 		Syncs:             s.syncs,

@@ -147,45 +147,3 @@ func (s *Server) loadAveraged(r io.Reader, workers int) error {
 	}
 	return nil
 }
-
-// SaveCheckpoint writes every weight in the deployment — the shared
-// server stack followed by each client's private stack, in client order —
-// so a training run can be resumed or shipped. The format is the nn
-// weight format concatenated with a small header.
-func (d *Deployment) SaveCheckpoint(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "STSLCKPT cut=%d clients=%d\n", d.Config.Cut, len(d.Clients)); err != nil {
-		return fmt.Errorf("core: checkpoint header: %w", err)
-	}
-	if err := d.Server.Stack.SaveWeights(w); err != nil {
-		return fmt.Errorf("core: checkpoint server: %w", err)
-	}
-	for i, c := range d.Clients {
-		if err := c.Stack.SaveWeights(w); err != nil {
-			return fmt.Errorf("core: checkpoint client %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// LoadCheckpoint restores weights written by SaveCheckpoint into a
-// deployment of identical structure (same cut, same client count, same
-// model config).
-func (d *Deployment) LoadCheckpoint(r io.Reader) error {
-	var cut, clients int
-	if _, err := fmt.Fscanf(r, "STSLCKPT cut=%d clients=%d\n", &cut, &clients); err != nil {
-		return fmt.Errorf("core: checkpoint header: %w", err)
-	}
-	if cut != d.Config.Cut || clients != len(d.Clients) {
-		return fmt.Errorf("core: checkpoint is cut=%d/%d clients, deployment is cut=%d/%d",
-			cut, clients, d.Config.Cut, len(d.Clients))
-	}
-	if err := d.Server.Stack.LoadWeights(r); err != nil {
-		return fmt.Errorf("core: restore server: %w", err)
-	}
-	for i, c := range d.Clients {
-		if err := c.Stack.LoadWeights(r); err != nil {
-			return fmt.Errorf("core: restore client %d: %w", i, err)
-		}
-	}
-	return nil
-}

@@ -12,59 +12,6 @@ import (
 	"github.com/stsl/stsl/internal/transport"
 )
 
-func TestCheckpointRoundTrip(t *testing.T) {
-	ds := smallData(t, 64, 43)
-	shards, err := data.PartitionIID(ds, 2, mathx.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(seed uint64) *Deployment {
-		dep, err := NewDeployment(Config{
-			Model: smallModel(), Cut: 1, Clients: 2, Seed: seed, BatchSize: 8, LR: 0.05,
-		}, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dep
-	}
-	// Train one deployment briefly so weights differ from init.
-	a := mk(7)
-	sim, err := NewSimulation(a, SimConfig{Paths: constPaths(2, 0), MaxStepsPerClient: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if err := a.SaveCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	b := mk(99) // different init
-	if err := b.LoadCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	// All weights must now match.
-	pa := append(a.Server.Stack.Params(), a.Clients[0].Stack.Params()...)
-	pb := append(b.Server.Stack.Params(), b.Clients[0].Stack.Params()...)
-	for i := range pa {
-		if !pa[i].Value.Equal(pb[i].Value, 0) {
-			t.Fatalf("restored parameter %s differs", pa[i].Name)
-		}
-	}
-	// Mismatched structure rejected.
-	other, err := NewDeployment(Config{
-		Model: smallModel(), Cut: 2, Clients: 2, Seed: 1, BatchSize: 8, LR: 0.05,
-	}, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := other.LoadCheckpoint(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("cut mismatch accepted")
-	}
-}
-
 // TestLoadStateOneFormat: the CRC'd pool header is the only server state
 // LoadState reads. A pool of one round-trips exactly; a stream that opens
 // with either retired header — even one followed by perfectly good

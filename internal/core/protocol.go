@@ -11,8 +11,9 @@ const (
 	JoinNote = "join"
 	// WelcomeNote is the server's accept reply to a join.
 	WelcomeNote = "welcome"
-	// RejectedNote tells a client its activation was refused for
-	// backpressure (queue over cap); the client should resend.
+	// RejectedNote tells a client its activation was bounced un-queued
+	// (the cluster's sanitizer, below quarantine); the client should
+	// resend after the hinted pause.
 	RejectedNote = "rejected"
 	// ResumeNote opens a reconnecting session: a control message carrying
 	// the client's id and, in the Seq field, the session token issued

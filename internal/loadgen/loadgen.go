@@ -7,11 +7,10 @@
 // overload (the coordinated-omission trap), and the paper's failure mode
 // of interest is exactly the regime where offered load exceeds capacity.
 //
-// Three trace shapes cover the scenarios the control plane must survive:
-// a steady Poisson process (capacity calibration), a diurnal cycle
-// (slow swings the hysteresis gate should ride without flapping), and a
-// flash crowd (a step spike that should trip shedding fast and drain
-// cleanly). All draws come from a seeded mathx.RNG, so a trace is
+// Three trace shapes cover the scenarios the server must survive: a
+// steady Poisson process (capacity calibration), a diurnal cycle (slow
+// swings across the session cap), and a flash crowd (a step spike the
+// session cap must refuse fast and drain cleanly). All draws come from a seeded mathx.RNG, so a trace is
 // reproducible from its Config alone.
 package loadgen
 

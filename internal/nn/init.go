@@ -27,10 +27,3 @@ func XavierUniform() Initializer {
 		return tensor.Rand(r, -a, a, shape...)
 	}
 }
-
-// ZeroInit returns an all-zeros initializer (used for biases).
-func ZeroInit() Initializer {
-	return func(_ *mathx.RNG, _, _ int, shape ...int) *tensor.Tensor {
-		return tensor.New(shape...)
-	}
-}

@@ -1,16 +1,14 @@
 // Package overload holds the control-theory primitives behind the
-// cluster's overload resilience: decorrelated-jitter backoff, token-bucket
-// retry budgets, a circuit breaker, a TCP-RTO-style RTT estimator, and the
-// hysteresis admission gate that decides when the server sheds load.
+// client's retry discipline: decorrelated-jitter backoff, token-bucket
+// retry budgets, a circuit breaker, and a TCP-RTO-style RTT estimator.
 //
 // Every type is deterministic given its inputs — randomness comes from a
 // caller-supplied seed (mathx.RNG) and time is an injected monotonic
-// time.Duration, never the wall clock — so the retry storms, breaker
-// trips, and shed/recover transitions these govern are unit-testable
-// without sleeps. The cluster package wires them into the live runtime:
-// the client side (RunClient) uses Backoff + Budget + Breaker for its
-// reconnect and refusal-retry policy, the server side uses RTTEstimator +
-// Gate for straggler deadlines and admission control (DESIGN.md §3.7).
+// time.Duration, never the wall clock — so the retry storms and breaker
+// trips these govern are unit-testable without sleeps. cluster.RunClient
+// wires them into the live runtime: Backoff + Budget + Breaker for its
+// reconnect and refusal-retry policy, RTTEstimator for its adaptive
+// gradient wait (DESIGN.md §3.7).
 package overload
 
 import (

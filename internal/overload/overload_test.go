@@ -230,86 +230,3 @@ func TestRTTEstimatorClamps(t *testing.T) {
 		t.Fatalf("timeout %v, want max clamp 80ms", got)
 	}
 }
-
-// TestGateHysteresis: trips at MaxDepth, stays open through the recovery
-// band, and closes only below RecoverDepth after MinHold.
-func TestGateHysteresis(t *testing.T) {
-	g, err := NewGate(GateConfig{MaxDepth: 10, RecoverDepth: 4, MinHold: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Duration(0)
-	if g.Update(now, 9, 0) {
-		t.Fatal("gate opened below MaxDepth")
-	}
-	if !g.Update(now, 10, 0) {
-		t.Fatal("gate did not open at MaxDepth")
-	}
-	// Inside the hysteresis band: still open.
-	if !g.Update(now+time.Millisecond, 7, 0) {
-		t.Fatal("gate closed inside the hysteresis band")
-	}
-	// Below RecoverDepth but before MinHold: still open.
-	if !g.Update(now+5*time.Millisecond, 2, 0) {
-		t.Fatal("gate closed before MinHold")
-	}
-	if g.Update(now+25*time.Millisecond, 2, 0) {
-		t.Fatal("gate did not recover after MinHold with depth drained")
-	}
-	if got := g.Transitions(); got != 2 {
-		t.Fatalf("transitions %d, want 2 (trip + recover)", got)
-	}
-}
-
-// TestGateLatencyInput: the p95 input trips and recovers independently,
-// and both inputs must recover before the gate closes.
-func TestGateLatencyInput(t *testing.T) {
-	g, err := NewGate(GateConfig{
-		MaxDepth: 10, RecoverDepth: 4,
-		MaxLatency: 100 * time.Millisecond, RecoverLatency: 40 * time.Millisecond,
-		MinHold: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.Update(0, 0, 150*time.Millisecond) {
-		t.Fatal("gate did not trip on p95 latency")
-	}
-	// Latency recovered but depth now high: stays open.
-	if !g.Update(5*time.Millisecond, 12, 10*time.Millisecond) {
-		t.Fatal("gate closed while depth input still overloaded")
-	}
-	if g.Update(10*time.Millisecond, 1, 10*time.Millisecond) {
-		t.Fatal("gate did not close once both inputs recovered")
-	}
-}
-
-// TestGateDisabled: with no inputs configured every update reports
-// closed.
-func TestGateDisabled(t *testing.T) {
-	g, err := NewGate(GateConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Update(0, 1<<20, time.Hour) {
-		t.Fatal("disabled gate opened")
-	}
-}
-
-// TestGateValidation: nonsensical configurations are rejected with
-// descriptive errors rather than constructing a gate that can never
-// recover.
-func TestGateValidation(t *testing.T) {
-	bad := []GateConfig{
-		{MaxDepth: -1},
-		{MaxLatency: -time.Second},
-		{MaxDepth: 10, RecoverDepth: 10},
-		{MaxLatency: time.Second, RecoverLatency: 2 * time.Second},
-		{MaxDepth: 4, MinHold: -time.Second},
-	}
-	for i, cfg := range bad {
-		if _, err := NewGate(cfg); err == nil {
-			t.Errorf("config %d (%+v) accepted, want validation error", i, cfg)
-		}
-	}
-}

@@ -12,14 +12,10 @@ import (
 //	RTTVAR ← 3/4·RTTVAR + 1/4·|SRTT − sample|
 //	RTO    =  SRTT + 4·RTTVAR, clamped to [Min, Max]
 //
-// The cluster uses it twice: RunClient feeds gradient round trips so its
-// wait timeout adapts to the server's actual service latency instead of a
-// fixed worst case, and the server feeds per-session inter-message gaps
-// so the straggler janitor's deadline derives from how fast healthy
-// clients actually talk (Config.StragglerAuto).
+// RunClient feeds it gradient round trips so its wait timeout adapts to
+// the server's actual service latency instead of a fixed worst case.
 //
-// Safe for concurrent use — receive loops across sessions share one
-// estimator.
+// Safe for concurrent use.
 type RTTEstimator struct {
 	mu      sync.Mutex
 	srtt    time.Duration
@@ -83,13 +79,6 @@ func (e *RTTEstimator) Timeout() time.Duration {
 		rto = e.max
 	}
 	return rto
-}
-
-// SRTT reports the smoothed sample mean (0 before any samples).
-func (e *RTTEstimator) SRTT() time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.srtt
 }
 
 // Samples reports how many observations have been folded in.

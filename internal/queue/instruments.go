@@ -19,11 +19,6 @@ type Instruments struct {
 	// (stsl_queue_parked_total). Incremented inside Safe.TryPushParking's
 	// critical section, once per parked admission.
 	Parked *obs.Counter
-	// Rejected counts admissions bounced at the depth cap
-	// (stsl_queue_rejected_total). Incremented inside Safe.TryPush's
-	// critical section, so the counter can never drift from the refusals
-	// it describes.
-	Rejected *obs.Counter
 	// Expired counts items shed past their enqueue deadline
 	// (stsl_queue_expired_total). Incremented inside
 	// Safe.PopBatchDeadline's critical section. The occupancy invariant
@@ -47,7 +42,6 @@ func NewInstruments(reg *obs.Registry, policy string) *Instruments {
 		Dequeued: reg.Counter("stsl_queue_dequeued_total", l),
 		Requeued: reg.Counter("stsl_queue_requeued_total", l),
 		Parked:   reg.Counter("stsl_queue_parked_total", l),
-		Rejected: reg.Counter("stsl_queue_rejected_total", l),
 		Expired:  reg.Counter("stsl_queue_expired_total", l),
 		Wait:     reg.Histogram("stsl_queue_wait_seconds", l),
 		Depth:    reg.Gauge("stsl_queue_depth", l),

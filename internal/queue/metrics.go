@@ -13,10 +13,13 @@ import (
 // high-water mark. It answers the paper's §II concern quantitatively.
 // All methods are safe for concurrent use — the live cluster runtime
 // observes occupancy from session goroutines while the worker observes
-// serves.
+// serves. Its size is bounded by the client count, not the run length:
+// waits are kept as a count and a sum (the wait distribution is the
+// stsl_queue_wait_seconds histogram).
 type Metrics struct {
 	mu           sync.Mutex
-	waits        []time.Duration
+	served       int
+	waitSum      time.Duration
 	servedBy     map[int]int
 	maxOccupancy int
 }
@@ -30,7 +33,8 @@ func NewMetrics() *Metrics {
 func (m *Metrics) ObserveServe(it Item, now time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.waits = append(m.waits, it.Staleness(now))
+	m.served++
+	m.waitSum += it.Staleness(now)
 	m.servedBy[it.ClientID()]++
 }
 
@@ -54,7 +58,7 @@ func (m *Metrics) Served(clientID int) int {
 func (m *Metrics) TotalServed() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.waits)
+	return m.served
 }
 
 // MaxOccupancy returns the queue-length high-water mark.
@@ -68,30 +72,10 @@ func (m *Metrics) MaxOccupancy() int {
 func (m *Metrics) MeanWait() time.Duration {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.waits) == 0 {
+	if m.served == 0 {
 		return 0
 	}
-	var s time.Duration
-	for _, w := range m.waits {
-		s += w
-	}
-	return s / time.Duration(len(m.waits))
-}
-
-// P99Wait returns the 99th-percentile queue wait.
-func (m *Metrics) P99Wait() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.waits) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), m.waits...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := len(sorted) * 99 / 100
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	return m.waitSum / time.Duration(m.served)
 }
 
 // ServiceImbalance returns (max served − min served) / max served across
@@ -134,6 +118,6 @@ func (m *Metrics) String() string {
 	for _, id := range ids {
 		parts = append(parts, fmt.Sprintf("c%d:%d", id, counts[id]))
 	}
-	return fmt.Sprintf("served=%d meanWait=%v p99Wait=%v maxOcc=%d imbalance=%.3f per-client[%s]",
-		m.TotalServed(), m.MeanWait(), m.P99Wait(), m.MaxOccupancy(), m.ServiceImbalance(), strings.Join(parts, " "))
+	return fmt.Sprintf("served=%d meanWait=%v maxOcc=%d imbalance=%.3f per-client[%s]",
+		m.TotalServed(), m.MeanWait(), m.MaxOccupancy(), m.ServiceImbalance(), strings.Join(parts, " "))
 }

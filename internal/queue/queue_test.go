@@ -308,7 +308,7 @@ func TestNewPolicy(t *testing.T) {
 
 func TestMetrics(t *testing.T) {
 	m := NewMetrics()
-	if m.TotalServed() != 0 || m.MeanWait() != 0 || m.P99Wait() != 0 {
+	if m.TotalServed() != 0 || m.MeanWait() != 0 {
 		t.Fatal("fresh metrics not zero")
 	}
 	m.ObserveOccupancy(3)
@@ -329,9 +329,6 @@ func TestMetrics(t *testing.T) {
 	wantMean := (10 + 30 + 10) * time.Millisecond / 3
 	if got := m.MeanWait(); got != wantMean {
 		t.Fatalf("MeanWait = %v, want %v", got, wantMean)
-	}
-	if got := m.P99Wait(); got != 30*time.Millisecond {
-		t.Fatalf("P99Wait = %v", got)
 	}
 	if imb := m.ServiceImbalance(); imb != 0.5 {
 		t.Fatalf("ServiceImbalance = %v, want 0.5", imb)

@@ -46,15 +46,6 @@ func (s *Safe) SetInstruments(ins *Instruments) {
 	s.mu.Unlock()
 }
 
-// Instruments returns the attached telemetry bundle (nil when
-// detached) — the admission path uses it to count park/reject
-// outcomes against the same policy label.
-func (s *Safe) Instruments() *Instruments {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ins
-}
-
 // observeDepthLocked refreshes the depth gauge. Caller must hold s.mu.
 func (s *Safe) observeDepthLocked() {
 	if s.ins != nil {
@@ -89,39 +80,14 @@ func (s *Safe) Push(it Item) {
 	signal(s.pushed)
 }
 
-// TryPush pushes only if the queue currently holds fewer than cap items,
-// reporting whether the push happened. cap <= 0 means unbounded. The
-// check and push are atomic, so concurrent producers cannot overshoot
-// the cap.
-//
-// A refusal is counted as Rejected inside the same critical section that
-// made the decision — callers bouncing work at the cap must not count it
-// again. Park-mode admission, which retries instead of bouncing, uses
-// TryPushParking so refusals are counted as parks, and only once.
-func (s *Safe) TryPush(it Item, cap int) bool {
-	s.mu.Lock()
-	if cap > 0 && s.inner.Len() >= cap {
-		if s.ins != nil {
-			s.ins.Rejected.Inc()
-		}
-		s.mu.Unlock()
-		return false
-	}
-	s.inner.Push(it)
-	if s.ins != nil {
-		s.ins.Enqueued.Inc()
-		s.observeDepthLocked()
-	}
-	s.mu.Unlock()
-	signal(s.pushed)
-	return true
-}
-
-// TryPushParking is TryPush for park-mode admission: the caller will wait
-// for headroom and retry rather than bounce the item. A refusal is
-// counted as Parked — under the queue's lock, like every other counter —
-// but only when firstAttempt is true, so one parked admission counts once
-// however many wait-retry rounds it takes to land.
+// TryPushParking pushes only if the queue currently holds fewer than cap
+// items, reporting whether the push happened. cap <= 0 means unbounded.
+// The check and push are atomic, so concurrent producers cannot
+// overshoot the cap. The caller waits for headroom (Popped) and retries
+// rather than dropping the item, so a refusal is counted as Parked —
+// under the queue's lock, like every other counter — but only when
+// firstAttempt is true: one parked admission counts once however many
+// wait-retry rounds it takes to land.
 func (s *Safe) TryPushParking(it Item, cap int, firstAttempt bool) bool {
 	s.mu.Lock()
 	if cap > 0 && s.inner.Len() >= cap {

@@ -203,7 +203,7 @@ func TestSafeTryPushCap(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				q.TryPush(Item{Msg: &transport.Message{Type: transport.MsgControl, ClientID: p, Seq: i}}, cap)
+				q.TryPushParking(Item{Msg: &transport.Message{Type: transport.MsgControl, ClientID: p, Seq: i}}, cap, true)
 				if n := q.Len(); n > cap {
 					over.Store(n, true)
 				}
@@ -441,9 +441,9 @@ func TestSafeConcurrentPoppersExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestSafeCounterOwnership: reject/park outcomes are counted by the
-// queue itself, inside the critical section that refused the push — the
-// admission caller owns no counter increments.
+// TestSafeCounterOwnership: a park is counted by the queue itself,
+// inside the critical section that refused the push — the admission
+// caller owns no counter increments.
 func TestSafeCounterOwnership(t *testing.T) {
 	reg := obs.NewRegistry()
 	ins := NewInstruments(reg, "fifo")
@@ -455,28 +455,16 @@ func TestSafeCounterOwnership(t *testing.T) {
 	}
 	const cap = 2
 	for i := 0; i < cap; i++ {
-		if !q.TryPush(item(i), cap) {
+		if !q.TryPushParking(item(i), cap, true) {
 			t.Fatalf("push %d refused below cap", i)
 		}
 	}
-	if ins.Rejected.Value() != 0 || ins.Parked.Value() != 0 {
-		t.Fatalf("counters moved before any refusal: rejected=%d parked=%d",
-			ins.Rejected.Value(), ins.Parked.Value())
+	if got := ins.Parked.Value(); got != 0 {
+		t.Fatalf("Parked = %d before any refusal", got)
 	}
 
-	// Reject mode: every refusal is one rejection.
-	if q.TryPush(item(10), cap) {
-		t.Fatal("push above cap succeeded")
-	}
-	if q.TryPush(item(11), cap) {
-		t.Fatal("push above cap succeeded")
-	}
-	if got := ins.Rejected.Value(); got != 2 {
-		t.Errorf("Rejected = %d, want 2", got)
-	}
-
-	// Park mode: one parked admission counts once, however many retry
-	// rounds it takes.
+	// One parked admission counts once, however many retry rounds it
+	// takes.
 	if q.TryPushParking(item(20), cap, true) {
 		t.Fatal("parking push above cap succeeded")
 	}
@@ -499,9 +487,8 @@ func TestSafeCounterOwnership(t *testing.T) {
 	if got := ins.Enqueued.Value(); got != cap+1 {
 		t.Errorf("Enqueued = %d, want %d", got, cap+1)
 	}
-	if ins.Rejected.Value() != 2 || ins.Parked.Value() != 1 {
-		t.Errorf("counters drifted after successful retry: rejected=%d parked=%d",
-			ins.Rejected.Value(), ins.Parked.Value())
+	if got := ins.Parked.Value(); got != 1 {
+		t.Errorf("Parked = %d after the successful retry, want 1", got)
 	}
 }
 

@@ -71,11 +71,13 @@ const (
 	// RefusalNone marks an ordinary message (never serialised — a zero
 	// code with a zero RetryAfter has no refusal extension).
 	RefusalNone RefusalCode = iota
-	// RefusalOverloaded refuses a join: the server is at MaxSessions or
-	// its shed gate is open. Back off (at least RetryAfter) and rejoin.
+	// RefusalOverloaded refuses a join: the server is at MaxSessions.
+	// Back off (at least RetryAfter) and rejoin.
 	RefusalOverloaded
-	// RefusalRetryLater bounces one activation transiently — brownout
-	// parking, not session death. Back off RetryAfter and resend.
+	// RefusalRetryLater bounces one activation transiently — the
+	// sanitizer's below-quarantine verdict, not session death — or turns
+	// a join away from a server whose model pool failed. Back off
+	// RetryAfter and retry.
 	RefusalRetryLater
 	// RefusalExpired reports a queued activation was shed past its
 	// enqueue deadline, not trained on. Resend it.
@@ -117,8 +119,8 @@ type Message struct {
 	Labels []int
 	// Note carries control text.
 	Note string
-	// Code classifies a structured refusal (overload, brownout, deadline
-	// shed). RefusalNone on ordinary traffic. A non-zero Code (or
+	// Code classifies a structured refusal (overload, retry-later,
+	// deadline shed). RefusalNone on ordinary traffic. A non-zero Code (or
 	// RetryAfter) adds the refusal extension to the frame.
 	Code RefusalCode
 	// RetryAfter is the server's backoff hint on a refusal: the client
