@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"github.com/stsl/stsl/internal/baseline"
-	"github.com/stsl/stsl/internal/compress"
 	"github.com/stsl/stsl/internal/core"
 	"github.com/stsl/stsl/internal/data"
 	"github.com/stsl/stsl/internal/expt"
@@ -129,83 +128,6 @@ func BenchmarkQueueSchedulingAblation(b *testing.B) {
 	}
 	b.ReportMetric(fifoImbalance, "fifo-imbalance")
 	b.ReportMetric(syncImbalance, "sync-imbalance")
-}
-
-// BenchmarkCutSweep regenerates the X2 cut × clients accuracy surface.
-func BenchmarkCutSweep(b *testing.B) {
-	s := expt.TinyScale()
-	for i := 0; i < b.N; i++ {
-		if _, err := expt.RunCutSweep(s, 42, nil, []int{2}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkQuantizeAblation regenerates the uplink-compression ablation
-// and reports the raw→8-bit compression ratio.
-func BenchmarkQuantizeAblation(b *testing.B) {
-	s := expt.TinyScale()
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		res, err := expt.RunQuantizeAblation(s, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = float64(res.Points[0].UplinkBytes) / float64(res.Points[2].UplinkBytes)
-	}
-	b.ReportMetric(ratio, "uplink-compression-x")
-}
-
-// BenchmarkRobustness regenerates the packet-loss sweep and reports
-// retransmissions at 15% loss.
-func BenchmarkRobustness(b *testing.B) {
-	s := expt.TinyScale()
-	var retrans float64
-	for i := 0; i < b.N; i++ {
-		res, err := expt.RunRobustness(s, 42, []float64{0.15})
-		if err != nil {
-			b.Fatal(err)
-		}
-		retrans = float64(res.Points[0].Retransmits)
-	}
-	b.ReportMetric(retrans, "retransmits@15%-loss")
-}
-
-// BenchmarkCompressRoundTrip measures quantize+dequantize throughput for
-// the cut-1 activation geometry.
-func BenchmarkCompressRoundTrip(b *testing.B) {
-	r := mathx.NewRNG(1)
-	x := tensor.Randn(r, 1, 32, 16, 16, 16)
-	b.SetBytes(int64(8 * x.Size()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := compress.RoundTrip(x, compress.Bits8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkUShapedRound measures one full U-shaped (no-label-sharing)
-// round: two round trips per batch versus one for the base protocol —
-// compare with BenchmarkSplitProtocolStep.
-func BenchmarkUShapedRound(b *testing.B) {
-	ds, err := (data.SynthCIFAR{Height: 8, Width: 8, Classes: 4}).Generate(64, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dep, err := core.NewUShaped(core.UShapedConfig{
-		Model: nn.PaperCNNConfig{Height: 8, Width: 8, Filters: []int{4, 8}, Hidden: 16, Classes: 4},
-		Cut:   1, HeadLayers: 1, Clients: 1, Seed: 2, BatchSize: 8, LR: 0.05,
-	}, []*data.Dataset{ds})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := dep.TrainRounds(1); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkFedAvgBaseline measures the comparison baseline's cost per

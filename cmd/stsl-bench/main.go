@@ -22,7 +22,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: table1|fig1|fig2|fig3|fig4|queue|sweep|quantize|robustness|all")
+		exp     = flag.String("exp", "all", "experiment: table1|fig1|fig2|fig3|fig4|queue|all")
 		scale   = flag.String("scale", "small", "scale: tiny|small|paper")
 		seed    = flag.Uint64("seed", 42, "experiment seed")
 		outDir  = flag.String("out", "", "directory for Fig-4 PNG output (optional)")
@@ -126,39 +126,6 @@ func main() {
 		}
 		fmt.Println(res.Table.String())
 		if err := writeCSV("queue", res.Table.CSV()); err != nil {
-			return err
-		}
-		return nil
-	})
-	run("sweep", func() error {
-		res, err := expt.RunCutSweep(s, *seed, nil, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Table.String())
-		if err := writeCSV("sweep", res.Table.CSV()); err != nil {
-			return err
-		}
-		return nil
-	})
-	run("quantize", func() error {
-		res, err := expt.RunQuantizeAblation(s, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Table.String())
-		if err := writeCSV("quantize", res.Table.CSV()); err != nil {
-			return err
-		}
-		return nil
-	})
-	run("robustness", func() error {
-		res, err := expt.RunRobustness(s, *seed, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Table.String())
-		if err := writeCSV("robustness", res.Table.CSV()); err != nil {
 			return err
 		}
 		return nil

@@ -20,23 +20,16 @@ import (
 // TCP — and checks the full batch budget is trained on each.
 func TestRunnerTransports(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		tr       Transport
-		quantize int
+		name string
+		tr   Transport
 	}{
-		{"pair", TransportPair, 0},
-		{"pipe", TransportPipe, 0},
-		{"tcp", TransportTCP, 0},
-		// 8-bit quantized uplinks must flow through the real codec and
-		// the session protocol unchanged.
-		{"tcp-quantize8", TransportTCP, 8},
+		{"pair", TransportPair},
+		{"pipe", TransportPipe},
+		{"tcp", TransportTCP},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			dep := buildDeployment(t, 2, "fifo")
-			for _, es := range dep.Clients {
-				es.QuantizeBits = tc.quantize
-			}
 			const steps = 4
 			res, err := Run(context.Background(), dep, RunnerConfig{
 				StepsPerClient: steps, Transport: tc.tr, GradTimeout: 10 * time.Second,

@@ -36,10 +36,6 @@ type Config struct {
 	// QueuePolicy selects the server's scheduling discipline: "fifo",
 	// "staleness", "fair-rr" or "sync-rounds" (default fifo).
 	QueuePolicy string
-	// QuantizeBits, when 8 or 16, compresses uplink activations with
-	// linear quantization (0 = raw float64). Gradients flow back through
-	// the dequantized values (straight-through estimator).
-	QuantizeBits int
 	// BatchCoalesce caps how many compatible queued activations the
 	// server stacks into one coalesced forward/backward pass (0 or 1 =
 	// serve one at a time). Coalescing amortises the conv/matmul hot
@@ -147,12 +143,6 @@ func NewDeployment(cfg Config, shards []*data.Dataset) (*Deployment, error) {
 		es, err := NewEndSystem(i, lower, clientOpt, batcher)
 		if err != nil {
 			return nil, err
-		}
-		if cfg.QuantizeBits != 0 {
-			if cfg.QuantizeBits != 8 && cfg.QuantizeBits != 16 {
-				return nil, fmt.Errorf("core: QuantizeBits must be 0, 8 or 16, got %d", cfg.QuantizeBits)
-			}
-			es.QuantizeBits = cfg.QuantizeBits
 		}
 		es.WireDType = dtype
 		clients[i] = es

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/stsl/stsl/internal/compress"
 	"github.com/stsl/stsl/internal/data"
 	"github.com/stsl/stsl/internal/nn"
 	"github.com/stsl/stsl/internal/opt"
@@ -37,10 +36,6 @@ type EndSystem struct {
 	// Augment, when non-nil, is applied to every batch before the
 	// forward pass (training-time augmentation).
 	Augment *data.Augmenter
-	// QuantizeBits, when 8 or 16, applies lossy linear quantization to
-	// outgoing activations — the model trains on what the server will
-	// actually see, and the network is charged the compressed size.
-	QuantizeBits int
 	// WireDType tags outgoing activation payloads: tensor.Float32 ships
 	// their elements at float32 width (half the wire bytes). The zero
 	// value ships float64.
@@ -90,15 +85,6 @@ func (e *EndSystem) ProduceBatch(now time.Duration) (*transport.Message, error) 
 		x = e.Augment.Apply(x)
 	}
 	act := e.Stack.Forward(x, true)
-	wireSize := 0
-	if e.QuantizeBits == 8 || e.QuantizeBits == 16 {
-		deq, bytes, err := compress.RoundTrip(act, compress.Bits(e.QuantizeBits))
-		if err != nil {
-			return nil, fmt.Errorf("core: end-system %d quantize: %w", e.ID, err)
-		}
-		act = deq
-		wireSize = bytes
-	}
 	msg := &transport.Message{
 		Type:     transport.MsgActivation,
 		ClientID: e.ID,
@@ -107,7 +93,6 @@ func (e *EndSystem) ProduceBatch(now time.Duration) (*transport.Message, error) 
 		SentAt:   now,
 		Payload:  act.SetDType(e.WireDType),
 		Labels:   batch.Y,
-		WireSize: wireSize,
 	}
 	e.outstanding = e.seq
 	e.seq++

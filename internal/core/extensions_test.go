@@ -9,7 +9,6 @@ import (
 	"github.com/stsl/stsl/internal/data"
 	"github.com/stsl/stsl/internal/mathx"
 	"github.com/stsl/stsl/internal/simnet"
-	"github.com/stsl/stsl/internal/transport"
 )
 
 // TestLoadStateOneFormat: the CRC'd pool header is the only server state
@@ -59,48 +58,6 @@ func TestLoadStateOneFormat(t *testing.T) {
 	}
 	if !bytes.Equal(weights(dst), weights(src)) || dst.Steps() != 5 {
 		t.Fatal("a pool of one did not restore its weights and step counter exactly")
-	}
-}
-
-func TestQuantizedDeploymentTrains(t *testing.T) {
-	ds := smallData(t, 64, 47)
-	for _, bits := range []int{8, 16} {
-		dep, err := NewDeployment(Config{
-			Model: smallModel(), Cut: 1, Clients: 1, Seed: 3,
-			BatchSize: 8, LR: 0.05, QuantizeBits: bits,
-		}, []*data.Dataset{ds})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Quantized payload advertises a smaller wire size.
-		msg, err := dep.Clients[0].ProduceBatch(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw := 8 * msg.Payload.Size()
-		if msg.WireSize <= 0 || msg.WireSize >= raw {
-			t.Fatalf("bits=%d: wire size %d vs raw %d", bits, msg.WireSize, raw)
-		}
-		if err := dep.Clients[0].ApplyGradient(&transport.Message{
-			Type: transport.MsgGradient, ClientID: 0, Seq: msg.Seq,
-			Payload: msg.Payload.Clone(),
-		}); err != nil {
-			t.Fatal(err)
-		}
-		// Full simulated training still runs mechanically.
-		sim, err := NewSimulation(dep, SimConfig{Paths: constPaths(1, 0), MaxStepsPerClient: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sim.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Invalid widths rejected.
-	if _, err := NewDeployment(Config{
-		Model: smallModel(), Clients: 1, QuantizeBits: 12,
-	}, []*data.Dataset{ds}); err == nil {
-		t.Fatal("12-bit accepted")
 	}
 }
 

@@ -183,13 +183,10 @@ func (s *Simulation) batchCoalesce() int {
 	return 1
 }
 
-// payloadBytes estimates a message's wire size for bandwidth delay,
-// honouring a sender-provided compressed size.
+// payloadBytes estimates a message's wire size for bandwidth delay.
 func payloadBytes(m *transport.Message) int {
 	n := 64 // headers
-	if m.WireSize > 0 {
-		n += m.WireSize
-	} else if m.Payload != nil {
+	if m.Payload != nil {
 		n += 8 * m.Payload.Size()
 	}
 	n += 4 * len(m.Labels)

@@ -184,22 +184,3 @@ func TestRunQueueAblationTiny(t *testing.T) {
 		}
 	}
 }
-
-func TestRunCutSweepTiny(t *testing.T) {
-	res, err := RunCutSweep(TinyScale(), 6, nil, []int{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tiny model: cuts 0..2 × one client count.
-	if len(res.Points) != 3 {
-		t.Fatalf("points = %d", len(res.Points))
-	}
-	for _, p := range res.Points {
-		if p.Accuracy < 0 || p.Accuracy > 1 {
-			t.Fatalf("accuracy %v", p.Accuracy)
-		}
-	}
-	if _, err := RunCutSweep(TinyScale(), 6, []int{99}, []int{2}); err == nil {
-		t.Fatal("invalid cut accepted")
-	}
-}

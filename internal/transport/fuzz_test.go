@@ -30,8 +30,7 @@ func corpusMessages(tb testing.TB) []*Message {
 		{Type: MsgGradient, ClientID: 3, Seq: 7, Epoch: 1, SentAt: 2345, Payload: grad},
 		{Type: MsgControl, ClientID: 1, Note: "join"},
 		{Type: MsgControl, ClientID: 1, Seq: 0x7ead11ed, Note: "welcome"},
-		{Type: MsgFeatures, ClientID: 0, Seq: 2, Payload: tensor.New(1, 6)},
-		{Type: MsgFeatureGrad, ClientID: 0, Seq: 2, Payload: tensor.New(1, 6)},
+		{Type: MsgControl, ClientID: 1, Seq: 0x7ead11ed, Note: "resume"},
 		{Type: MsgActivation, ClientID: 5, Seq: 9, Epoch: 2, SentAt: 3456,
 			Payload: act32, Labels: []int{1, 3}},
 		{Type: MsgGradient, ClientID: 5, Seq: 9, Epoch: 2, SentAt: 4567, Payload: grad32},
@@ -39,6 +38,8 @@ func corpusMessages(tb testing.TB) []*Message {
 		// the refusal extension.
 		{Type: MsgControl, ClientID: 9, Note: "refused: overloaded",
 			Code: RefusalOverloaded, RetryAfter: 25 * time.Millisecond},
+		{Type: MsgControl, ClientID: 5, Seq: 10, Note: "rejected",
+			Code: RefusalRetryLater, RetryAfter: 25 * time.Millisecond},
 		{Type: MsgControl, ClientID: 9, Seq: 41, Note: "rejected",
 			Code: RefusalExpired, RetryAfter: 3 * time.Millisecond},
 	}
@@ -52,6 +53,20 @@ func encode(tb testing.TB, m *Message) []byte {
 		tb.Fatalf("encode seed frame: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// firstSeed encodes the first corpus message with the given property, so a
+// seed that corrupts one particular byte keeps its target when the corpus
+// grows or shrinks.
+func firstSeed(tb testing.TB, has func(*Message) bool) []byte {
+	tb.Helper()
+	for _, m := range corpusMessages(tb) {
+		if has(m) {
+			return encode(tb, m)
+		}
+	}
+	tb.Fatal("no corpus message has the seed's property")
+	return nil
 }
 
 // FuzzDecode hammers the wire decoder with mutated frames. The contract
@@ -83,11 +98,13 @@ func FuzzDecode(f *testing.F) {
 	flag2[25] ^= 1
 	f.Add(flag2)
 	// A payload whose dtype byte is not a dtype.
-	badDT := encode(f, corpusMessages(f)[6])
+	badDT := firstSeed(f, func(m *Message) bool {
+		return m.Payload != nil && m.Payload.DType() == tensor.Float32 && len(m.Labels) > 0
+	})
 	badDT[34] = 0x7f
 	f.Add(badDT)
 	// A refusal whose code byte is not a defined code.
-	badCode := encode(f, corpusMessages(f)[8])
+	badCode := firstSeed(f, func(m *Message) bool { return m.Code != RefusalNone })
 	badCode[30] = 0x7f
 	f.Add(badCode)
 	// Checksummed seeds: valid frames, trailer truncations, and a

@@ -33,12 +33,6 @@ const (
 	MsgGradient
 	// MsgControl carries protocol control notes (hello, done, errors).
 	MsgControl
-	// MsgFeatures carries server→client middle-stack outputs in the
-	// U-shaped (no-label-sharing) protocol variant.
-	MsgFeatures
-	// MsgFeatureGrad carries client→server gradients w.r.t. those
-	// features in the U-shaped variant.
-	MsgFeatureGrad
 )
 
 // String implements fmt.Stringer.
@@ -50,10 +44,6 @@ func (t MsgType) String() string {
 		return "gradient"
 	case MsgControl:
 		return "control"
-	case MsgFeatures:
-		return "features"
-	case MsgFeatureGrad:
-		return "feature-grad"
 	default:
 		return fmt.Sprintf("MsgType(%d)", uint8(t))
 	}
@@ -126,11 +116,6 @@ type Message struct {
 	// RetryAfter is the server's backoff hint on a refusal: the client
 	// should not retry sooner. 0 means no hint.
 	RetryAfter time.Duration
-	// WireSize, when positive, overrides the simulated wire size in
-	// bytes — set by senders that apply payload compression so the
-	// network model charges the compressed size. It is advisory and not
-	// itself serialised.
-	WireSize int
 }
 
 // Validate checks protocol-level invariants.
@@ -152,14 +137,9 @@ func (m *Message) Validate() error {
 			return fmt.Errorf("transport: activation batch %d does not match %d labels",
 				m.Payload.Dim(0), len(m.Labels))
 		}
-	case MsgGradient, MsgFeatures, MsgFeatureGrad:
+	case MsgGradient:
 		if m.Payload == nil {
 			return fmt.Errorf("transport: %v message without payload", m.Type)
-		}
-		if m.Type != MsgGradient && len(m.Labels) != 0 {
-			// The U-shaped variant exists so labels never leave the
-			// end-system; refuse to build a message that would leak them.
-			return fmt.Errorf("transport: %v message must not carry labels", m.Type)
 		}
 	case MsgControl:
 		// No requirements.
@@ -386,7 +366,6 @@ func DecodeInto(r io.Reader, m *Message) error {
 	m.Epoch = int(int32(binary.LittleEndian.Uint32(buf[13:])))
 	m.SentAt = time.Duration(binary.LittleEndian.Uint64(buf[17:]))
 	m.Note = ""
-	m.WireSize = 0
 	m.Code = RefusalNone
 	m.RetryAfter = 0
 	nLabels := binary.LittleEndian.Uint32(buf[26:])

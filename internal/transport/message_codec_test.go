@@ -63,6 +63,36 @@ func TestDecodeBadPayloadFlag(t *testing.T) {
 	}
 }
 
+// TestDecodeRefusesUnknownTypes: a type byte outside 1–3 — zero, the two
+// retired values 4 and 5, or anything beyond — fails Decode as an unknown
+// message type instead of decoding into a message no receiver handles.
+func TestDecodeRefusesUnknownTypes(t *testing.T) {
+	frame := encode(t, &Message{Type: MsgControl, ClientID: 1, Note: "join"})
+	for _, typ := range []byte{0, 4, 5, 0xff} {
+		bad := append([]byte{}, frame...)
+		bad[4] = typ
+		_, err := Decode(bytes.NewReader(bad))
+		if err == nil || !strings.Contains(err.Error(), "unknown message type") {
+			t.Errorf("type byte %d: err = %v, want unknown message type", typ, err)
+		}
+	}
+}
+
+func TestMsgTypeString(t *testing.T) {
+	cases := map[MsgType]string{
+		MsgActivation: "activation",
+		MsgGradient:   "gradient",
+		MsgControl:    "control",
+		MsgType(4):    "MsgType(4)",
+		MsgType(99):   "MsgType(99)",
+	}
+	for typ, want := range cases {
+		if got := typ.String(); got != want {
+			t.Fatalf("String(%d) = %q, want %q", typ, got, want)
+		}
+	}
+}
+
 // TestFloat32MessageRoundTrip: a float32-tagged payload crosses the wire
 // at half the payload bytes, in the same frame, and comes back
 // float32-rounded.

@@ -1,11 +1,89 @@
 package stsl_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
 	stsl "github.com/stsl/stsl"
 )
+
+// TestFacadeSurface is the census that keeps stsl.go from regrowing: every
+// name it exports must be referenced as stsl.<Name> by a program under
+// examples/ or by a test of this package. A name nobody calls belongs in
+// its internal package, not on the public surface.
+func TestFacadeSurface(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "stsl.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exported []string
+	for _, decl := range file.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				exported = append(exported, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					if s.Name.IsExported() {
+						exported = append(exported, s.Name.Name)
+					}
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						if n.IsExported() {
+							exported = append(exported, n.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	callers, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = filepath.WalkDir("examples", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+			callers = append(callers, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var corpus []byte
+	for _, path := range callers {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corpus = append(corpus, src...)
+	}
+
+	var unreferenced []string
+	for _, name := range exported {
+		// The pattern is assembled here, so no name in it is spelled out in
+		// this file for the census to find.
+		if !regexp.MustCompile(`\bstsl\.` + name + `\b`).Match(corpus) {
+			unreferenced = append(unreferenced, name)
+		}
+	}
+	if len(unreferenced) > 0 {
+		t.Errorf("%d of %d names stsl.go exports are referenced by no example and no test of this package: %s",
+			len(unreferenced), len(exported), strings.Join(unreferenced, ", "))
+	}
+}
 
 // TestFacadeEndToEnd exercises the whole public API the way a downstream
 // user would: generate data, shard it, build a deployment, simulate
