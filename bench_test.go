@@ -191,7 +191,7 @@ func BenchmarkTensorMatMul(b *testing.B) {
 	w := tensor.Randn(r, 1, 256, 512)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.MatMul(a, w)
+		tensor.MatMulInto(nil, a, w)
 	}
 }
 
@@ -203,12 +203,12 @@ func BenchmarkMatMulSerialVsParallel(b *testing.B) {
 	w := tensor.Randn(r, 1, 16, 27)      // 16 filters
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tensor.MatMulTransB(a, w)
+			tensor.MatMulTransBInto(nil, a, w)
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tensor.MatMulTransBP(a, w)
+			tensor.MatMulTransBPInto(nil, a, w)
 		}
 	})
 }

@@ -407,6 +407,18 @@ func TestGraceExpiryEvicts(t *testing.T) {
 	}
 }
 
+// hookConn runs hook before every Send. The chaos tests use it to hold
+// uploads until the scenario they stage is in place.
+type hookConn struct {
+	transport.Conn
+	hook func(*transport.Message)
+}
+
+func (c *hookConn) Send(m *transport.Message) error {
+	c.hook(m)
+	return c.Conn.Send(m)
+}
+
 // restartableServer is the chaos harness for server restarts: dial
 // targets whichever cluster server is currently live, and returns an
 // error while the server is down so clients burn a retry and back off —
@@ -473,6 +485,23 @@ func TestServerRestartFromCheckpoint(t *testing.T) {
 	}
 	endpoint := &restartableServer{}
 	endpoint.set(srv1)
+	// Once the first server has served 6 batches, uploads wait for the
+	// second one: the restart then lands mid-training for both clients,
+	// however the scheduler interleaves them with this goroutine (a
+	// client ping-ponging with the worker can otherwise run its whole
+	// budget before the poll below sees step 6).
+	restarted := make(chan struct{})
+	dial := func() (transport.Conn, error) {
+		conn, err := endpoint.dial()
+		if err != nil {
+			return nil, err
+		}
+		return &hookConn{Conn: conn, hook: func(m *transport.Message) {
+			if m.Type == transport.MsgActivation && srv1.Snapshot().ServerSteps >= 6 {
+				<-restarted
+			}
+		}}, nil
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -480,7 +509,7 @@ func TestServerRestartFromCheckpoint(t *testing.T) {
 	for i := 0; i < clients; i++ {
 		i := i
 		go func() {
-			conn, err := endpoint.dial()
+			conn, err := dial()
 			if err != nil {
 				outcomes <- err
 				return
@@ -488,7 +517,7 @@ func TestServerRestartFromCheckpoint(t *testing.T) {
 			res, err := RunClient(ctx, dep.Clients[i], conn, ClientConfig{
 				Steps:            steps,
 				GradTimeout:      20 * time.Second,
-				Dial:             endpoint.dial,
+				Dial:             dial,
 				MaxReconnects:    200,
 				ReconnectBackoff: 2 * time.Millisecond,
 			})
@@ -543,6 +572,7 @@ func TestServerRestartFromCheckpoint(t *testing.T) {
 		}
 	}()
 	endpoint.set(srv2)
+	close(restarted)
 
 	for i := 0; i < clients; i++ {
 		if err := <-outcomes; err != nil {

@@ -13,6 +13,7 @@ import (
 
 	"github.com/stsl/stsl/internal/core"
 	"github.com/stsl/stsl/internal/obs"
+	"github.com/stsl/stsl/internal/overload"
 	"github.com/stsl/stsl/internal/transport"
 )
 
@@ -70,11 +71,30 @@ func TestJoinStormAdmissionControl(t *testing.T) {
 		}
 	}()
 
+	// No session trains before every client has sent its first join, so
+	// the joins arrive as one storm however the goroutines are scheduled;
+	// otherwise the first sessions can finish before the last clients
+	// dial and nobody is refused.
+	var joined [clients]atomic.Bool
+	var joins atomic.Int64
+	allJoined := make(chan struct{})
+	holdUntilAllJoined := func(m *transport.Message) {
+		switch {
+		case m.Type == transport.MsgControl && m.Note == core.JoinNote:
+			if !joined[m.ClientID].Swap(true) && joins.Add(1) == clients {
+				close(allJoined)
+			}
+		case m.Type == transport.MsgActivation:
+			<-allJoined
+		}
+	}
 	dial := func() (transport.Conn, error) {
 		client, server := transport.NewPair(1)
 		srv.Attach(server)
-		return client, nil
+		return &hookConn{Conn: client, hook: holdUntilAllJoined}, nil
 	}
+	const backoff = 5 * time.Millisecond
+	seeds := gridJitterSeeds(t, clients, backoff)
 	results := make([]*ClientResult, clients)
 	errs := make(chan error, clients)
 	var wg sync.WaitGroup
@@ -89,8 +109,8 @@ func TestJoinStormAdmissionControl(t *testing.T) {
 				GradTimeout:      20 * time.Second,
 				Dial:             dial,
 				MaxReconnects:    50,
-				ReconnectBackoff: 5 * time.Millisecond,
-				BackoffSeed:      uint64(1000 + i),
+				ReconnectBackoff: backoff,
+				BackoffSeed:      seeds[i],
 			})
 			conn.Close()
 			results[i] = res
@@ -141,7 +161,8 @@ func TestJoinStormAdmissionControl(t *testing.T) {
 
 	// Decorrelated jitter: pool every post-refusal retry timestamp and
 	// check the cohort did not re-arrive as one spike. A synchronized
-	// cohort lands in a single 2ms bucket; jittered draws spread out.
+	// cohort lands in a single 2ms bucket; the seeds' first draws sit
+	// on a grid about 1.24ms apart (gridJitterSeeds).
 	var retries []time.Duration
 	for _, res := range results {
 		if len(res.JoinAttempts) > 1 {
@@ -181,6 +202,41 @@ func TestJoinStormAdmissionControl(t *testing.T) {
 		t.Fatalf("storm loss %.4f deviates %.1f%% from fault-free %.4f (tolerance 10%%)",
 			finalLoss, gap*100, reference)
 	}
+}
+
+// gridJitterSeeds returns one BackoffSeed per client such that the first
+// jitter draws at base lie on an even grid over the draw range
+// [base, 3·base), about 2·base/(n−1) apart. Fixed seeds keep a failure
+// reproducible, but an arbitrary set can cluster: seeds 1000..1008 drew
+// four of nine first delays within 0.35ms, and the join storm's bucket
+// check failed 6 of 200 runs with a correct jitter. On the grid (1.24ms
+// apart at a 5ms base) a 2ms bucket holds two first retries, three when
+// refusal timing shifts one by a millisecond, so the check fails a
+// correct jitter about one run in 100 (when only four clients are
+// refused) and still fails a cohort that retries in step. A jitter whose
+// range is narrower than [base, 3·base) leaves a grid point no seed
+// reaches, and the search fails.
+func gridJitterSeeds(t *testing.T, n int, base time.Duration) []uint64 {
+	t.Helper()
+	tol := base / 100
+	step := (2*base - 2*tol) / time.Duration(n-1)
+	seeds := make([]uint64, n)
+	seed := uint64(1)
+	for k := range seeds {
+		want := base + tol + time.Duration(k)*step
+		for ; ; seed++ {
+			if seed > 1<<20 {
+				t.Fatalf("no seed draws a first delay within %v of %v: the jitter does not cover [%v, %v)",
+					tol, want, base, 3*base)
+			}
+			if d := overload.NewBackoff(base, 0, seed).Next(); d > want-tol && d < want+tol {
+				seeds[k] = seed
+				seed++
+				break
+			}
+		}
+	}
+	return seeds
 }
 
 // TestRefusalWithoutDialIsTyped: a refused one-shot client (no Dial)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -104,6 +106,12 @@ func TestGatedPolicyOverCap(t *testing.T) {
 // float32 mode, where the live run additionally rounds every payload
 // through float32 wire frames while the in-process simulation does
 // not, so the parity tolerance widens to ±10%.
+//
+// The live clients run in lockstep rounds (lockstep), as the
+// simulation's equal paths keep them. Left free, one client descheduled
+// for a while falls a dozen batches behind the others, and the final
+// loss — a window over the last 10 batches served — then averages that
+// one client's shard instead of the fleet's.
 func TestLiveMatchesSimulation(t *testing.T) {
 	for _, tc := range []struct {
 		coalesce int
@@ -173,8 +181,10 @@ func TestLiveMatchesSimulation(t *testing.T) {
 
 			// Live concurrent run of the identical deployment.
 			liveDep := build()
+			rounds := newLockstep(clients)
 			liveRes, err := Run(context.Background(), liveDep, RunnerConfig{
 				StepsPerClient: steps, Transport: TransportPipe, GradTimeout: 30 * time.Second,
+				WrapClient: rounds.wrap,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -195,6 +205,38 @@ func TestLiveMatchesSimulation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// lockstep holds each client's activation for step k until every
+// client has sent its activation for step k−1, so no client runs more
+// than one step ahead of the slowest. A resend repeats a step and moves
+// nothing; the slowest client never waits, so the fleet cannot deadlock.
+type lockstep struct {
+	mu   sync.Mutex
+	cond *sync.Cond
+	next []int // per client, the first step not yet sent
+}
+
+func newLockstep(clients int) *lockstep {
+	l := &lockstep{next: make([]int, clients)}
+	l.cond = sync.NewCond(&l.mu)
+	return l
+}
+
+// wrap has the RunnerConfig.WrapClient signature.
+func (l *lockstep) wrap(i int, conn transport.Conn) transport.Conn {
+	return &hookConn{Conn: conn, hook: func(m *transport.Message) {
+		if m.Type != transport.MsgActivation {
+			return
+		}
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		for slices.Min(l.next) < m.Seq {
+			l.cond.Wait()
+		}
+		l.next[i] = max(l.next[i], m.Seq+1)
+		l.cond.Broadcast()
+	}}
 }
 
 // TestRunnerCoalescedPolicies exercises every scheduling policy on the

@@ -1,0 +1,113 @@
+package core
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"testing"
+	"time"
+
+	"github.com/stsl/stsl/internal/data"
+	"github.com/stsl/stsl/internal/mathx"
+	"github.com/stsl/stsl/internal/nn"
+)
+
+// pinnedModel is expt.SmallScale's network: the paper's five blocks at
+// reduced width, over 32×32×3 input and 10 classes. (core cannot import
+// expt, which imports core.)
+func pinnedModel() nn.PaperCNNConfig {
+	return nn.PaperCNNConfig{
+		InChannels: 3, Height: 32, Width: 32,
+		Filters: []int{8, 12, 16, 24, 32}, Hidden: 64, Classes: 10,
+	}
+}
+
+// pinnedRun trains a fixed-seed two-client deployment in virtual time —
+// five batches of 16 per client, so ten server steps fill the loss
+// window — and returns the final-loss bits together with an FNV-64a hash
+// over the float64 bits of every client and server parameter. The
+// sync-rounds policy holds each round until both clients have sent, so a
+// BatchCoalesce of 2 really does stack both activations into one pass.
+func pinnedRun(t *testing.T, model nn.PaperCNNConfig, cut, coalesce int) (loss, params uint64) {
+	t.Helper()
+	ds, err := (data.SynthCIFAR{Height: model.Height, Width: model.Width, Classes: model.Classes}).Generate(160, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds.Normalize()
+	shards, err := data.PartitionIID(ds, 2, mathx.NewRNG(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := NewDeployment(Config{
+		Model: model, Cut: cut, Clients: 2, Seed: 33,
+		BatchSize: 16, LR: 0.05, QueuePolicy: "sync-rounds", BatchCoalesce: coalesce,
+	}, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := NewSimulation(dep, SimConfig{
+		Paths: constPaths(2, time.Millisecond), MaxStepsPerClient: 5,
+		ServerProcTime: 2 * time.Millisecond, ClientProcTime: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ServerSteps != 10 {
+		t.Fatalf("server ran %d steps, want 10", res.ServerSteps)
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	hashParams := func(ps []*nn.Param) {
+		for _, p := range ps {
+			for _, v := range p.Value.Data() {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+				h.Write(buf[:])
+			}
+		}
+	}
+	for _, c := range dep.Clients {
+		hashParams(c.Stack.Params())
+	}
+	hashParams(dep.Server.Stack.Params())
+	return math.Float64bits(res.FinalLoss), h.Sum64()
+}
+
+// TestTrainingBitsPinned pins the arithmetic of a training step to
+// constants, not to a second run of the same binary: a change to how the
+// kernels store their results must leave every bit of the loss and of
+// every parameter where it was. The BatchNorm+Dropout row is the only
+// place those two layers train in a full network. A change that alters
+// the bits on purpose (a reordered sum, a fused kernel) updates the
+// constants and says so.
+func TestTrainingBitsPinned(t *testing.T) {
+	withExtras := pinnedModel()
+	withExtras.BatchNorm = true
+	withExtras.Dropout = 0.3
+	cases := []struct {
+		model          nn.PaperCNNConfig
+		cut, coalesce  int
+		loss, paramSum uint64
+	}{
+		{pinnedModel(), 1, 1, 0x4003b4f813a6fdeb, 0x01b01042166b7dd2},
+		{pinnedModel(), 1, 2, 0x400388f61d5833ce, 0x1a77b49c4ed875a1},
+		{pinnedModel(), 4, 1, 0x40081f70b1557582, 0x24b01aa8490356b3},
+		{pinnedModel(), 4, 2, 0x4007a921ed4a3e8f, 0x06e089e902efb54a},
+		{withExtras, 2, 1, 0x400125ae446e544a, 0x9c9149a902ac8793},
+	}
+	for _, tc := range cases {
+		name := fmt.Sprintf("cut%d-b%d-bn%v", tc.cut, tc.coalesce, tc.model.BatchNorm)
+		t.Run(name, func(t *testing.T) {
+			loss, params := pinnedRun(t, tc.model, tc.cut, tc.coalesce)
+			if loss != tc.loss || params != tc.paramSum {
+				t.Fatalf("final loss %v (%#016x), parameter hash %#016x; pinned %#016x, %#016x",
+					math.Float64frombits(loss), loss, params, tc.loss, tc.paramSum)
+			}
+		})
+	}
+}

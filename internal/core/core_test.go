@@ -230,7 +230,9 @@ func TestServerProcessBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	makeItem := func(client, n int, seed uint64) queue.Item {
-		act := lower.Forward(smallData(t, n, seed).X, false)
+		// Forward returns the lower stack's workspace; an item owns a copy,
+		// as an end-system's activation message does.
+		act := lower.Forward(smallData(t, n, seed).X, false).Clone()
 		labels := make([]int, n)
 		for i := range labels {
 			labels[i] = i % 4
@@ -269,7 +271,7 @@ func TestServerProcessBatch(t *testing.T) {
 	// forwards read the BatchNorm running statistics, so identical probe
 	// outputs prove no training forward ran.
 	probe := items[0].Msg.Payload
-	before := srv.Stack.Forward(probe, false)
+	before := srv.Stack.Forward(probe, false).Clone()
 	stepsBefore := srv.Steps()
 	bad := []struct {
 		name, wantErr string

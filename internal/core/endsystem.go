@@ -91,8 +91,11 @@ func (e *EndSystem) ProduceBatch(now time.Duration) (*transport.Message, error) 
 		Seq:      e.seq,
 		Epoch:    e.epoch,
 		SentAt:   now,
-		Payload:  act.SetDType(e.WireDType),
-		Labels:   batch.Y,
+		// A copy: the stack's output is its workspace, overwritten by the
+		// next Forward, while the message may sit in a queue, in flight
+		// or in a resend buffer past that.
+		Payload: act.Clone().SetDType(e.WireDType),
+		Labels:  batch.Y,
 	}
 	e.outstanding = e.seq
 	e.seq++

@@ -34,6 +34,8 @@ type Server struct {
 	Instr *ServerInstruments
 
 	steps int
+	// dlogits is the loss gradient's workspace, reused across passes.
+	dlogits *tensor.Tensor
 	// lastBatchLoss is the raw (unwindowed) loss of the most recent
 	// pass — what a pool-level aggregate curve needs, since each
 	// replica's windowed Losses spans only its own local steps.
@@ -111,11 +113,12 @@ func (s *Server) Process(it queue.Item, now time.Duration) (*transport.Message, 
 	}
 	s.Stack.ZeroGrad()
 	logits := s.Stack.Forward(act, true)
-	loss, dlogits, err := nn.SoftmaxCrossEntropy(logits, it.Msg.Labels)
+	loss, dlogits, err := nn.SoftmaxCrossEntropyInto(s.dlogits, logits, it.Msg.Labels)
 	if err != nil {
 		return nil, fmt.Errorf("core: server loss for client %d seq %d: %w",
 			it.Msg.ClientID, it.Msg.Seq, err)
 	}
+	s.dlogits = dlogits
 	var t1 time.Time
 	if s.Instr != nil {
 		t1 = time.Now()
@@ -135,7 +138,10 @@ func (s *Server) Process(it queue.Item, now time.Duration) (*transport.Message, 
 		Seq:      it.Msg.Seq,
 		Epoch:    it.Msg.Epoch,
 		SentAt:   now,
-		Payload:  dact.SetDType(act.DType()),
+		// A copy: the stack's input gradient is its workspace, overwritten
+		// by the next pass, while the reply lives on in the reply cache,
+		// a pair carrier or a simulated downlink.
+		Payload: dact.Clone().SetDType(act.DType()),
 	}, nil
 }
 
@@ -240,10 +246,11 @@ func (s *Server) ProcessBatch(items []queue.Item, now time.Duration) ([]*transpo
 	}
 	s.Stack.ZeroGrad()
 	logits := s.Stack.Forward(stacked, true)
-	loss, dlogits, err := nn.SoftmaxCrossEntropy(logits, labels)
+	loss, dlogits, err := nn.SoftmaxCrossEntropyInto(s.dlogits, logits, labels)
 	if err != nil {
 		return nil, fmt.Errorf("core: server loss for coalesced batch of %d: %w", len(items), err)
 	}
+	s.dlogits = dlogits
 	var t1 time.Time
 	if s.Instr != nil {
 		t1 = time.Now()
@@ -262,6 +269,7 @@ func (s *Server) ProcessBatch(items []queue.Item, now time.Duration) ([]*transpo
 		s.Instr.observePass(len(items), t1.Sub(t0), time.Since(t1), s.Losses.Last())
 	}
 
+	// SplitRows copies, so each reply owns its slice of the workspace.
 	grads := tensor.SplitRows(dact, rows...)
 	replies := make([]*transport.Message, len(items))
 	for i, it := range items {

@@ -10,7 +10,11 @@ import (
 // ReLU applies max(0, x) elementwise. It works on tensors of any rank.
 type ReLU struct {
 	name string
-	mask []bool
+	// mask records which inputs of the last training Forward were
+	// positive; armed says whether it belongs to a Backward-able pass.
+	mask    []bool
+	armed   bool
+	out, dx *tensor.Tensor
 }
 
 // NewReLU constructs a ReLU activation layer.
@@ -29,51 +33,47 @@ func (l *ReLU) OutShape(in []int) ([]int, error) {
 
 // Forward implements Layer.
 func (l *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := x.Clone()
-	var mask []bool
+	l.out = x.CloneInto(l.out)
 	if train {
-		mask = make([]bool, out.Size())
+		l.mask = resize(l.mask, l.out.Size())
 	}
-	data := out.Data()
+	data := l.out.Data()
 	for i, v := range data {
-		if v > 0 {
-			if train {
-				mask[i] = true
-			}
-		} else {
+		pos := v > 0
+		if !pos {
 			data[i] = 0
 		}
+		if train {
+			l.mask[i] = pos
+		}
 	}
-	if train {
-		l.mask = mask
-	} else {
-		l.mask = nil
-	}
-	return out
+	l.armed = train
+	return l.out
 }
 
 // Backward implements Layer.
 func (l *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if l.mask == nil {
+	if !l.armed {
 		panic(fmt.Sprintf("nn: relu %s Backward without training Forward", l.name))
 	}
 	if grad.Size() != len(l.mask) {
 		panic(shapeErr(l.name, fmt.Sprintf("grad with %d elems", len(l.mask)), grad.Shape()))
 	}
-	dx := grad.Clone()
-	data := dx.Data()
+	l.dx = grad.CloneInto(l.dx)
+	data := l.dx.Data()
 	for i := range data {
 		if !l.mask[i] {
 			data[i] = 0
 		}
 	}
-	l.mask = nil
-	return dx
+	l.armed = false
+	return l.dx
 }
 
-// Tanh applies the hyperbolic tangent elementwise. Provided for
-// completeness and used by the reconstruction-attack decoder in the
-// privacy module.
+// Tanh applies the hyperbolic tangent elementwise. It is provided for
+// completeness: no network the repository builds uses it (the privacy
+// module's reconstruction decoder is Dense+ReLU+Dense). Unlike the layers
+// BuildPaperCNN emits it allocates its output on every call.
 type Tanh struct {
 	name   string
 	cached *tensor.Tensor

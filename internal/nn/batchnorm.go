@@ -21,10 +21,13 @@ type BatchNorm2D struct {
 	gamma, beta     *Param
 	runMean, runVar *tensor.Tensor
 	params          []*Param
-	// Forward cache.
-	cachedXHat *tensor.Tensor
-	cachedStd  []float64
-	cachedN    int
+	// Forward cache: x̂ and σ of the last training Forward, valid for
+	// Backward while armed is set.
+	xhat    *tensor.Tensor
+	std     []float64
+	cachedN int
+	armed   bool
+	out, dx *tensor.Tensor
 }
 
 // NewBatchNorm2D constructs a batch-normalisation layer for the given
@@ -40,6 +43,7 @@ func NewBatchNorm2D(name string, channels int) (*BatchNorm2D, error) {
 		momentum: 0.9,
 		runMean:  tensor.New(channels),
 		runVar:   tensor.Full(1, channels),
+		std:      make([]float64, channels),
 	}
 	b.gamma = NewParam(name+"/gamma", tensor.Full(1, channels))
 	b.beta = NewParam(name+"/beta", tensor.New(channels))
@@ -63,14 +67,13 @@ func (b *BatchNorm2D) OutShape(in []int) ([]int, error) {
 
 // Forward implements Layer.
 func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	s := x.Shape()
-	if len(s) != 4 || s[1] != b.channels {
-		panic(shapeErr(b.name, fmt.Sprintf("(N,%d,H,W)", b.channels), s))
+	if x.Dims() != 4 || x.Dim(1) != b.channels {
+		panic(shapeErr(b.name, fmt.Sprintf("(N,%d,H,W)", b.channels), x.Shape()))
 	}
-	n, c, h, w := s[0], s[1], s[2], s[3]
+	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	count := n * h * w
-	out := tensor.New(s...)
-	src, dst := x.Data(), out.Data()
+	b.out = tensor.Reuse(b.out, n, c, h, w)
+	src, dst := x.Data(), b.out.Data()
 	gd, bd := b.gamma.Value.Data(), b.beta.Value.Data()
 
 	if !train {
@@ -85,13 +88,13 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				}
 			}
 		}
-		b.cachedXHat = nil
-		return out
+		b.armed = false
+		return b.out
 	}
 
-	xhat := tensor.New(s...)
-	xh := xhat.Data()
-	std := make([]float64, c)
+	b.xhat = tensor.Reuse(b.xhat, n, c, h, w)
+	xh := b.xhat.Data()
+	std := b.std
 	rm, rv := b.runMean.Data(), b.runVar.Data()
 	for ch := 0; ch < c; ch++ {
 		// Batch statistics over (N, H, W) for this channel.
@@ -126,25 +129,23 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		rm[ch] = b.momentum*rm[ch] + (1-b.momentum)*mean
 		rv[ch] = b.momentum*rv[ch] + (1-b.momentum)*variance
 	}
-	b.cachedXHat = xhat
-	b.cachedStd = std
 	b.cachedN = count
-	return out
+	b.armed = true
+	return b.out
 }
 
 // Backward implements Layer using the standard batch-norm gradient.
 func (b *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if b.cachedXHat == nil {
+	if !b.armed {
 		panic(fmt.Sprintf("nn: batchnorm %s Backward without training Forward", b.name))
 	}
-	s := grad.Shape()
-	if !grad.SameShape(b.cachedXHat) {
-		panic(shapeErr(b.name, "grad matching forward input", s))
+	if !grad.SameShape(b.xhat) {
+		panic(shapeErr(b.name, "grad matching forward input", grad.Shape()))
 	}
-	n, c, h, w := s[0], s[1], s[2], s[3]
+	n, c, h, w := grad.Dim(0), grad.Dim(1), grad.Dim(2), grad.Dim(3)
 	count := float64(b.cachedN)
-	dx := tensor.New(s...)
-	gD, xh, dxD := grad.Data(), b.cachedXHat.Data(), dx.Data()
+	b.dx = tensor.Reuse(b.dx, n, c, h, w)
+	gD, xh, dxD := grad.Data(), b.xhat.Data(), b.dx.Data()
 	gGrad, bGrad := b.gamma.Grad.Data(), b.beta.Grad.Data()
 	gamma := b.gamma.Value.Data()
 
@@ -160,7 +161,7 @@ func (b *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		}
 		gGrad[ch] += sumDyXhat
 		bGrad[ch] += sumDy
-		k := gamma[ch] / b.cachedStd[ch]
+		k := gamma[ch] / b.std[ch]
 		for img := 0; img < n; img++ {
 			base := (img*c + ch) * h * w
 			for i := 0; i < h*w; i++ {
@@ -168,9 +169,8 @@ func (b *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	b.cachedXHat = nil
-	b.cachedStd = nil
-	return dx
+	b.armed = false
+	return b.dx
 }
 
 var _ Layer = (*BatchNorm2D)(nil)

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"testing"
 
 	"github.com/stsl/stsl/internal/mathx"
@@ -212,5 +213,281 @@ func TestEmptySequentialIsIdentity(t *testing.T) {
 	out, err := seq.OutShape([]int{2, 3})
 	if err != nil || out[0] != 2 || out[1] != 3 {
 		t.Fatalf("empty OutShape = %v, %v", out, err)
+	}
+}
+
+// ownedLayer is one layer of the ownership contract under test: build
+// constructs it deterministically, in is its per-sample input shape.
+type ownedLayer struct {
+	name  string
+	build func() Layer
+	in    []int
+}
+
+// ownedLayers lists every layer BuildPaperCNN can emit, plus a Sequential
+// of all of them, at shapes below the parallel matmul threshold.
+func ownedLayers() []ownedLayer {
+	conv := func(name string, in, out int, seed uint64) *Conv2D {
+		c, err := NewConv2D(Conv2DConfig{Name: name, In: in, Out: out, KernelH: 3, KernelW: 3, SamePad: true}, mathx.NewRNG(seed))
+		if err != nil {
+			panic(err)
+		}
+		return c
+	}
+	dense := func(name string, in, out int, seed uint64) *Dense {
+		d, err := NewDense(name, in, out, nil, mathx.NewRNG(seed))
+		if err != nil {
+			panic(err)
+		}
+		return d
+	}
+	pool := func(name string) *MaxPool2D {
+		p, err := NewMaxPool2D(name, 2, 2, 0, 0)
+		if err != nil {
+			panic(err)
+		}
+		return p
+	}
+	bn := func(name string, ch int) *BatchNorm2D {
+		b, err := NewBatchNorm2D(name, ch)
+		if err != nil {
+			panic(err)
+		}
+		return b
+	}
+	drop := func(name string, seed uint64) *Dropout {
+		d, err := NewDropout(name, 0.3, mathx.NewRNG(seed))
+		if err != nil {
+			panic(err)
+		}
+		return d
+	}
+	return []ownedLayer{
+		{"conv", func() Layer { return conv("c", 3, 4, 1) }, []int{3, 8, 8}},
+		{"relu", func() Layer { return NewReLU("r") }, []int{3, 8, 8}},
+		{"pool", func() Layer { return pool("p") }, []int{3, 8, 8}},
+		{"flatten", func() Layer { return NewFlatten("f") }, []int{3, 4, 4}},
+		{"dense", func() Layer { return dense("d", 12, 5, 2) }, []int{12}},
+		{"batchnorm", func() Layer { return bn("b", 3) }, []int{3, 8, 8}},
+		{"dropout", func() Layer { return drop("dr", 3) }, []int{12}},
+		{"sequential", func() Layer {
+			s, err := NewSequential("s",
+				conv("c", 3, 4, 4), bn("b", 4), NewReLU("r1"), pool("p"), NewFlatten("f"),
+				dense("d1", 64, 8, 5), NewReLU("r2"), drop("dr", 6), dense("d2", 8, 3, 7))
+			if err != nil {
+				panic(err)
+			}
+			return s
+		}, []int{3, 8, 8}},
+	}
+}
+
+// batchOf returns a seeded random batch of n samples of per-sample shape in.
+func batchOf(seed uint64, n int, in []int) *tensor.Tensor {
+	return tensor.Randn(mathx.NewRNG(seed), 1, append([]int{n}, in...)...)
+}
+
+func sameBits(a, b *tensor.Tensor) bool {
+	if !a.SameShape(b) {
+		return false
+	}
+	for i, v := range a.Data() {
+		if math.Float64bits(v) != math.Float64bits(b.Data()[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestLayersLeaveInputsIntact: a layer never writes into a tensor it was
+// given. privacy.RunFig4 keeps the conv output while ReLU and pool run on
+// it, and Dense caches its input for Backward.
+func TestLayersLeaveInputsIntact(t *testing.T) {
+	for _, tc := range ownedLayers() {
+		t.Run(tc.name, func(t *testing.T) {
+			l := tc.build()
+			x := batchOf(10, 4, tc.in)
+			x0 := x.Clone()
+			y := l.Forward(x, true)
+			if !sameBits(x, x0) {
+				t.Fatal("Forward wrote into its input")
+			}
+			g := batchOf(11, 4, y.Shape()[1:])
+			g0 := g.Clone()
+			l.Backward(g)
+			if !sameBits(g, g0) {
+				t.Fatal("Backward wrote into its gradient")
+			}
+			if !sameBits(x, x0) {
+				t.Fatal("Backward wrote into the Forward input")
+			}
+		})
+	}
+}
+
+// TestBackwardResultSurvivesForward: a Backward output is valid until the
+// layer's next Backward, so a Forward in between — CheckLayerGradients
+// runs hundreds — must leave it alone.
+func TestBackwardResultSurvivesForward(t *testing.T) {
+	for _, tc := range ownedLayers() {
+		t.Run(tc.name, func(t *testing.T) {
+			l := tc.build()
+			y := l.Forward(batchOf(12, 4, tc.in), true)
+			dx := l.Backward(batchOf(13, 4, y.Shape()[1:]))
+			dx0 := dx.Clone()
+			l.Forward(batchOf(14, 4, tc.in), true)
+			l.Forward(batchOf(15, 4, tc.in), false)
+			if !sameBits(dx, dx0) {
+				t.Fatal("a later Forward overwrote the Backward result")
+			}
+		})
+	}
+}
+
+// syncState copies every bit of training state from src into dst, a
+// freshly built layer of the same construction: parameter values,
+// BatchNorm running statistics and the dropout RNG's position.
+func syncState(dst, src Layer) {
+	for i, p := range src.Params() {
+		dst.Params()[i].Value.CopyFrom(p.Value)
+	}
+	switch s := src.(type) {
+	case *Sequential:
+		for i, l := range s.Layers() {
+			syncState(dst.(*Sequential).Layers()[i], l)
+		}
+	case *BatchNorm2D:
+		d := dst.(*BatchNorm2D)
+		d.runMean.CopyFrom(s.runMean)
+		d.runVar.CopyFrom(s.runVar)
+	case *Dropout:
+		rng := *s.rng
+		dst.(*Dropout).rng = &rng
+	}
+}
+
+// TestBatchShapeChangesMatchFreshTwin: workspaces are resized when the
+// batch shape changes and reused while it holds, and neither shows in the
+// arithmetic. One layer trains through batches of 16, 7 and 16 with an
+// inference Forward of one sample in between (privacy.ReconstructionAttack
+// probes that way); before every call a twin is freshly built with the
+// layer's state copied in, and both must produce the same bits — outputs,
+// input gradients and parameter gradients.
+func TestBatchShapeChangesMatchFreshTwin(t *testing.T) {
+	type step struct {
+		n     int
+		train bool
+	}
+	steps := []step{{16, true}, {7, true}, {1, false}, {16, true}, {16, true}}
+	for _, tc := range ownedLayers() {
+		t.Run(tc.name, func(t *testing.T) {
+			l := tc.build()
+			for i, st := range steps {
+				twin := tc.build()
+				syncState(twin, l)
+				x := batchOf(uint64(20+i), st.n, tc.in)
+				y, ty := l.Forward(x, st.train), twin.Forward(x, st.train)
+				if !sameBits(y, ty) {
+					t.Fatalf("step %d (batch %d, train %v): Forward differs from a fresh twin", i, st.n, st.train)
+				}
+				if !st.train {
+					continue
+				}
+				for _, p := range append(l.Params(), twin.Params()...) {
+					p.ZeroGrad()
+				}
+				g := batchOf(uint64(40+i), st.n, y.Shape()[1:])
+				if !sameBits(l.Backward(g), twin.Backward(g)) {
+					t.Fatalf("step %d (batch %d): Backward differs from a fresh twin", i, st.n)
+				}
+				for j, p := range l.Params() {
+					if !sameBits(p.Grad, twin.Params()[j].Grad) {
+						t.Fatalf("step %d (batch %d): gradient of %s differs from a fresh twin", i, st.n, p.Name)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestLayerSteadyStateAllocs: once its workspaces exist, a training
+// Forward+Backward of every layer BuildPaperCNN emits — and the loss's
+// destination form — allocates nothing.
+func TestLayerSteadyStateAllocs(t *testing.T) {
+	for _, tc := range ownedLayers() {
+		t.Run(tc.name, func(t *testing.T) {
+			l := tc.build()
+			x := batchOf(50, 8, tc.in)
+			g := batchOf(51, 8, l.Forward(x, true).Shape()[1:])
+			l.Backward(g)
+			if n := testing.AllocsPerRun(20, func() {
+				l.Forward(x, true)
+				l.Backward(g)
+			}); n != 0 {
+				t.Fatalf("warm Forward+Backward allocated %v times", n)
+			}
+		})
+	}
+	t.Run("loss", func(t *testing.T) {
+		logits := batchOf(52, 8, []int{10})
+		labels := []int{0, 1, 2, 3, 4, 5, 6, 9}
+		_, grad, err := SoftmaxCrossEntropyInto(nil, logits, labels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(20, func() {
+			_, grad, _ = SoftmaxCrossEntropyInto(grad, logits, labels)
+		}); n != 0 {
+			t.Fatalf("warm SoftmaxCrossEntropyInto allocated %v times", n)
+		}
+	})
+}
+
+// TestDropScratchKeepsBits: a stack that drops its convolution scratch
+// between steps, and between a training Forward and its Backward (where
+// the im2col matrix must stay), produces the bits of a twin that never
+// does. The stack is nested one level so the recursion is exercised.
+func TestDropScratchKeepsBits(t *testing.T) {
+	var seq ownedLayer
+	for _, tc := range ownedLayers() {
+		if tc.name == "sequential" {
+			seq = tc
+		}
+	}
+	build := func() *Sequential {
+		s, err := NewSequential("outer", seq.build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	l, twin := build(), build()
+	conv := l.Layers()[0].(*Sequential).Layers()[0].(*Conv2D)
+	for i := 0; i < 4; i++ {
+		x := batchOf(uint64(90+i), 8, seq.in)
+		y, ty := l.Forward(x, true), twin.Forward(x, true)
+		if !sameBits(y, ty) {
+			t.Fatalf("step %d: Forward differs from the twin", i)
+		}
+		l.DropScratch()
+		if conv.mat != nil || conv.cols == nil {
+			t.Fatalf("step %d: armed conv kept mat (%v) or lost cols (%v)", i, conv.mat != nil, conv.cols == nil)
+		}
+		for _, p := range append(l.Params(), twin.Params()...) {
+			p.ZeroGrad()
+		}
+		g := batchOf(uint64(95+i), 8, y.Shape()[1:])
+		if !sameBits(l.Backward(g), twin.Backward(g)) {
+			t.Fatalf("step %d: Backward differs from the twin", i)
+		}
+		for j, p := range l.Params() {
+			if !sameBits(p.Grad, twin.Params()[j].Grad) {
+				t.Fatalf("step %d: gradient of %s differs from the twin", i, p.Name)
+			}
+		}
+		l.DropScratch()
+		if conv.mat != nil || conv.cols != nil {
+			t.Fatalf("step %d: idle conv kept its scratch", i)
+		}
 	}
 }

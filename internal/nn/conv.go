@@ -19,10 +19,15 @@ type Conv2D struct {
 	padH, padW       int
 	weight, bias     *Param
 	params           []*Param
-	// Forward cache for Backward.
-	cachedCols *tensor.Tensor
+	// Forward cache for Backward: armed says Backward may consume cols,
+	// the im2col matrix of the last training Forward.
+	armed      bool
 	cachedN    int
 	cachedGeom tensor.ConvGeom
+	// Workspaces (see the Layer ownership rule). Backward overwrites cols
+	// with the column gradient; mat holds the matmul result in Forward and
+	// the repacked output gradient in Backward.
+	cols, mat, out, dw, db, dx *tensor.Tensor
 }
 
 // Conv2DConfig collects the constructor arguments for NewConv2D. Zero
@@ -121,93 +126,97 @@ func (c *Conv2D) geom(h, w int) (tensor.ConvGeom, error) {
 
 // Forward implements Layer. Input must be (N, inC, H, W).
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	shape := x.Shape()
-	if len(shape) != 4 || shape[1] != c.inC {
-		panic(shapeErr(c.name, fmt.Sprintf("(N,%d,H,W)", c.inC), shape))
+	if x.Dims() != 4 || x.Dim(1) != c.inC {
+		panic(shapeErr(c.name, fmt.Sprintf("(N,%d,H,W)", c.inC), x.Shape()))
 	}
-	n := shape[0]
-	g, err := c.geom(shape[2], shape[3])
+	n := x.Dim(0)
+	g, err := c.geom(x.Dim(2), x.Dim(3))
 	if err != nil {
 		panic(err)
 	}
-	cols := tensor.Im2Col(x, g) // (N*oh*ow, inC*kh*kw)
+	c.cols = tensor.Im2ColInto(c.cols, x, g) // (N*oh*ow, inC*kh*kw)
 	// (N*oh*ow, outC) = cols · Wᵀ. The parallel kernel is bitwise equal
 	// to the serial one, so determinism guarantees are unaffected.
-	mat := tensor.MatMulTransBP(cols, c.weight.Value)
-	mat.AddRowVector(c.bias.Value)
+	c.mat = tensor.MatMulTransBPInto(c.mat, c.cols, c.weight.Value)
+	c.mat.AddRowVector(c.bias.Value)
+	c.out = nhwcMatToNCHW(c.out, c.mat, n, c.outC, g.OutHeight(), g.OutWidth())
 
-	if train {
-		c.cachedCols = cols
-		c.cachedN = n
-		c.cachedGeom = g
-	} else {
-		c.cachedCols = nil
-	}
-	return nhwcMatToNCHW(mat, n, c.outC, g.OutHeight(), g.OutWidth())
+	c.armed = train
+	c.cachedN = n
+	c.cachedGeom = g
+	return c.out
 }
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if c.cachedCols == nil {
+	if !c.armed {
 		panic(fmt.Sprintf("nn: conv %s Backward without training Forward", c.name))
 	}
 	g := c.cachedGeom
 	n := c.cachedN
 	oh, ow := g.OutHeight(), g.OutWidth()
-	gm := grad.Shape()
-	if len(gm) != 4 || gm[0] != n || gm[1] != c.outC || gm[2] != oh || gm[3] != ow {
-		panic(shapeErr(c.name, fmt.Sprintf("grad (N,%d,%d,%d)", c.outC, oh, ow), gm))
+	if grad.Dims() != 4 || grad.Dim(0) != n || grad.Dim(1) != c.outC || grad.Dim(2) != oh || grad.Dim(3) != ow {
+		panic(shapeErr(c.name, fmt.Sprintf("grad (N,%d,%d,%d)", c.outC, oh, ow), grad.Shape()))
 	}
-	dmat := nchwToNHWCMat(grad) // (N*oh*ow, outC)
+	c.mat = nchwToNHWCMat(c.mat, grad) // dmat (N*oh*ow, outC)
 	// dW (outC, K) += dmatᵀ · cols
-	c.weight.Grad.AddInPlace(tensor.MatMulTransA(dmat, c.cachedCols))
+	c.dw = tensor.MatMulTransAInto(c.dw, c.mat, c.cols)
+	c.weight.Grad.AddInPlace(c.dw)
 	// db += column sums of dmat
-	c.bias.Grad.AddInPlace(dmat.SumRows())
-	// dcols (R, K) = dmat · W
-	dcols := tensor.MatMul(dmat, c.weight.Value)
-	dx := tensor.Col2Im(dcols, n, g)
-	c.cachedCols = nil
-	return dx
+	c.db = tensor.SumRowsInto(c.db, c.mat)
+	c.bias.Grad.AddInPlace(c.db)
+	// dcols (R, K) = dmat · W, written over cols once dW has read it.
+	dcols := tensor.MatMulInto(c.cols, c.mat, c.weight.Value)
+	c.dx = tensor.Col2ImInto(c.dx, dcols, n, g)
+	c.armed = false
+	return c.dx
+}
+
+// dropScratch frees mat, and cols unless a pending Backward reads it.
+func (c *Conv2D) dropScratch() {
+	c.mat = nil
+	if !c.armed {
+		c.cols = nil
+	}
 }
 
 // nhwcMatToNCHW repacks an (N*H*W, C) matrix whose rows are ordered
-// (n, y, x) into an (N, C, H, W) tensor.
-func nhwcMatToNCHW(mat *tensor.Tensor, n, cCh, h, w int) *tensor.Tensor {
-	out := tensor.New(n, cCh, h, w)
+// (n, y, x) into dst, an (N, C, H, W) tensor, overwriting every element.
+func nhwcMatToNCHW(dst, mat *tensor.Tensor, n, cCh, h, w int) *tensor.Tensor {
+	dst = tensor.Reuse(dst, n, cCh, h, w)
 	src := mat.Data()
-	dst := out.Data()
+	out := dst.Data()
 	hw := h * w
 	for img := 0; img < n; img++ {
 		for pos := 0; pos < hw; pos++ {
 			row := src[(img*hw+pos)*cCh:][:cCh]
 			base := img * cCh * hw
 			for ch, v := range row {
-				dst[base+ch*hw+pos] = v
+				out[base+ch*hw+pos] = v
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // nchwToNHWCMat is the inverse repack of nhwcMatToNCHW: (N, C, H, W) →
-// (N*H*W, C).
-func nchwToNHWCMat(t *tensor.Tensor) *tensor.Tensor {
-	s := t.Shape()
-	n, cCh, h, w := s[0], s[1], s[2], s[3]
+// (N*H*W, C), written into dst.
+func nchwToNHWCMat(dst, t *tensor.Tensor) *tensor.Tensor {
+	n, cCh, h, w := t.Dim(0), t.Dim(1), t.Dim(2), t.Dim(3)
 	hw := h * w
-	out := tensor.New(n*hw, cCh)
+	dst = tensor.Reuse(dst, n*hw, cCh)
 	src := t.Data()
-	dst := out.Data()
+	out := dst.Data()
 	for img := 0; img < n; img++ {
 		base := img * cCh * hw
 		for ch := 0; ch < cCh; ch++ {
 			plane := src[base+ch*hw:][:hw]
 			for pos, v := range plane {
-				dst[(img*hw+pos)*cCh+ch] = v
+				out[(img*hw+pos)*cCh+ch] = v
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 var _ Layer = (*Conv2D)(nil)

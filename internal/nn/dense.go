@@ -15,7 +15,11 @@ type Dense struct {
 	weight  *Param
 	bias    *Param
 	params  []*Param
+	// cachedX is the last training Forward's input, which Backward reads;
+	// under the ownership rule its producer keeps it intact until then.
 	cachedX *tensor.Tensor
+	// Workspaces (see the Layer ownership rule).
+	y, dw, db, dx *tensor.Tensor
 }
 
 // NewDense constructs a fully connected layer initialised from r; init
@@ -50,18 +54,17 @@ func (d *Dense) OutShape(in []int) ([]int, error) {
 
 // Forward implements Layer. Input must be (N, in).
 func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	s := x.Shape()
-	if len(s) != 2 || s[1] != d.in {
-		panic(shapeErr(d.name, fmt.Sprintf("(N,%d)", d.in), s))
+	if x.Dims() != 2 || x.Dim(1) != d.in {
+		panic(shapeErr(d.name, fmt.Sprintf("(N,%d)", d.in), x.Shape()))
 	}
-	out := tensor.MatMul(x, d.weight.Value)
-	out.AddRowVector(d.bias.Value)
+	d.y = tensor.MatMulInto(d.y, x, d.weight.Value)
+	d.y.AddRowVector(d.bias.Value)
 	if train {
 		d.cachedX = x
 	} else {
 		d.cachedX = nil
 	}
-	return out
+	return d.y
 }
 
 // Backward implements Layer.
@@ -69,15 +72,16 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if d.cachedX == nil {
 		panic(fmt.Sprintf("nn: dense %s Backward without training Forward", d.name))
 	}
-	s := grad.Shape()
-	if len(s) != 2 || s[1] != d.out || s[0] != d.cachedX.Dim(0) {
-		panic(shapeErr(d.name, fmt.Sprintf("grad (N,%d)", d.out), s))
+	if grad.Dims() != 2 || grad.Dim(1) != d.out || grad.Dim(0) != d.cachedX.Dim(0) {
+		panic(shapeErr(d.name, fmt.Sprintf("grad (N,%d)", d.out), grad.Shape()))
 	}
-	d.weight.Grad.AddInPlace(tensor.MatMulTransA(d.cachedX, grad))
-	d.bias.Grad.AddInPlace(grad.SumRows())
-	dx := tensor.MatMulTransB(grad, d.weight.Value)
+	d.dw = tensor.MatMulTransAInto(d.dw, d.cachedX, grad)
+	d.weight.Grad.AddInPlace(d.dw)
+	d.db = tensor.SumRowsInto(d.db, grad)
+	d.bias.Grad.AddInPlace(d.db)
+	d.dx = tensor.MatMulTransBInto(d.dx, grad, d.weight.Value)
 	d.cachedX = nil
-	return dx
+	return d.dx
 }
 
 var _ Layer = (*Dense)(nil)

@@ -14,7 +14,11 @@ type Dropout struct {
 	name string
 	p    float64
 	rng  *mathx.RNG
-	mask []float64
+	// mask holds the last training Forward's per-element scale; masked
+	// says whether Backward applies it (false: identity gradient).
+	mask    []float64
+	masked  bool
+	out, dx *tensor.Tensor
 }
 
 // NewDropout constructs a dropout layer with drop probability p ∈ [0, 1).
@@ -41,43 +45,43 @@ func (l *Dropout) OutShape(in []int) ([]int, error) {
 
 // Forward implements Layer.
 func (l *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train || l.p == 0 {
-		l.mask = nil
-		return x.Clone()
+	l.out = x.CloneInto(l.out)
+	l.masked = train && l.p != 0
+	if !l.masked {
+		return l.out
 	}
 	keep := 1 - l.p
 	scale := 1 / keep
-	mask := make([]float64, x.Size())
-	out := x.Clone()
-	data := out.Data()
+	l.mask = resize(l.mask, x.Size())
+	data := l.out.Data()
 	for i := range data {
 		if l.rng.Float64() < keep {
-			mask[i] = scale
+			l.mask[i] = scale
 			data[i] *= scale
 		} else {
+			l.mask[i] = 0
 			data[i] = 0
 		}
 	}
-	l.mask = mask
-	return out
+	return l.out
 }
 
 // Backward implements Layer.
 func (l *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if l.mask == nil {
+	l.dx = grad.CloneInto(l.dx)
+	if !l.masked {
 		// Forward ran in eval mode or with p=0: identity gradient.
-		return grad.Clone()
+		return l.dx
 	}
 	if grad.Size() != len(l.mask) {
 		panic(shapeErr(l.name, fmt.Sprintf("grad with %d elems", len(l.mask)), grad.Shape()))
 	}
-	dx := grad.Clone()
-	data := dx.Data()
+	data := l.dx.Data()
 	for i, m := range l.mask {
 		data[i] *= m
 	}
-	l.mask = nil
-	return dx
+	l.masked = false
+	return l.dx
 }
 
 var _ Layer = (*Dropout)(nil)

@@ -11,6 +11,8 @@ import (
 type Flatten struct {
 	name    string
 	inShape []int
+	armed   bool
+	out, dx *tensor.Tensor
 }
 
 // NewFlatten constructs a Flatten layer.
@@ -30,28 +32,34 @@ func (l *Flatten) OutShape(in []int) ([]int, error) {
 	return []int{shapeVolume(in)}, nil
 }
 
-// Forward implements Layer.
+// Forward implements Layer. The output is a copy in the layer's own
+// workspace, never a view of x.
 func (l *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	s := x.Shape()
-	if len(s) < 2 {
-		panic(shapeErr(l.name, "(N,…)", s))
+	if x.Dims() < 2 {
+		panic(shapeErr(l.name, "(N,…)", x.Shape()))
 	}
-	if train {
-		l.inShape = s
-	} else {
-		l.inShape = nil
+	l.inShape = l.inShape[:0]
+	for i := 0; i < x.Dims(); i++ {
+		l.inShape = append(l.inShape, x.Dim(i))
 	}
-	return x.Reshape(s[0], -1)
+	l.out = tensor.Reuse(l.out, x.Dim(0), shapeVolume(l.inShape[1:]))
+	copy(l.out.Data(), x.Data())
+	l.armed = train
+	return l.out
 }
 
 // Backward implements Layer.
 func (l *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if l.inShape == nil {
+	if !l.armed {
 		panic(fmt.Sprintf("nn: flatten %s Backward without training Forward", l.name))
 	}
-	dx := grad.Reshape(l.inShape...)
-	l.inShape = nil
-	return dx
+	if grad.Size() != shapeVolume(l.inShape) {
+		panic(shapeErr(l.name, fmt.Sprintf("grad with %d elems", shapeVolume(l.inShape)), grad.Shape()))
+	}
+	l.dx = tensor.Reuse(l.dx, l.inShape...)
+	copy(l.dx.Data(), grad.Data())
+	l.armed = false
+	return l.dx
 }
 
 var _ Layer = (*Flatten)(nil)

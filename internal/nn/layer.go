@@ -8,6 +8,10 @@
 // batch at a time and is not safe for concurrent use; each end-system in
 // the split-learning framework owns its own layer stack.
 //
+// Layers own their buffers (see Layer for the rule): a training step
+// reuses the same output, cache and gradient storage from one batch to
+// the next and allocates only when the batch shape changes.
+//
 // Tensors flow in NCHW layout (batch, channels, height, width) through the
 // convolutional stack and as (batch, features) matrices after Flatten.
 package nn
@@ -48,6 +52,15 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 // returns ∂L/∂input, accumulating parameter gradients as a side effect.
 // Backward must be called at most once per Forward, with the gradient of
 // the most recent Forward's output.
+//
+// Ownership: a layer writes its results into workspaces it owns and
+// reuses, so
+//   - a Forward output is valid until that layer's next Forward;
+//   - a Backward output is valid until that layer's next Backward;
+//   - a layer never writes into a tensor it was given (its input, or the
+//     gradient handed to Backward);
+//   - anything that must outlive the step — a message payload, a cached
+//     reply — is a copy the caller owns.
 type Layer interface {
 	// Name returns a short unique identifier, e.g. "conv1".
 	Name() string
@@ -61,6 +74,16 @@ type Layer interface {
 	// OutShape maps a per-sample input shape (excluding the batch
 	// dimension) to the per-sample output shape.
 	OutShape(in []int) ([]int, error)
+}
+
+// resize returns s with length n, reusing its storage when it is large
+// enough: a layer's mask or index cache keeps one backing array across
+// batches. The contents are stale; the caller overwrites them.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // shapeVolume returns the product of dims.

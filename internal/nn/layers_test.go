@@ -129,6 +129,35 @@ func TestMaxPoolBackwardRoutesToArgmax(t *testing.T) {
 	}
 }
 
+// TestMaxPoolWindowWithoutMaximum regresses a window in which nothing
+// compares above −Inf — all NaN, or all −Inf. Forward wrote −Inf even for
+// the NaN window, and Backward indexed the input gradient at −1 and
+// panicked. Such a window now yields its first element and routes its
+// gradient there; the third window, with a finite maximum, is unchanged.
+func TestMaxPoolWindowWithoutMaximum(t *testing.T) {
+	pool, err := NewMaxPool2D("p", 2, 2, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := math.NaN(), math.Inf(-1)
+	x := tensor.FromSlice([]float64{
+		nan, nan, inf, inf, nan, 1,
+		nan, nan, inf, inf, 2, nan,
+	}, 1, 1, 2, 6)
+	y := pool.Forward(x, true).Data()
+	if !math.IsNaN(y[0]) || !math.IsInf(y[1], -1) || y[2] != 2 {
+		t.Fatalf("pool forward = %v, want [NaN -Inf 2]", y)
+	}
+	dx := pool.Backward(tensor.FromSlice([]float64{10, 20, 30}, 1, 1, 1, 3))
+	want := tensor.FromSlice([]float64{
+		10, 0, 20, 0, 0, 0,
+		0, 0, 0, 0, 30, 0,
+	}, 1, 1, 2, 6)
+	if !dx.Equal(want, 0) {
+		t.Fatalf("pool backward = %v, want %v", dx, want)
+	}
+}
+
 func TestMaxPoolGradients(t *testing.T) {
 	r := mathx.NewRNG(5)
 	pool, err := NewMaxPool2D("p", 2, 2, 0, 0)

@@ -13,34 +13,41 @@ import (
 // the scalar loss and ∂loss/∂logits (already divided by the batch size, so
 // it can be fed straight into Backward).
 func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor, error) {
-	s := logits.Shape()
-	if len(s) != 2 {
-		return 0, nil, fmt.Errorf("nn: cross-entropy expects (N,classes) logits, got %v", s)
+	return SoftmaxCrossEntropyInto(nil, logits, labels)
+}
+
+// SoftmaxCrossEntropyInto is SoftmaxCrossEntropy writing ∂loss/∂logits
+// into grad, which is reused when it is already (N, classes) — the form a
+// training loop that keeps its gradient buffer calls. On error the
+// returned gradient is nil.
+func SoftmaxCrossEntropyInto(grad, logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor, error) {
+	if logits.Dims() != 2 {
+		return 0, nil, fmt.Errorf("nn: cross-entropy expects (N,classes) logits, got %v", logits.Shape())
 	}
-	n, classes := s[0], s[1]
+	n, classes := logits.Dim(0), logits.Dim(1)
 	if len(labels) != n {
 		return 0, nil, fmt.Errorf("nn: cross-entropy got %d labels for batch of %d", len(labels), n)
 	}
-	grad := tensor.New(n, classes)
+	grad = tensor.Reuse(grad, n, classes)
 	src := logits.Data()
 	dst := grad.Data()
 	loss := 0.0
 	invN := 1 / float64(n)
-	probs := make([]float64, classes)
 	for i := 0; i < n; i++ {
 		y := labels[i]
 		if y < 0 || y >= classes {
 			return 0, nil, fmt.Errorf("nn: label %d out of range [0,%d) at row %d", y, classes, i)
 		}
-		row := src[i*classes : (i+1)*classes]
-		mathx.Softmax(probs, row)
-		p := probs[y]
+		// The row's softmax probabilities are formed in place, then
+		// scaled into the gradient.
+		grow := dst[i*classes : (i+1)*classes]
+		mathx.Softmax(grow, src[i*classes:(i+1)*classes])
+		p := grow[y]
 		if p < 1e-300 {
 			p = 1e-300
 		}
 		loss -= math.Log(p)
-		grow := dst[i*classes : (i+1)*classes]
-		for j, pj := range probs {
+		for j, pj := range grow {
 			grow[j] = pj * invN
 		}
 		grow[y] -= invN

@@ -10,15 +10,20 @@ import (
 // MaxPool2D is a max-pooling layer over NCHW input. It has no learnable
 // parameters; Backward routes each output gradient to the input position
 // that produced the maximum (ties go to the first scanned position, which
-// matches the common framework convention).
+// matches the common framework convention). A window with no comparable
+// maximum — every element NaN or −Inf — yields its first element, and its
+// gradient routes there.
 type MaxPool2D struct {
 	name             string
 	kernelH, kernelW int
 	strideH, strideW int
 	// argmax caches, per forward pass, the linear input index chosen for
-	// each output element.
+	// each output element; armed says whether it belongs to a training
+	// Forward that Backward may consume.
 	argmax  []int
-	inShape []int
+	armed   bool
+	inShape [4]int
+	out, dx *tensor.Tensor
 }
 
 // NewMaxPool2D constructs a pooling layer. A zero stride defaults to the
@@ -60,23 +65,21 @@ func (p *MaxPool2D) OutShape(in []int) ([]int, error) {
 
 // Forward implements Layer. Input must be (N, C, H, W).
 func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	s := x.Shape()
-	if len(s) != 4 {
-		panic(shapeErr(p.name, "(N,C,H,W)", s))
+	if x.Dims() != 4 {
+		panic(shapeErr(p.name, "(N,C,H,W)", x.Shape()))
 	}
-	n, c, h, w := s[0], s[1], s[2], s[3]
+	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oh := (h-p.kernelH)/p.strideH + 1
 	ow := (w-p.kernelW)/p.strideW + 1
 	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("nn: pool %s yields empty output for input %v", p.name, s))
+		panic(fmt.Sprintf("nn: pool %s yields empty output for input %v", p.name, x.Shape()))
 	}
-	out := tensor.New(n, c, oh, ow)
-	var argmax []int
+	p.out = tensor.Reuse(p.out, n, c, oh, ow)
 	if train {
-		argmax = make([]int, out.Size())
+		p.argmax = resize(p.argmax, p.out.Size())
 	}
 	src := x.Data()
-	dst := out.Data()
+	dst := p.out.Data()
 	di := 0
 	for img := 0; img < n; img++ {
 		for ch := 0; ch < c; ch++ {
@@ -96,39 +99,41 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 							}
 						}
 					}
+					if bestIdx < 0 {
+						// Nothing beat −Inf: every element is NaN or −Inf.
+						bestIdx = plane + iy0*w + ix0
+						best = src[bestIdx]
+					}
 					dst[di] = best
 					if train {
-						argmax[di] = bestIdx
+						p.argmax[di] = bestIdx
 					}
 					di++
 				}
 			}
 		}
 	}
-	if train {
-		p.argmax = argmax
-		p.inShape = s
-	} else {
-		p.argmax = nil
-	}
-	return out
+	p.armed = train
+	p.inShape = [4]int{n, c, h, w}
+	return p.out
 }
 
 // Backward implements Layer.
 func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if p.argmax == nil {
+	if !p.armed {
 		panic(fmt.Sprintf("nn: pool %s Backward without training Forward", p.name))
 	}
 	if grad.Size() != len(p.argmax) {
 		panic(shapeErr(p.name, fmt.Sprintf("grad with %d elems", len(p.argmax)), grad.Shape()))
 	}
-	dx := tensor.New(p.inShape...)
-	dst := dx.Data()
+	p.dx = tensor.Reuse(p.dx, p.inShape[:]...)
+	p.dx.Zero()
+	dst := p.dx.Data()
 	for i, g := range grad.Data() {
 		dst[p.argmax[i]] += g
 	}
-	p.argmax = nil
-	return dx
+	p.armed = false
+	return p.dx
 }
 
 var _ Layer = (*MaxPool2D)(nil)

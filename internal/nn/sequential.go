@@ -14,6 +14,9 @@ import (
 type Sequential struct {
 	name   string
 	layers []Layer
+	// params is every layer's parameters in order, computed once: layer
+	// parameter sets are fixed at construction.
+	params []*Param
 }
 
 // NewSequential builds a network from the given layers. Layer names within
@@ -29,7 +32,13 @@ func NewSequential(name string, layers ...Layer) (*Sequential, error) {
 		}
 		seen[l.Name()] = true
 	}
-	return &Sequential{name: name, layers: append([]Layer(nil), layers...)}, nil
+	var ps []*Param
+	for _, l := range layers {
+		ps = append(ps, l.Params()...)
+	}
+	// Capacity clipped to length, so a caller's append copies instead of
+	// writing past the end into a shared array.
+	return &Sequential{name: name, layers: append([]Layer(nil), layers...), params: ps[:len(ps):len(ps)]}, nil
 }
 
 // Name implements Layer.
@@ -59,13 +68,7 @@ func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 }
 
 // Params implements Layer: the concatenation of all layer parameters.
-func (s *Sequential) Params() []*Param {
-	var ps []*Param
-	for _, l := range s.layers {
-		ps = append(ps, l.Params()...)
-	}
-	return ps
-}
+func (s *Sequential) Params() []*Param { return s.params }
 
 // OutShape implements Layer by threading the shape through every layer.
 func (s *Sequential) OutShape(in []int) ([]int, error) {
@@ -77,6 +80,22 @@ func (s *Sequential) OutShape(in []int) ([]int, error) {
 		}
 	}
 	return in, nil
+}
+
+// DropScratch frees the scratch matrices of every Conv2D in the stack —
+// its im2col matrix and matmul result, the largest buffers a stack
+// keeps — except an im2col matrix a pending Backward still reads. Call
+// it when a stack goes idle but stays referenced; the next Forward sizes
+// the matrices again, so results do not change.
+func (s *Sequential) DropScratch() {
+	for _, l := range s.layers {
+		switch l := l.(type) {
+		case *Sequential:
+			l.DropScratch()
+		case *Conv2D:
+			l.dropScratch()
+		}
+	}
 }
 
 // ZeroGrad clears every parameter gradient.

@@ -8,8 +8,8 @@ package tensor
 // full product instead of once per row, and unroll the k loop 4-wide for
 // instruction-level parallelism.
 //
-// Dispatch: the public MatMul/MatMulTransA/MatMulTransB (and their
-// parallel wrappers) switch to the blocked kernels when the multiply-add
+// Dispatch: the public MatMulInto/MatMulTransAInto/MatMulTransBInto (and
+// the parallel MatMulTransBPInto) switch to the blocked kernels when the multiply-add
 // count reaches blockedThreshold, and keep the original zero-skipping
 // naive loops below it, where tiling overhead and the lost sparsity skip
 // would cost more than the cache behaviour buys. Every kernel takes an
@@ -30,7 +30,7 @@ const (
 // and both kernels accumulate each output element in an order fixed by
 // (k, n) alone — so any row partition of the same product is bitwise
 // identical to the serial whole. matMulTransBRange keeps the same rule,
-// and MatMulTransBP's row partition relies on it.
+// and MatMulTransBPInto's row partition relies on it.
 func matMulRange(a, b, out []float64, m, k, n, lo, hi int) {
 	if m*k*n >= blockedThreshold && k >= 4 {
 		matMulRowsBlocked(a, b, out, k, n, lo, hi)

@@ -57,15 +57,15 @@ func TestBlockedMatchesNaive(t *testing.T) {
 		// Tolerance scales with the dot-product length: reordered
 		// accumulation differs from naive by O(k·eps) per element.
 		tol := float64(s.k) * 1e-14
-		if got := MatMul(a, b); maxAbsDiff(got, want) > tol {
+		if got := MatMulInto(nil, a, b); maxAbsDiff(got, want) > tol {
 			t.Errorf("MatMul %dx%dx%d: max diff %g > %g", s.m, s.k, s.n, maxAbsDiff(got, want), tol)
 		}
 		// aᵀ·b through a pre-transposed a must agree with a·b.
-		if got := MatMulTransA(a.Transpose(), b); maxAbsDiff(got, want) > tol {
+		if got := MatMulTransAInto(nil, a.Transpose(), b); maxAbsDiff(got, want) > tol {
 			t.Errorf("MatMulTransA %dx%dx%d: max diff %g > %g", s.m, s.k, s.n, maxAbsDiff(got, want), tol)
 		}
 		// a·(bᵀ)ᵀ through MatMulTransB must agree with a·b.
-		if got := MatMulTransB(a, b.Transpose()); maxAbsDiff(got, want) > tol {
+		if got := MatMulTransBInto(nil, a, b.Transpose()); maxAbsDiff(got, want) > tol {
 			t.Errorf("MatMulTransB %dx%dx%d: max diff %g > %g", s.m, s.k, s.n, maxAbsDiff(got, want), tol)
 		}
 	}
@@ -84,16 +84,20 @@ func BenchmarkMatMul(b *testing.B) {
 			naiveMatMul(x, y)
 		}
 	})
+	// The kernels write into a destination the caller keeps, as the
+	// layers do: 0 allocs/op once it exists.
 	b.Run("blocked-f64-256", func(b *testing.B) {
 		b.ReportAllocs()
+		var out *Tensor
 		for i := 0; i < b.N; i++ {
-			MatMul(x, y)
+			out = MatMulInto(out, x, y)
 		}
 	})
 	b.Run("transB-f64-256", func(b *testing.B) {
 		b.ReportAllocs()
+		var out *Tensor
 		for i := 0; i < b.N; i++ {
-			MatMulTransB(x, y)
+			out = MatMulTransBInto(out, x, y)
 		}
 	})
 }

@@ -38,13 +38,14 @@ func (g ConvGeom) Validate() error {
 	return nil
 }
 
-// Im2Col lowers a batch of images x with shape (N, C, H, W) into a matrix
-// of shape (N*outH*outW, C*kH*kW): each row is one receptive field. With the
-// kernel flattened to (outC, C*kH*kW), convolution becomes one MatMulTransB
-// per batch.
+// Im2ColInto lowers a batch of images x with shape (N, C, H, W) into dst,
+// a matrix of shape (N*outH*outW, C*kH*kW): each row is one receptive
+// field. With the kernel flattened to (outC, C*kH*kW), convolution becomes
+// one MatMulTransBInto per batch.
 //
-// Out-of-bounds (padding) positions contribute zeros.
-func Im2Col(x *Tensor, g ConvGeom) *Tensor {
+// Every element of dst is written: out-of-bounds (padding) positions get
+// zeros, so a reused dst carries nothing over from its last use.
+func Im2ColInto(dst, x *Tensor, g ConvGeom) *Tensor {
 	if x.Dims() != 4 {
 		panic(fmt.Sprintf("tensor: Im2Col requires rank-4 input, got %v", x.shape))
 	}
@@ -53,8 +54,9 @@ func Im2Col(x *Tensor, g ConvGeom) *Tensor {
 		panic(fmt.Sprintf("tensor: Im2Col input %v does not match geometry %+v", x.shape, g))
 	}
 	outH, outW := g.OutHeight(), g.OutWidth()
-	cols := New(n*outH*outW, g.Channels*g.KernelH*g.KernelW)
 	rowLen := g.Channels * g.KernelH * g.KernelW
+	dst = Reuse(dst, n*outH*outW, rowLen)
+	mustNotAlias("Im2ColInto", dst, x)
 
 	for img := 0; img < n; img++ {
 		imgBase := img * g.Channels * g.Height * g.Width
@@ -62,42 +64,47 @@ func Im2Col(x *Tensor, g ConvGeom) *Tensor {
 			iy0 := oy*g.StrideH - g.PadH
 			for ox := 0; ox < outW; ox++ {
 				ix0 := ox*g.StrideW - g.PadW
-				row := cols.data[((img*outH+oy)*outW+ox)*rowLen:][:rowLen]
+				row := dst.data[((img*outH+oy)*outW+ox)*rowLen:][:rowLen]
 				ri := 0
 				for c := 0; c < g.Channels; c++ {
 					chBase := imgBase + c*g.Height*g.Width
 					for ky := 0; ky < g.KernelH; ky++ {
+						seg := row[ri : ri+g.KernelW]
+						ri += g.KernelW
 						iy := iy0 + ky
 						if iy < 0 || iy >= g.Height {
-							ri += g.KernelW
+							clear(seg)
 							continue
 						}
 						rowBase := chBase + iy*g.Width
-						for kx := 0; kx < g.KernelW; kx++ {
-							ix := ix0 + kx
-							if ix >= 0 && ix < g.Width {
-								row[ri] = x.data[rowBase+ix]
+						for kx := range seg {
+							if ix := ix0 + kx; ix >= 0 && ix < g.Width {
+								seg[kx] = x.data[rowBase+ix]
+							} else {
+								seg[kx] = 0
 							}
-							ri++
 						}
 					}
 				}
 			}
 		}
 	}
-	return cols
+	return dst
 }
 
-// Col2Im is the adjoint of Im2Col: it scatters a (N*outH*outW, C*kH*kW)
-// matrix of per-receptive-field gradients back into an image gradient of
-// shape (N, C, H, W), accumulating where receptive fields overlap.
-func Col2Im(cols *Tensor, n int, g ConvGeom) *Tensor {
+// Col2ImInto is the adjoint of Im2ColInto: it scatters a
+// (N*outH*outW, C*kH*kW) matrix of per-receptive-field gradients back into
+// dst, an image gradient of shape (N, C, H, W), accumulating where
+// receptive fields overlap. dst is zeroed first.
+func Col2ImInto(dst, cols *Tensor, n int, g ConvGeom) *Tensor {
 	outH, outW := g.OutHeight(), g.OutWidth()
 	rowLen := g.Channels * g.KernelH * g.KernelW
 	if cols.Dims() != 2 || cols.shape[0] != n*outH*outW || cols.shape[1] != rowLen {
 		panic(fmt.Sprintf("tensor: Col2Im input %v does not match n=%d geometry %+v", cols.shape, n, g))
 	}
-	x := New(n, g.Channels, g.Height, g.Width)
+	dst = Reuse(dst, n, g.Channels, g.Height, g.Width)
+	mustNotAlias("Col2ImInto", dst, cols)
+	dst.Zero()
 	for img := 0; img < n; img++ {
 		imgBase := img * g.Channels * g.Height * g.Width
 		for oy := 0; oy < outH; oy++ {
@@ -118,7 +125,7 @@ func Col2Im(cols *Tensor, n int, g ConvGeom) *Tensor {
 						for kx := 0; kx < g.KernelW; kx++ {
 							ix := ix0 + kx
 							if ix >= 0 && ix < g.Width {
-								x.data[rowBase+ix] += row[ri]
+								dst.data[rowBase+ix] += row[ri]
 							}
 							ri++
 						}
@@ -127,7 +134,7 @@ func Col2Im(cols *Tensor, n int, g ConvGeom) *Tensor {
 			}
 		}
 	}
-	return x
+	return dst
 }
 
 // Pad2D zero-pads the two trailing spatial dimensions of an (N, C, H, W)

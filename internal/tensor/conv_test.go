@@ -67,7 +67,7 @@ func TestIm2ColIdentityKernel(t *testing.T) {
 		3, 4,
 	}, 1, 1, 2, 2)
 	g := ConvGeom{Channels: 1, Height: 2, Width: 2, KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1}
-	cols := Im2Col(x, g)
+	cols := Im2ColInto(nil, x, g)
 	want := FromSlice([]float64{1, 2, 3, 4}, 4, 1)
 	if !cols.Equal(want, 0) {
 		t.Fatalf("Im2Col = %v, want %v", cols, want)
@@ -82,7 +82,7 @@ func TestIm2ColKnownValues(t *testing.T) {
 		7, 8, 9,
 	}, 1, 1, 3, 3)
 	g := ConvGeom{Channels: 1, Height: 3, Width: 3, KernelH: 2, KernelW: 2, StrideH: 1, StrideW: 1}
-	cols := Im2Col(x, g)
+	cols := Im2ColInto(nil, x, g)
 	want := FromSlice([]float64{
 		1, 2, 4, 5,
 		2, 3, 5, 6,
@@ -97,7 +97,7 @@ func TestIm2ColKnownValues(t *testing.T) {
 func TestIm2ColPaddingZeros(t *testing.T) {
 	x := FromSlice([]float64{5}, 1, 1, 1, 1)
 	g := ConvGeom{Channels: 1, Height: 1, Width: 1, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	cols := Im2Col(x, g)
+	cols := Im2ColInto(nil, x, g)
 	// One receptive field; centre element is the pixel, rest zeros.
 	if cols.Size() != 9 {
 		t.Fatalf("cols size = %d", cols.Size())
@@ -134,10 +134,10 @@ func TestCol2ImAdjointProperty(t *testing.T) {
 		}
 		n := 1 + r.Intn(2)
 		x := Randn(r, 1, n, g.Channels, g.Height, g.Width)
-		cols := Im2Col(x, g)
+		cols := Im2ColInto(nil, x, g)
 		y := Randn(r, 1, cols.Shape()...)
 		lhs := cols.Dot(y)
-		rhs := x.Reshape(-1).Dot(Col2Im(y, n, g).Reshape(-1))
+		rhs := x.Reshape(-1).Dot(Col2ImInto(nil, y, n, g).Reshape(-1))
 		return mathx.AlmostEqual(lhs, rhs, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

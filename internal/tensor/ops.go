@@ -141,11 +141,12 @@ func (t *Tensor) mustMatch(o *Tensor, op string) {
 	}
 }
 
-// MatMul returns the matrix product of two rank-2 tensors: (m×k)·(k×n) →
-// (m×n). Small products use an i-k-j loop whose innermost loop walks both
-// operands with unit stride and skips zero A elements; large products
-// switch to the cache-blocked kernel in block.go.
-func MatMul(a, b *Tensor) *Tensor {
+// MatMulInto writes the matrix product of two rank-2 tensors, (m×k)·(k×n)
+// → (m×n), into dst (see the package doc for the …Into contract). Small
+// products use an i-k-j loop whose innermost loop walks both operands with
+// unit stride and skips zero A elements; large products switch to the
+// cache-blocked kernel in block.go.
+func MatMulInto(dst, a, b *Tensor) *Tensor {
 	if a.Dims() != 2 || b.Dims() != 2 {
 		panic(fmt.Sprintf("tensor: MatMul requires rank-2 operands, got %v and %v", a.shape, b.shape))
 	}
@@ -154,14 +155,16 @@ func MatMul(a, b *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v · %v", a.shape, b.shape))
 	}
-	out := New(m, n)
-	matMulRange(a.data, b.data, out.data, m, k, n, 0, m)
-	return out
+	dst = Reuse(dst, m, n)
+	mustNotAlias("MatMulInto", dst, a, b)
+	dst.Zero()
+	matMulRange(a.data, b.data, dst.data, m, k, n, 0, m)
+	return dst
 }
 
-// MatMulTransA returns aᵀ·b for rank-2 a (k×m) and b (k×n) → (m×n),
-// avoiding an explicit transpose allocation.
-func MatMulTransA(a, b *Tensor) *Tensor {
+// MatMulTransAInto writes aᵀ·b for rank-2 a (k×m) and b (k×n) → (m×n)
+// into dst, without materialising the transpose.
+func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
 	if a.Dims() != 2 || b.Dims() != 2 {
 		panic(fmt.Sprintf("tensor: MatMulTransA requires rank-2 operands, got %v and %v", a.shape, b.shape))
 	}
@@ -170,14 +173,17 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMulTransA inner dimension mismatch %v · %v", a.shape, b.shape))
 	}
-	out := New(m, n)
-	matMulTransACols(a.data, b.data, out.data, k, m, n, 0, m)
-	return out
+	dst = Reuse(dst, m, n)
+	mustNotAlias("MatMulTransAInto", dst, a, b)
+	dst.Zero()
+	matMulTransACols(a.data, b.data, dst.data, k, m, n, 0, m)
+	return dst
 }
 
-// MatMulTransB returns a·bᵀ for rank-2 a (m×k) and b (n×k) → (m×n),
-// avoiding an explicit transpose allocation.
-func MatMulTransB(a, b *Tensor) *Tensor {
+// MatMulTransBInto writes a·bᵀ for rank-2 a (m×k) and b (n×k) → (m×n)
+// into dst, without materialising the transpose. Every element is
+// assigned a finished dot product, so dst needs no zeroing.
+func MatMulTransBInto(dst, a, b *Tensor) *Tensor {
 	if a.Dims() != 2 || b.Dims() != 2 {
 		panic(fmt.Sprintf("tensor: MatMulTransB requires rank-2 operands, got %v and %v", a.shape, b.shape))
 	}
@@ -186,9 +192,10 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMulTransB inner dimension mismatch %v · %v", a.shape, b.shape))
 	}
-	out := New(m, n)
-	matMulTransBRange(a.data, b.data, out.data, m, k, n, 0, m)
-	return out
+	dst = Reuse(dst, m, n)
+	mustNotAlias("MatMulTransBInto", dst, a, b)
+	matMulTransBRange(a.data, b.data, dst.data, m, k, n, 0, m)
+	return dst
 }
 
 // Transpose returns the transpose of a rank-2 tensor.
@@ -222,19 +229,21 @@ func (t *Tensor) AddRowVector(v *Tensor) *Tensor {
 	return t
 }
 
-// SumRows returns the column-wise sum of an (m×n) matrix as a length-n
-// vector. Used for bias gradients.
-func (t *Tensor) SumRows() *Tensor {
+// SumRowsInto writes the column-wise sum of an (m×n) matrix t into dst as
+// a length-n vector. Used for bias gradients.
+func SumRowsInto(dst, t *Tensor) *Tensor {
 	if t.Dims() != 2 {
 		panic(fmt.Sprintf("tensor: SumRows requires rank 2, got %v", t.shape))
 	}
 	n := t.shape[1]
-	out := New(n)
+	dst = Reuse(dst, n)
+	mustNotAlias("SumRowsInto", dst, t)
+	dst.Zero()
 	for i := 0; i < t.shape[0]; i++ {
 		row := t.data[i*n : (i+1)*n]
 		for j, v := range row {
-			out.data[j] += v
+			dst.data[j] += v
 		}
 	}
-	return out
+	return dst
 }

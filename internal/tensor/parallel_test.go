@@ -11,8 +11,8 @@ func TestMatMulTransBPMatchesSerial(t *testing.T) {
 	r := mathx.NewRNG(2)
 	a := Randn(r, 1, 400, 60)
 	b := Randn(r, 1, 90, 60)
-	want := MatMulTransB(a, b)
-	got := MatMulTransBP(a, b)
+	want := MatMulTransBInto(nil, a, b)
+	got := MatMulTransBPInto(nil, a, b)
 	if !got.Equal(want, 0) {
 		t.Fatal("parallel transB differs from serial (must be bitwise equal)")
 	}
@@ -55,11 +55,11 @@ func TestMatMulPBadRankMatchesSerialPanic(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			wantTB := panicMessage(func() { MatMulTransB(tc.a, tc.b) })
+			wantTB := panicMessage(func() { MatMulTransBInto(nil, tc.a, tc.b) })
 			if wantTB == "" {
 				t.Fatal("serial MatMulTransB accepted malformed operands")
 			}
-			if got := panicMessage(func() { MatMulTransBP(tc.a, tc.b) }); got != wantTB {
+			if got := panicMessage(func() { MatMulTransBPInto(nil, tc.a, tc.b) }); got != wantTB {
 				t.Errorf("MatMulTransBP panic %q, want serial kernel's %q", got, wantTB)
 			}
 		})

@@ -5,7 +5,13 @@
 // matrix multiplication.
 //
 // Tensors are row-major and own their backing slice. Operations either
-// return fresh tensors or, where documented, mutate the receiver in place.
+// return fresh tensors, mutate the receiver in place where documented, or
+// — the …Into forms of the kernels a training step runs — write into a
+// destination the caller owns. An …Into form takes dst first, reuses it
+// when it already has the result's shape (see Reuse) and replaces it
+// otherwise, zeroes or overwrites every element itself, panics when dst
+// shares storage with an operand, and returns the tensor it wrote. A
+// caller that keeps dst across calls therefore allocates once per shape.
 // float64 was chosen over float32 so that analytic gradients can be checked
 // against central finite differences to tight tolerances; the cost of the
 // choice is measured in the benchmark suite.
@@ -15,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"unsafe"
 
 	"github.com/stsl/stsl/internal/mathx"
 )
@@ -39,7 +46,9 @@ func New(shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
+			// The message formats a copy: handing shape itself to fmt
+			// would make every caller's variadic slice escape to the heap.
+			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, append([]int(nil), shape...)))
 		}
 		n *= d
 	}
@@ -49,6 +58,49 @@ func New(shape ...int) *Tensor {
 	}
 	t.stride = strides(t.shape)
 	return t
+}
+
+// Reuse returns t unchanged when it already has the given shape, and a
+// fresh zero-filled tensor of that shape otherwise (t may be nil). A
+// reused tensor keeps its old contents. It is how a layer keeps one
+// workspace per buffer and reallocates only when the batch shape changes.
+func Reuse(t *Tensor, shape ...int) *Tensor {
+	if t != nil && t.hasShape(shape) {
+		return t
+	}
+	return New(shape...)
+}
+
+func (t *Tensor) hasShape(shape []int) bool {
+	if len(t.shape) != len(shape) {
+		return false
+	}
+	for i, d := range shape {
+		if t.shape[i] != d {
+			return false
+		}
+	}
+	return true
+}
+
+// mustNotAlias panics when dst shares storage with an operand: an …Into
+// kernel zeroes or overwrites dst before it has finished reading its
+// operands.
+func mustNotAlias(op string, dst *Tensor, operands ...*Tensor) {
+	for _, o := range operands {
+		if overlaps(dst.data, o.data) {
+			panic("tensor: " + op + " destination shares storage with an operand")
+		}
+	}
+}
+
+func overlaps(a, b []float64) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	const size = unsafe.Sizeof(a[0])
+	a0, b0 := uintptr(unsafe.Pointer(&a[0])), uintptr(unsafe.Pointer(&b[0]))
+	return a0 < b0+uintptr(len(b))*size && b0 < a0+uintptr(len(a))*size
 }
 
 // FromSlice returns a tensor with the given shape whose backing data is a
@@ -117,17 +169,7 @@ func (t *Tensor) Size() int { return len(t.data) }
 func (t *Tensor) Data() []float64 { return t.data }
 
 // SameShape reports whether t and o have identical shapes.
-func (t *Tensor) SameShape(o *Tensor) bool {
-	if len(t.shape) != len(o.shape) {
-		return false
-	}
-	for i, d := range t.shape {
-		if o.shape[i] != d {
-			return false
-		}
-	}
-	return true
-}
+func (t *Tensor) SameShape(o *Tensor) bool { return t.hasShape(o.shape) }
 
 // offset converts a multi-index to a linear offset, panicking on
 // out-of-range indices.
@@ -152,11 +194,15 @@ func (t *Tensor) At(idx ...int) float64 { return t.data[t.offset(idx)] }
 func (t *Tensor) Set(v float64, idx ...int) { t.data[t.offset(idx)] = v }
 
 // Clone returns a deep copy of t, preserving its dtype tag.
-func (t *Tensor) Clone() *Tensor {
-	c := New(t.shape...)
-	copy(c.data, t.data)
-	c.dtype = t.dtype
-	return c
+func (t *Tensor) Clone() *Tensor { return t.CloneInto(nil) }
+
+// CloneInto is Clone's destination form: it copies t, dtype tag included,
+// into dst (reused when its shape matches t's) and returns it.
+func (t *Tensor) CloneInto(dst *Tensor) *Tensor {
+	dst = Reuse(dst, t.shape...)
+	copy(dst.data, t.data)
+	dst.dtype = t.dtype
+	return dst
 }
 
 // CopyFrom copies o's data into t. Shapes must match exactly.

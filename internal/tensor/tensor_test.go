@@ -177,7 +177,7 @@ func TestNorms(t *testing.T) {
 func TestMatMulSmall(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
-	got := MatMul(a, b)
+	got := MatMulInto(nil, a, b)
 	want := FromSlice([]float64{58, 64, 139, 154}, 2, 2)
 	if !got.Equal(want, 1e-12) {
 		t.Fatalf("MatMul = %v, want %v", got, want)
@@ -191,10 +191,10 @@ func TestMatMulIdentity(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		eye.Set(1, i, i)
 	}
-	if got := MatMul(a, eye); !got.Equal(a, 1e-12) {
+	if got := MatMulInto(nil, a, eye); !got.Equal(a, 1e-12) {
 		t.Fatal("A·I != A")
 	}
-	if got := MatMul(eye, a); !got.Equal(a, 1e-12) {
+	if got := MatMulInto(nil, eye, a); !got.Equal(a, 1e-12) {
 		t.Fatal("I·A != A")
 	}
 }
@@ -203,15 +203,15 @@ func TestMatMulTransVariantsAgree(t *testing.T) {
 	r := mathx.NewRNG(2)
 	a := Randn(r, 1, 5, 7)
 	b := Randn(r, 1, 7, 3)
-	want := MatMul(a, b)
+	want := MatMulInto(nil, a, b)
 
-	gotA := MatMulTransA(a.Transpose(), b)
+	gotA := MatMulTransAInto(nil, a.Transpose(), b)
 	if !gotA.Equal(want, 1e-10) {
-		t.Fatal("MatMulTransA(aᵀ, b) != a·b")
+		t.Fatal("MatMulTransAInto(aᵀ, b) != a·b")
 	}
-	gotB := MatMulTransB(a, b.Transpose())
+	gotB := MatMulTransBInto(nil, a, b.Transpose())
 	if !gotB.Equal(want, 1e-10) {
-		t.Fatal("MatMulTransB(a, bᵀ) != a·b")
+		t.Fatal("MatMulTransBInto(a, bᵀ) != a·b")
 	}
 }
 
@@ -221,7 +221,7 @@ func TestMatMulPanicsOnMismatch(t *testing.T) {
 			t.Fatal("mismatched MatMul did not panic")
 		}
 	}()
-	MatMul(New(2, 3), New(4, 2))
+	MatMulInto(nil, New(2, 3), New(4, 2))
 }
 
 func TestTranspose(t *testing.T) {
@@ -246,7 +246,7 @@ func TestAddRowVectorAndSumRows(t *testing.T) {
 	if !m.Equal(want, 0) {
 		t.Fatalf("AddRowVector = %v", m)
 	}
-	sums := m.SumRows()
+	sums := SumRowsInto(nil, m)
 	if !sums.Equal(FromSlice([]float64{25, 47, 69}, 3), 1e-12) {
 		t.Fatalf("SumRows = %v", sums)
 	}
@@ -260,8 +260,8 @@ func TestMatMulQuickAssociativity(t *testing.T) {
 		a := Randn(r, 1, m, k)
 		b := Randn(r, 1, k, n)
 		c := Randn(r, 1, n, p)
-		left := MatMul(MatMul(a, b), c)
-		right := MatMul(a, MatMul(b, c))
+		left := MatMulInto(nil, MatMulInto(nil, a, b), c)
+		right := MatMulInto(nil, a, MatMulInto(nil, b, c))
 		return left.Equal(right, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -277,8 +277,8 @@ func TestMatMulQuickDistributivity(t *testing.T) {
 		a := Randn(r, 1, m, k)
 		b := Randn(r, 1, k, n)
 		c := Randn(r, 1, k, n)
-		left := MatMul(a, b.Add(c))
-		right := MatMul(a, b).Add(MatMul(a, c))
+		left := MatMulInto(nil, a, b.Add(c))
+		right := MatMulInto(nil, a, b).Add(MatMulInto(nil, a, c))
 		return left.Equal(right, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
