@@ -112,6 +112,22 @@ func BenchmarkFig4Privacy(b *testing.B) {
 	b.ReportMetric(poolLeak, "pooled-edge-leak")
 }
 
+// BenchmarkReconstructionAttack regenerates Fig 4's stronger adversary,
+// the trained decoder, and reports its PSNR at cuts 1 and 2.
+func BenchmarkReconstructionAttack(b *testing.B) {
+	s := expt.TinyScale()
+	var cut1, cut2 float64
+	for i := 0; i < b.N; i++ {
+		res, err := expt.RunAttack(s, 42)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cut1, cut2 = res.Rows[0].PSNR, res.Rows[1].PSNR
+	}
+	b.ReportMetric(cut1, "cut1-psnr-dB")
+	b.ReportMetric(cut2, "cut2-psnr-dB")
+}
+
 // BenchmarkQueueSchedulingAblation regenerates the §II scheduling
 // experiment: FIFO vs sync-rounds under a far client, fixed horizon.
 func BenchmarkQueueSchedulingAblation(b *testing.B) {

@@ -7,6 +7,7 @@
 //	stsl-bench -exp all -scale small
 //	stsl-bench -exp table1 -scale paper -seed 7
 //	stsl-bench -exp fig4 -out /tmp/fig4
+//	stsl-bench -exp attack -scale tiny
 package main
 
 import (
@@ -14,15 +15,21 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"time"
 
 	"github.com/stsl/stsl/internal/expt"
 	"github.com/stsl/stsl/internal/nn"
 )
 
+// experiments are the valid -exp values.
+var experiments = []string{"table1", "fig1", "fig2", "fig3", "fig4", "queue", "attack", "all"}
+
 func main() {
+	valid := strings.Join(experiments, "|")
 	var (
-		exp     = flag.String("exp", "all", "experiment: table1|fig1|fig2|fig3|fig4|queue|all")
+		exp     = flag.String("exp", "all", "experiment: "+valid)
 		scale   = flag.String("scale", "small", "scale: tiny|small|paper")
 		seed    = flag.Uint64("seed", 42, "experiment seed")
 		outDir  = flag.String("out", "", "directory for Fig-4 PNG output (optional)")
@@ -30,6 +37,10 @@ func main() {
 		csvDir  = flag.String("csv", "", "directory to also write each table as <exp>.csv (optional)")
 	)
 	flag.Parse()
+	if !slices.Contains(experiments, *exp) {
+		fmt.Fprintf(os.Stderr, "stsl-bench: unknown -exp %q (want %s)\n", *exp, valid)
+		os.Exit(2)
+	}
 
 	s, err := expt.ScaleByName(*scale)
 	if err != nil {
@@ -129,6 +140,15 @@ func main() {
 			return err
 		}
 		return nil
+	})
+	run("attack", func() error {
+		res, err := expt.RunAttack(s, *seed)
+		if err != nil {
+			return err
+		}
+		fmt.Println(res.Table.String())
+		fmt.Printf("  %s\n\n", res.Verdict)
+		return writeCSV("attack", res.Table.CSV())
 	})
 }
 

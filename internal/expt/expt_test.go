@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -149,6 +150,51 @@ func TestRunFig4Tiny(t *testing.T) {
 	}
 	if !strings.Contains(res.Table.String(), "maxpool") {
 		t.Fatal("table missing pooled stage")
+	}
+}
+
+func TestRunAttackTiny(t *testing.T) {
+	res, err := RunAttack(TinyScale(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 2 || res.Rows[0].Cut != 1 || res.Rows[1].Cut != 2 {
+		t.Fatalf("rows = %+v", res.Rows)
+	}
+	for _, r := range res.Rows {
+		if math.IsNaN(r.PSNR) || math.IsInf(r.PSNR, 0) || math.IsNaN(r.Correlation) {
+			t.Fatalf("cut %d: PSNR %v, correlation %v", r.Cut, r.PSNR, r.Correlation)
+		}
+	}
+	// The verdict is read off the rows, never assumed.
+	a, b := res.Rows[0], res.Rows[1]
+	want := "no consistent ordering"
+	switch {
+	case b.PSNR < a.PSNR && b.Correlation < a.Correlation:
+		want = "deeper cuts leak less"
+	case b.PSNR > a.PSNR && b.Correlation > a.Correlation:
+		want = "deeper cuts leak more"
+	}
+	if !strings.HasPrefix(res.Verdict, want) {
+		t.Fatalf("verdict %q for rows %+v, want %q", res.Verdict, res.Rows, want)
+	}
+	// Each ordering gets its own verdict, whichever one the seed measured.
+	for _, tc := range []struct {
+		psnr, corr float64
+		want       string
+	}{
+		{26.7, 0.408, "deeper cuts leak less"},
+		{28.0, 0.500, "deeper cuts leak more"},
+		{26.7, 0.500, "no consistent ordering"},
+		{27.9, 0.408, "no consistent ordering"},
+	} {
+		rows := []AttackRow{{Cut: 1, PSNR: 27.9, Correlation: 0.494}, {Cut: 2, PSNR: tc.psnr, Correlation: tc.corr}}
+		if got := attackVerdict(rows); !strings.HasPrefix(got, tc.want) {
+			t.Errorf("cut 2 at %.1f dB / %.3f: verdict %q, want %q", tc.psnr, tc.corr, got, tc.want)
+		}
+	}
+	if !strings.Contains(res.Table.String(), "PSNR") {
+		t.Fatal("table missing PSNR column")
 	}
 }
 

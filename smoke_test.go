@@ -3,6 +3,7 @@ package stsl_test
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,36 +11,66 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
-// buildBinaries compiles every cmd/ and examples/ main package into one
-// temp dir — the compile check that keeps the binaries from rotting now
-// that they carry real flag surface (checkpoint, resume, retry).
+// binaries are the main packages under cmd/, by binary name.
+var binaries = []string{"stsl-bench", "stsl-endsystem", "stsl-load", "stsl-server", "stsl-train"}
+
+var (
+	buildOnce sync.Once
+	binDir    string
+	buildErr  error
+)
+
+// TestMain removes the directory buildBinaries fills, once every test
+// that shares it has finished.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binDir != "" {
+		os.RemoveAll(binDir)
+	}
+	os.Exit(code)
+}
+
+// buildBinaries compiles every cmd/ main package into one temp dir, once
+// per test binary, and checks that exactly the expected binaries came
+// out — the compile check that keeps the commands from rotting.
 func buildBinaries(t *testing.T) string {
 	t.Helper()
-	dir := t.TempDir()
-	cmd := exec.Command("go", "build", "-o", dir+string(os.PathSeparator),
-		"./cmd/...", "./examples/...")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("go build ./cmd/... ./examples/...: %v\n%s", err, out)
-	}
-	var missing []string
-	for _, name := range []string{
-		"stsl-bench", "stsl-endsystem", "stsl-load", "stsl-privacy", "stsl-server", "stsl-train",
-		"quickstart", "hospitals", "geodistributed",
-	} {
-		if _, err := os.Stat(bin(dir, name)); err != nil {
-			missing = append(missing, name)
+	buildOnce.Do(func() {
+		if binDir, buildErr = os.MkdirTemp("", "stsl-bin-"); buildErr != nil {
+			return
 		}
+		out, err := exec.Command("go", "build", "-o", binDir+string(os.PathSeparator), "./cmd/...").CombinedOutput()
+		if err != nil {
+			buildErr = fmt.Errorf("go build ./cmd/...: %v\n%s", err, out)
+			return
+		}
+		entries, err := os.ReadDir(binDir)
+		if err != nil {
+			buildErr = err
+			return
+		}
+		var got, want []string
+		for _, e := range entries {
+			got = append(got, e.Name())
+		}
+		for _, name := range binaries {
+			want = append(want, filepath.Base(bin(binDir, name)))
+		}
+		if !slices.Equal(got, want) {
+			buildErr = fmt.Errorf("go build ./cmd/... produced %v, want %v", got, want)
+		}
+	})
+	if buildErr != nil {
+		t.Fatal(buildErr)
 	}
-	if len(missing) > 0 {
-		t.Fatalf("go build ./cmd/... ./examples/... did not produce %s", strings.Join(missing, ", "))
-	}
-	return dir
+	return binDir
 }
 
 func bin(dir, name string) string {
@@ -49,35 +80,37 @@ func bin(dir, name string) string {
 	return filepath.Join(dir, name)
 }
 
-// TestSmokeBinaries builds everything and runs each example end to end,
-// asserting exit 0 and non-empty output. The heavier geodistributed
-// sweep (4 policies × sim + live) is skipped in -short mode.
+// TestSmokeBinaries checks each command's flag surface: -h exits 0 and
+// lists the flags, an unknown flag exits 2, and so does an -exp value
+// stsl-bench does not know.
 func TestSmokeBinaries(t *testing.T) {
 	dir := buildBinaries(t)
-	examples := []struct {
-		name  string
-		heavy bool
-	}{
-		{name: "quickstart"},
-		{name: "hospitals"},
-		{name: "geodistributed", heavy: true},
+	exitCode := func(t *testing.T, name string, args ...string) (int, string) {
+		t.Helper()
+		out, err := exec.Command(bin(dir, name), args...).CombinedOutput()
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			return exit.ExitCode(), string(out)
+		}
+		if err != nil {
+			t.Fatalf("%s %v: %v", name, args, err)
+		}
+		return 0, string(out)
 	}
-	for _, ex := range examples {
-		ex := ex
-		t.Run(ex.name, func(t *testing.T) {
-			if ex.heavy && testing.Short() {
-				t.Skipf("%s is a full policy sweep; skipped with -short", ex.name)
+	for _, name := range binaries {
+		t.Run(name, func(t *testing.T) {
+			code, out := exitCode(t, name, "-h")
+			if code != 0 || !strings.Contains(out, "\n  -") {
+				t.Fatalf("%s -h: exit %d, want 0 and a flag list:\n%s", name, code, out)
 			}
-			cmd := exec.Command(bin(dir, ex.name))
-			out, err := cmd.CombinedOutput()
-			if err != nil {
-				t.Fatalf("%s failed: %v\n%s", ex.name, err, out)
+			if code, out := exitCode(t, name, "-no-such-flag"); code != 2 {
+				t.Fatalf("%s -no-such-flag: exit %d, want 2:\n%s", name, code, out)
 			}
-			if len(bytes.TrimSpace(out)) == 0 {
-				t.Fatalf("%s exited 0 but printed nothing", ex.name)
-			}
-			t.Logf("%s: %d bytes of output", ex.name, len(out))
 		})
+	}
+	code, out := exitCode(t, "stsl-bench", "-exp", "tabel1", "-scale", "tiny")
+	if code != 2 || !strings.Contains(out, "table1|fig1|fig2|fig3|fig4|queue|attack|all") {
+		t.Fatalf("stsl-bench -exp tabel1: exit %d, want 2 and the valid set:\n%s", code, out)
 	}
 }
 

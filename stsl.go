@@ -9,8 +9,8 @@
 // leaves an end-system; only first-block activations travel.
 //
 // The implementation lives in internal packages; this package re-exports
-// the surface that the examples use, as aliases, so downstream code imports
-// one path. Two runtimes drive the same deployment: the event-driven
+// the surface that its Example functions use, as aliases, so downstream
+// code imports one path. Two runtimes drive the same deployment: the event-driven
 // virtual-time simulation, and the live cluster runtime where every
 // end-system is a real concurrent actor over the wire protocol.
 //
@@ -35,7 +35,8 @@
 // For separate OS processes, cmd/stsl-server and cmd/stsl-endsystem run
 // the cluster protocol over real TCP.
 //
-// See examples/ for runnable end-to-end programs and DESIGN.md for the
+// The Example functions (go test -run Example -v .) are runnable
+// end-to-end programs with checked output; DESIGN.md has the
 // architecture and experiment map.
 package stsl
 

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -16,9 +15,9 @@ import (
 )
 
 // TestFacadeSurface is the census that keeps stsl.go from regrowing: every
-// name it exports must be referenced as stsl.<Name> by a program under
-// examples/ or by a test of this package. A name nobody calls belongs in
-// its internal package, not on the public surface.
+// name it exports must be referenced as stsl.<Name> by one of this
+// package's *_test.go files, its tests and Example functions. A name
+// nobody calls belongs in its internal package, not on the public surface.
 func TestFacadeSurface(t *testing.T) {
 	file, err := parser.ParseFile(token.NewFileSet(), "stsl.go", nil, parser.SkipObjectResolution)
 	if err != nil {
@@ -53,15 +52,6 @@ func TestFacadeSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = filepath.WalkDir("examples", func(path string, d fs.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
-			callers = append(callers, path)
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var corpus []byte
 	for _, path := range callers {
 		src, err := os.ReadFile(path)
@@ -80,7 +70,7 @@ func TestFacadeSurface(t *testing.T) {
 		}
 	}
 	if len(unreferenced) > 0 {
-		t.Errorf("%d of %d names stsl.go exports are referenced by no example and no test of this package: %s",
+		t.Errorf("%d of %d names stsl.go exports are referenced by no test or Example of this package: %s",
 			len(unreferenced), len(exported), strings.Join(unreferenced, ", "))
 	}
 }
