@@ -8,6 +8,7 @@ package stsl_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -211,20 +212,24 @@ func BenchmarkTensorMatMul(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMulSerialVsParallel ablates the goroutine-parallel matmul
-// at a conv-sized workload (im2col matrix of the paper's conv1 layer).
+// BenchmarkMatMulSerialVsParallel ablates the kernel fan-out at a
+// conv-sized workload (im2col matrix of the paper's conv1 layer): the
+// same MatMulTransBInto at GOMAXPROCS 1, where it runs serially, and at
+// the default.
 func BenchmarkMatMulSerialVsParallel(b *testing.B) {
 	r := mathx.NewRNG(1)
 	a := tensor.Randn(r, 1, 8*32*32, 27) // batch-8 im2col for conv1
 	w := tensor.Randn(r, 1, 16, 27)      // 16 filters
+	var out *tensor.Tensor
 	b.Run("serial", func(b *testing.B) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		for i := 0; i < b.N; i++ {
-			tensor.MatMulTransBInto(nil, a, w)
+			out = tensor.MatMulTransBInto(out, a, w)
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tensor.MatMulTransBPInto(nil, a, w)
+			out = tensor.MatMulTransBInto(out, a, w)
 		}
 	})
 }

@@ -11,6 +11,8 @@ import (
 	"github.com/stsl/stsl/internal/data"
 	"github.com/stsl/stsl/internal/mathx"
 	"github.com/stsl/stsl/internal/nn"
+	"github.com/stsl/stsl/internal/queue"
+	"github.com/stsl/stsl/internal/transport"
 )
 
 // pinnedModel is expt.SmallScale's network: the paper's five blocks at
@@ -110,4 +112,51 @@ func TestTrainingBitsPinned(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestApplyGradientTwin: an end-system's ApplyGradient, which skips the
+// input gradient of its first layer, leaves every private parameter
+// bit-identical to a twin that back-propagates the whole stack — at
+// every cut of the SmallScale network.
+func TestApplyGradientTwin(t *testing.T) {
+	for cut := 1; cut <= len(pinnedModel().Filters); cut++ {
+		t.Run(fmt.Sprintf("cut%d", cut), func(t *testing.T) {
+			dep, twin := pinnedDeployment(t, cut), pinnedDeployment(t, cut)
+			es, tes := dep.Clients[0], twin.Clients[0]
+			for step := 0; step < 3; step++ {
+				reply := serveOne(t, dep)
+				if err := es.ApplyGradient(reply); err != nil {
+					t.Fatal(err)
+				}
+				treply := serveOne(t, twin)
+				tes.Stack.ZeroGrad()
+				tes.Stack.Backward(treply.Payload)
+				tes.Optim.Step(tes.Stack.Params())
+				tes.outstanding = -1
+				for i, p := range es.Stack.Params() {
+					q := tes.Stack.Params()[i]
+					for j, v := range p.Value.Data() {
+						if math.Float64bits(v) != math.Float64bits(q.Value.Data()[j]) {
+							t.Fatalf("step %d: %s[%d] = %v, the full-backward twin has %v", step, p.Name, j, v, q.Value.Data()[j])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// serveOne runs one batch of dep's only end-system through its server
+// and returns the gradient reply.
+func serveOne(t *testing.T, dep *Deployment) *transport.Message {
+	t.Helper()
+	msg, err := dep.Clients[0].ProduceBatch(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, err := dep.Server.Process(queue.Item{Msg: msg}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reply
 }

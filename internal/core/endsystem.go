@@ -104,7 +104,8 @@ func (e *EndSystem) ProduceBatch(now time.Duration) (*transport.Message, error) 
 
 // ApplyGradient consumes the server's gradient reply for the outstanding
 // batch: it back-propagates through the private stack and steps the local
-// optimiser.
+// optimiser. Nothing reads the gradient of the raw input, so the stack
+// does not compute it (nn.Sequential.BackwardParams).
 func (e *EndSystem) ApplyGradient(msg *transport.Message) error {
 	if msg.Type != transport.MsgGradient {
 		return fmt.Errorf("core: end-system %d got %v, want gradient", e.ID, msg.Type)
@@ -114,7 +115,7 @@ func (e *EndSystem) ApplyGradient(msg *transport.Message) error {
 			e.ID, msg.Seq, e.outstanding)
 	}
 	e.Stack.ZeroGrad()
-	e.Stack.Backward(msg.Payload)
+	e.Stack.BackwardParams(msg.Payload)
 	e.Optim.Step(e.Stack.Params())
 	e.outstanding = -1
 	return nil

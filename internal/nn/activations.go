@@ -8,6 +8,7 @@ import (
 )
 
 // ReLU applies max(0, x) elementwise. It works on tensors of any rank.
+// Large tensors are split over elements (see tensor.ParallelFor).
 type ReLU struct {
 	name string
 	// mask records which inputs of the last training Forward were
@@ -15,6 +16,10 @@ type ReLU struct {
 	mask    []bool
 	armed   bool
 	out, dx *tensor.Tensor
+	// in and train are the operands of the pass in progress, read by
+	// its ranges.
+	in    *tensor.Tensor
+	train bool
 }
 
 // NewReLU constructs a ReLU activation layer.
@@ -33,22 +38,32 @@ func (l *ReLU) OutShape(in []int) ([]int, error) {
 
 // Forward implements Layer.
 func (l *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	l.out = x.CloneInto(l.out)
+	l.out = reuseLike(l.out, x)
 	if train {
-		l.mask = resize(l.mask, l.out.Size())
+		l.mask = resize(l.mask, x.Size())
 	}
-	data := l.out.Data()
-	for i, v := range data {
-		pos := v > 0
-		if !pos {
-			data[i] = 0
-		}
-		if train {
-			l.mask[i] = pos
-		}
-	}
+	l.in, l.train = x, train
+	tensor.ParallelFor(x.Size(), x.Size(), reluForward, l)
+	l.in = nil
 	l.armed = train
 	return l.out
+}
+
+// reluForward computes elements [lo,hi) of a ReLU Forward.
+func reluForward(ctx any, lo, hi int) {
+	l := ctx.(*ReLU)
+	src, dst := l.in.Data()[lo:hi], l.out.Data()[lo:hi]
+	for i, v := range src {
+		pos := v > 0
+		if pos {
+			dst[i] = v
+		} else {
+			dst[i] = 0
+		}
+		if l.train {
+			l.mask[lo+i] = pos
+		}
+	}
 }
 
 // Backward implements Layer.
@@ -59,15 +74,25 @@ func (l *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if grad.Size() != len(l.mask) {
 		panic(shapeErr(l.name, fmt.Sprintf("grad with %d elems", len(l.mask)), grad.Shape()))
 	}
-	l.dx = grad.CloneInto(l.dx)
-	data := l.dx.Data()
-	for i := range data {
-		if !l.mask[i] {
-			data[i] = 0
-		}
-	}
+	l.dx = reuseLike(l.dx, grad)
+	l.in = grad
+	tensor.ParallelFor(grad.Size(), grad.Size(), reluBackward, l)
+	l.in = nil
 	l.armed = false
 	return l.dx
+}
+
+// reluBackward computes elements [lo,hi) of a ReLU Backward.
+func reluBackward(ctx any, lo, hi int) {
+	l := ctx.(*ReLU)
+	src, dst, mask := l.in.Data()[lo:hi], l.dx.Data()[lo:hi], l.mask[lo:hi]
+	for i, g := range src {
+		if mask[i] {
+			dst[i] = g
+		} else {
+			dst[i] = 0
+		}
+	}
 }
 
 // Tanh applies the hyperbolic tangent elementwise. It is provided for

@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/stsl/stsl/internal/mathx"
@@ -410,17 +412,56 @@ func TestBatchShapeChangesMatchFreshTwin(t *testing.T) {
 	}
 }
 
+// mallocsPerRun counts the allocations of f per call, as
+// testing.AllocsPerRun does, but at GOMAXPROCS ≥ 2: AllocsPerRun's
+// GOMAXPROCS 1 would keep every kernel off tensor.ParallelFor's fan-out.
+func mallocsPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 2)))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / uint64(runs))
+}
+
 // TestLayerSteadyStateAllocs: once its workspaces exist, a training
 // Forward+Backward of every layer BuildPaperCNN emits — and the loss's
-// destination form — allocates nothing.
+// destination form — allocates nothing. The batch-8 cases stay below
+// the fan-out threshold; the batch-16 32×32 block crosses it in every
+// conv kernel, the ReLU and the pool, as the end-system's first block
+// does.
 func TestLayerSteadyStateAllocs(t *testing.T) {
-	for _, tc := range ownedLayers() {
+	cases := ownedLayers()
+	block := func() Layer {
+		c, err := NewConv2D(Conv2DConfig{Name: "c", In: 3, Out: 8, KernelH: 3, KernelW: 3, SamePad: true}, mathx.NewRNG(8))
+		if err != nil {
+			panic(err)
+		}
+		p, err := NewMaxPool2D("p", 2, 2, 0, 0)
+		if err != nil {
+			panic(err)
+		}
+		s, err := NewSequential("block", c, NewReLU("r"), p)
+		if err != nil {
+			panic(err)
+		}
+		return s
+	}
+	cases = append(cases, ownedLayer{"fanned-block", block, []int{3, 32, 32}})
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			batch := 8
+			if tc.name == "fanned-block" {
+				batch = 16
+			}
 			l := tc.build()
-			x := batchOf(50, 8, tc.in)
-			g := batchOf(51, 8, l.Forward(x, true).Shape()[1:])
+			x := batchOf(50, batch, tc.in)
+			g := batchOf(51, batch, l.Forward(x, true).Shape()[1:])
 			l.Backward(g)
-			if n := testing.AllocsPerRun(20, func() {
+			if n := mallocsPerRun(20, func() {
 				l.Forward(x, true)
 				l.Backward(g)
 			}); n != 0 {
@@ -441,6 +482,54 @@ func TestLayerSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("warm SoftmaxCrossEntropyInto allocated %v times", n)
 		}
 	})
+}
+
+// TestBackwardParamsTwin: for the paper CNN's end-system stack at every
+// cut, BackwardParams accumulates the parameter gradients of a twin
+// that runs Backward, bit for bit, and the first convolution never
+// allocates the input gradient nobody reads.
+func TestBackwardParamsTwin(t *testing.T) {
+	cfg := PaperCNNConfig{Filters: []int{8, 12, 16, 24, 32}, Hidden: 64}
+	for cut := 1; cut <= len(cfg.Filters); cut++ {
+		t.Run(fmt.Sprintf("cut%d", cut), func(t *testing.T) {
+			stack := func() *Sequential {
+				cnn, err := BuildPaperCNN(cfg, mathx.NewRNG(60))
+				if err != nil {
+					t.Fatal(err)
+				}
+				idx, err := cnn.CutIndex(cut)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := NewSequential("client", cnn.Net.Layers()[:idx]...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			l, twin := stack(), stack()
+			for step := 0; step < 2; step++ {
+				x := batchOf(uint64(61+step), 16, []int{3, 32, 32})
+				y := l.Forward(x, true)
+				if !sameBits(y, twin.Forward(x, true)) {
+					t.Fatalf("step %d: Forward differs from the twin", step)
+				}
+				g := batchOf(uint64(71+step), 16, y.Shape()[1:])
+				l.ZeroGrad()
+				twin.ZeroGrad()
+				l.BackwardParams(g)
+				twin.Backward(g)
+				for i, p := range l.Params() {
+					if !sameBits(p.Grad, twin.Params()[i].Grad) {
+						t.Fatalf("step %d: gradient of %s differs from the twin's", step, p.Name)
+					}
+				}
+			}
+			if conv := l.Layers()[0].(*Conv2D); conv.dx != nil || conv.armed {
+				t.Fatalf("conv1 allocated its input gradient (%v) or stayed armed (%v)", conv.dx != nil, conv.armed)
+			}
+		})
+	}
 }
 
 // TestDropScratchKeepsBits: a stack that drops its convolution scratch

@@ -28,6 +28,9 @@ type Conv2D struct {
 	// with the column gradient; mat holds the matmul result in Forward and
 	// the repacked output gradient in Backward.
 	cols, mat, out, dw, db, dx *tensor.Tensor
+	// grad is the output gradient of the Backward in progress, read by
+	// its repack's ranges.
+	grad *tensor.Tensor
 }
 
 // Conv2DConfig collects the constructor arguments for NewConv2D. Zero
@@ -135,11 +138,11 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(err)
 	}
 	c.cols = tensor.Im2ColInto(c.cols, x, g) // (N*oh*ow, inC*kh*kw)
-	// (N*oh*ow, outC) = cols · Wᵀ. The parallel kernel is bitwise equal
-	// to the serial one, so determinism guarantees are unaffected.
-	c.mat = tensor.MatMulTransBPInto(c.mat, c.cols, c.weight.Value)
+	// (N*oh*ow, outC) = cols · Wᵀ
+	c.mat = tensor.MatMulTransBInto(c.mat, c.cols, c.weight.Value)
 	c.mat.AddRowVector(c.bias.Value)
-	c.out = nhwcMatToNCHW(c.out, c.mat, n, c.outC, g.OutHeight(), g.OutWidth())
+	c.out = tensor.Reuse(c.out, n, c.outC, g.OutHeight(), g.OutWidth())
+	tensor.ParallelFor(n, c.out.Size(), convToNCHW, c)
 
 	c.armed = train
 	c.cachedN = n
@@ -149,6 +152,16 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	c.backwardParams(grad)
+	// dcols (R, K) = dmat · W, written over cols once dW has read it.
+	dcols := tensor.MatMulInto(c.cols, c.mat, c.weight.Value)
+	c.dx = tensor.Col2ImInto(c.dx, dcols, c.cachedN, c.cachedGeom)
+	return c.dx
+}
+
+// backwardParams is Backward without the input gradient: it accumulates
+// the weight and bias gradients and leaves cols and dx alone.
+func (c *Conv2D) backwardParams(grad *tensor.Tensor) {
 	if !c.armed {
 		panic(fmt.Sprintf("nn: conv %s Backward without training Forward", c.name))
 	}
@@ -158,18 +171,17 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if grad.Dims() != 4 || grad.Dim(0) != n || grad.Dim(1) != c.outC || grad.Dim(2) != oh || grad.Dim(3) != ow {
 		panic(shapeErr(c.name, fmt.Sprintf("grad (N,%d,%d,%d)", c.outC, oh, ow), grad.Shape()))
 	}
-	c.mat = nchwToNHWCMat(c.mat, grad) // dmat (N*oh*ow, outC)
+	c.mat = tensor.Reuse(c.mat, n*oh*ow, c.outC) // dmat (N*oh*ow, outC)
+	c.grad = grad
+	tensor.ParallelFor(n, grad.Size(), convFromNCHW, c)
+	c.grad = nil
 	// dW (outC, K) += dmatᵀ · cols
 	c.dw = tensor.MatMulTransAInto(c.dw, c.mat, c.cols)
 	c.weight.Grad.AddInPlace(c.dw)
 	// db += column sums of dmat
 	c.db = tensor.SumRowsInto(c.db, c.mat)
 	c.bias.Grad.AddInPlace(c.db)
-	// dcols (R, K) = dmat · W, written over cols once dW has read it.
-	dcols := tensor.MatMulInto(c.cols, c.mat, c.weight.Value)
-	c.dx = tensor.Col2ImInto(c.dx, dcols, n, g)
 	c.armed = false
-	return c.dx
 }
 
 // dropScratch frees mat, and cols unless a pending Backward reads it.
@@ -180,34 +192,31 @@ func (c *Conv2D) dropScratch() {
 	}
 }
 
-// nhwcMatToNCHW repacks an (N*H*W, C) matrix whose rows are ordered
-// (n, y, x) into dst, an (N, C, H, W) tensor, overwriting every element.
-func nhwcMatToNCHW(dst, mat *tensor.Tensor, n, cCh, h, w int) *tensor.Tensor {
-	dst = tensor.Reuse(dst, n, cCh, h, w)
-	src := mat.Data()
-	out := dst.Data()
-	hw := h * w
-	for img := 0; img < n; img++ {
+// convToNCHW repacks images [lo,hi) of the forward matmul result mat,
+// an (N*H*W, C) matrix whose rows are ordered (n, y, x), into out, an
+// (N, C, H, W) tensor, overwriting every element.
+func convToNCHW(ctx any, lo, hi int) {
+	c := ctx.(*Conv2D)
+	cCh, hw := c.out.Dim(1), c.out.Dim(2)*c.out.Dim(3)
+	src, out := c.mat.Data(), c.out.Data()
+	for img := lo; img < hi; img++ {
+		base := img * cCh * hw
 		for pos := 0; pos < hw; pos++ {
 			row := src[(img*hw+pos)*cCh:][:cCh]
-			base := img * cCh * hw
 			for ch, v := range row {
 				out[base+ch*hw+pos] = v
 			}
 		}
 	}
-	return dst
 }
 
-// nchwToNHWCMat is the inverse repack of nhwcMatToNCHW: (N, C, H, W) →
-// (N*H*W, C), written into dst.
-func nchwToNHWCMat(dst, t *tensor.Tensor) *tensor.Tensor {
-	n, cCh, h, w := t.Dim(0), t.Dim(1), t.Dim(2), t.Dim(3)
-	hw := h * w
-	dst = tensor.Reuse(dst, n*hw, cCh)
-	src := t.Data()
-	out := dst.Data()
-	for img := 0; img < n; img++ {
+// convFromNCHW is the inverse repack of convToNCHW, from the output
+// gradient grad (N, C, H, W) into mat (N*H*W, C), for images [lo,hi).
+func convFromNCHW(ctx any, lo, hi int) {
+	c := ctx.(*Conv2D)
+	cCh, hw := c.grad.Dim(1), c.grad.Dim(2)*c.grad.Dim(3)
+	src, out := c.grad.Data(), c.mat.Data()
+	for img := lo; img < hi; img++ {
 		base := img * cCh * hw
 		for ch := 0; ch < cCh; ch++ {
 			plane := src[base+ch*hw:][:hw]
@@ -216,7 +225,6 @@ func nchwToNHWCMat(dst, t *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	return dst
 }
 
 var _ Layer = (*Conv2D)(nil)

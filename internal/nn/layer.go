@@ -86,6 +86,16 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// reuseLike returns dst when it already has t's shape, and a fresh
+// tensor of that shape otherwise, tagged with t's dtype either way: the
+// workspace of a layer whose output mirrors its input elementwise.
+func reuseLike(dst, t *tensor.Tensor) *tensor.Tensor {
+	if dst == nil || !dst.SameShape(t) {
+		dst = tensor.New(t.Shape()...)
+	}
+	return dst.SetDType(t.DType())
+}
+
 // shapeVolume returns the product of dims.
 func shapeVolume(dims []int) int {
 	v := 1

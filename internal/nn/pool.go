@@ -24,6 +24,10 @@ type MaxPool2D struct {
 	armed   bool
 	inShape [4]int
 	out, dx *tensor.Tensor
+	// in and train are the operands of the pass in progress, read by
+	// its ranges: the input in Forward, the gradient in Backward.
+	in    *tensor.Tensor
+	train bool
 }
 
 // NewMaxPool2D constructs a pooling layer. A zero stride defaults to the
@@ -78,10 +82,23 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		p.argmax = resize(p.argmax, p.out.Size())
 	}
-	src := x.Data()
+	p.inShape = [4]int{n, c, h, w}
+	p.in, p.train = x, train
+	tensor.ParallelFor(n, x.Size(), poolForward, p)
+	p.in = nil
+	p.armed = train
+	return p.out
+}
+
+// poolForward pools images [lo,hi) of a MaxPool2D Forward.
+func poolForward(ctx any, lo, hi int) {
+	p := ctx.(*MaxPool2D)
+	c, h, w := p.inShape[1], p.inShape[2], p.inShape[3]
+	oh, ow := p.out.Dim(2), p.out.Dim(3)
+	src := p.in.Data()
 	dst := p.out.Data()
-	di := 0
-	for img := 0; img < n; img++ {
+	di := lo * c * oh * ow
+	for img := lo; img < hi; img++ {
 		for ch := 0; ch < c; ch++ {
 			plane := (img*c + ch) * h * w
 			for oy := 0; oy < oh; oy++ {
@@ -105,7 +122,7 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 						best = src[bestIdx]
 					}
 					dst[di] = best
-					if train {
+					if p.train {
 						p.argmax[di] = bestIdx
 					}
 					di++
@@ -113,9 +130,6 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 		}
 	}
-	p.armed = train
-	p.inShape = [4]int{n, c, h, w}
-	return p.out
 }
 
 // Backward implements Layer.
@@ -127,13 +141,25 @@ func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		panic(shapeErr(p.name, fmt.Sprintf("grad with %d elems", len(p.argmax)), grad.Shape()))
 	}
 	p.dx = tensor.Reuse(p.dx, p.inShape[:]...)
-	p.dx.Zero()
-	dst := p.dx.Data()
-	for i, g := range grad.Data() {
-		dst[p.argmax[i]] += g
-	}
+	p.in = grad
+	tensor.ParallelFor(p.inShape[0], p.dx.Size(), poolBackward, p)
+	p.in = nil
 	p.armed = false
 	return p.dx
+}
+
+// poolBackward zeroes images [lo,hi) of a MaxPool2D's input gradient and
+// routes their output gradients into them. Every argmax of an image lies
+// in that image, so each image is summed in the serial order.
+func poolBackward(ctx any, lo, hi int) {
+	p := ctx.(*MaxPool2D)
+	in := p.dx.Size() / p.inShape[0]
+	out := len(p.argmax) / p.inShape[0]
+	dst := p.dx.Data()
+	clear(dst[lo*in : hi*in])
+	for i, g := range p.in.Data()[lo*out : hi*out] {
+		dst[p.argmax[lo*out+i]] += g
+	}
 }
 
 var _ Layer = (*MaxPool2D)(nil)

@@ -67,6 +67,35 @@ func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return grad
 }
 
+// BackwardParams is Backward for a stack whose input gradient nobody
+// reads, such as an end-system's: it accumulates the same parameter
+// gradients bit for bit, but the first layer skips its input gradient
+// when it can (a Conv2D then skips a matmul and a col2im).
+func (s *Sequential) BackwardParams(grad *tensor.Tensor) {
+	if len(s.layers) == 0 {
+		return
+	}
+	for i := len(s.layers) - 1; i > 0; i-- {
+		grad = s.layers[i].Backward(grad)
+	}
+	if l, ok := s.layers[0].(paramBackwarder); ok {
+		l.backwardParams(grad)
+	} else {
+		s.layers[0].Backward(grad)
+	}
+}
+
+// backwardParams lets a nested Sequential skip its first layer's input
+// gradient too.
+func (s *Sequential) backwardParams(grad *tensor.Tensor) { s.BackwardParams(grad) }
+
+// paramBackwarder is a layer that can run Backward without computing its
+// input gradient: backwardParams accumulates the same parameter
+// gradients as Backward and returns nothing.
+type paramBackwarder interface {
+	backwardParams(grad *tensor.Tensor)
+}
+
 // Params implements Layer: the concatenation of all layer parameters.
 func (s *Sequential) Params() []*Param { return s.params }
 

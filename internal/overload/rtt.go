@@ -81,6 +81,13 @@ func (e *RTTEstimator) Timeout() time.Duration {
 	return rto
 }
 
+// SRTT returns the smoothed sample, 0 before the first.
+func (e *RTTEstimator) SRTT() time.Duration {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.srtt
+}
+
 // Samples reports how many observations have been folded in.
 func (e *RTTEstimator) Samples() int {
 	e.mu.Lock()

@@ -8,13 +8,14 @@ package tensor
 // full product instead of once per row, and unroll the k loop 4-wide for
 // instruction-level parallelism.
 //
-// Dispatch: the public MatMulInto/MatMulTransAInto/MatMulTransBInto (and
-// the parallel MatMulTransBPInto) switch to the blocked kernels when the multiply-add
-// count reaches blockedThreshold, and keep the original zero-skipping
-// naive loops below it, where tiling overhead and the lost sparsity skip
-// would cost more than the cache behaviour buys. Every kernel takes an
-// output-row range so the serial and parallel paths run the same code —
-// and therefore the same floating-point accumulation order — on any row.
+// Dispatch: the public MatMulInto/MatMulTransAInto/MatMulTransBInto switch
+// to the blocked kernels when the multiply-add count reaches
+// blockedThreshold, and keep the original zero-skipping naive loops below
+// it, where tiling overhead and the lost sparsity skip would cost more
+// than the cache behaviour buys. Every kernel takes an output-row range,
+// and ParallelFor splits a product over output rows only, never over k:
+// each range runs the same code — and therefore the same floating-point
+// accumulation order — on its rows as the serial whole would.
 const (
 	// blockedThreshold is the m*k*n volume above which the tiled kernels
 	// win over the naive loops (64³ — matrices about one L2 cache big).
@@ -30,7 +31,7 @@ const (
 // and both kernels accumulate each output element in an order fixed by
 // (k, n) alone — so any row partition of the same product is bitwise
 // identical to the serial whole. matMulTransBRange keeps the same rule,
-// and MatMulTransBPInto's row partition relies on it.
+// and ParallelFor's row partition relies on it.
 func matMulRange(a, b, out []float64, m, k, n, lo, hi int) {
 	if m*k*n >= blockedThreshold && k >= 4 {
 		matMulRowsBlocked(a, b, out, k, n, lo, hi)
@@ -133,7 +134,11 @@ func matMulTransBRowsBlocked(a, b, out []float64, k, n, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			arow := a[i*k : (i+1)*k]
 			orow := out[i*n : (i+1)*n]
-			for j := jc; j < jmax; j++ {
+			j := jc
+			for ; j+2 <= jmax; j += 2 {
+				orow[j], orow[j+1] = dotUnrolled2(arow, b[j*k:(j+1)*k], b[(j+1)*k:(j+2)*k])
+			}
+			if j < jmax {
 				orow[j] = dotUnrolled(arow, b[j*k:(j+1)*k])
 			}
 		}
@@ -156,6 +161,33 @@ func dotUnrolled(x, y []float64) float64 {
 		s += x[kk] * y[kk]
 	}
 	return s
+}
+
+// dotUnrolled2 returns dotUnrolled(x, y) and dotUnrolled(x, z) from one
+// pass over x. Each result keeps its own four lanes, their sum and its
+// tail in dotUnrolled's order, so both are bit-identical to it.
+func dotUnrolled2(x, y, z []float64) (float64, float64) {
+	y, z = y[:len(x)], z[:len(x)]
+	var s0, s1, s2, s3, t0, t1, t2, t3 float64
+	kk := 0
+	for ; kk+4 <= len(x); kk += 4 {
+		x0, x1, x2, x3 := x[kk], x[kk+1], x[kk+2], x[kk+3]
+		s0 += x0 * y[kk]
+		s1 += x1 * y[kk+1]
+		s2 += x2 * y[kk+2]
+		s3 += x3 * y[kk+3]
+		t0 += x0 * z[kk]
+		t1 += x1 * z[kk+1]
+		t2 += x2 * z[kk+2]
+		t3 += x3 * z[kk+3]
+	}
+	s := s0 + s1 + s2 + s3
+	t := t0 + t1 + t2 + t3
+	for ; kk < len(x); kk++ {
+		s += x[kk] * y[kk]
+		t += x[kk] * z[kk]
+	}
+	return s, t
 }
 
 // matMulTransACols computes columns [lo:hi) of aᵀ·b for a (k×m), b (k×n):

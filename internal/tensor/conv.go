@@ -44,7 +44,8 @@ func (g ConvGeom) Validate() error {
 // one MatMulTransBInto per batch.
 //
 // Every element of dst is written: out-of-bounds (padding) positions get
-// zeros, so a reused dst carries nothing over from its last use.
+// zeros, so a reused dst carries nothing over from its last use. Large
+// batches are split over images (see ParallelFor).
 func Im2ColInto(dst, x *Tensor, g ConvGeom) *Tensor {
 	if x.Dims() != 4 {
 		panic(fmt.Sprintf("tensor: Im2Col requires rank-4 input, got %v", x.shape))
@@ -57,14 +58,23 @@ func Im2ColInto(dst, x *Tensor, g ConvGeom) *Tensor {
 	rowLen := g.Channels * g.KernelH * g.KernelW
 	dst = Reuse(dst, n*outH*outW, rowLen)
 	mustNotAlias("Im2ColInto", dst, x)
+	forOperands(n, len(dst.data), operands{dst: dst.data, a: x.data, g: g}, im2ColBody)
+	return dst
+}
 
-	for img := 0; img < n; img++ {
+// im2ColBody lowers images [lo,hi) of an Im2ColInto.
+func im2ColBody(ctx any, lo, hi int) {
+	op := ctx.(*operands)
+	g, x, dst := op.g, op.a, op.dst
+	outH, outW := g.OutHeight(), g.OutWidth()
+	rowLen := g.Channels * g.KernelH * g.KernelW
+	for img := lo; img < hi; img++ {
 		imgBase := img * g.Channels * g.Height * g.Width
 		for oy := 0; oy < outH; oy++ {
 			iy0 := oy*g.StrideH - g.PadH
 			for ox := 0; ox < outW; ox++ {
 				ix0 := ox*g.StrideW - g.PadW
-				row := dst.data[((img*outH+oy)*outW+ox)*rowLen:][:rowLen]
+				row := dst[((img*outH+oy)*outW+ox)*rowLen:][:rowLen]
 				ri := 0
 				for c := 0; c < g.Channels; c++ {
 					chBase := imgBase + c*g.Height*g.Width
@@ -79,7 +89,7 @@ func Im2ColInto(dst, x *Tensor, g ConvGeom) *Tensor {
 						rowBase := chBase + iy*g.Width
 						for kx := range seg {
 							if ix := ix0 + kx; ix >= 0 && ix < g.Width {
-								seg[kx] = x.data[rowBase+ix]
+								seg[kx] = x[rowBase+ix]
 							} else {
 								seg[kx] = 0
 							}
@@ -89,13 +99,13 @@ func Im2ColInto(dst, x *Tensor, g ConvGeom) *Tensor {
 			}
 		}
 	}
-	return dst
 }
 
 // Col2ImInto is the adjoint of Im2ColInto: it scatters a
 // (N*outH*outW, C*kH*kW) matrix of per-receptive-field gradients back into
 // dst, an image gradient of shape (N, C, H, W), accumulating where
-// receptive fields overlap. dst is zeroed first.
+// receptive fields overlap. dst is zeroed first. Large batches are split
+// over images, each zeroed and summed by one range.
 func Col2ImInto(dst, cols *Tensor, n int, g ConvGeom) *Tensor {
 	outH, outW := g.OutHeight(), g.OutWidth()
 	rowLen := g.Channels * g.KernelH * g.KernelW
@@ -104,14 +114,27 @@ func Col2ImInto(dst, cols *Tensor, n int, g ConvGeom) *Tensor {
 	}
 	dst = Reuse(dst, n, g.Channels, g.Height, g.Width)
 	mustNotAlias("Col2ImInto", dst, cols)
-	dst.Zero()
-	for img := 0; img < n; img++ {
-		imgBase := img * g.Channels * g.Height * g.Width
+	forOperands(n, len(cols.data), operands{dst: dst.data, a: cols.data, g: g}, col2ImBody)
+	return dst
+}
+
+// col2ImBody zeroes images [lo,hi) of a Col2ImInto's dst and scatters
+// their receptive fields into them. A receptive field only reaches its
+// own image, so each image is summed in the serial order.
+func col2ImBody(ctx any, lo, hi int) {
+	op := ctx.(*operands)
+	g, cols, dst := op.g, op.a, op.dst
+	outH, outW := g.OutHeight(), g.OutWidth()
+	rowLen := g.Channels * g.KernelH * g.KernelW
+	plane := g.Channels * g.Height * g.Width
+	clear(dst[lo*plane : hi*plane])
+	for img := lo; img < hi; img++ {
+		imgBase := img * plane
 		for oy := 0; oy < outH; oy++ {
 			iy0 := oy*g.StrideH - g.PadH
 			for ox := 0; ox < outW; ox++ {
 				ix0 := ox*g.StrideW - g.PadW
-				row := cols.data[((img*outH+oy)*outW+ox)*rowLen:][:rowLen]
+				row := cols[((img*outH+oy)*outW+ox)*rowLen:][:rowLen]
 				ri := 0
 				for c := 0; c < g.Channels; c++ {
 					chBase := imgBase + c*g.Height*g.Width
@@ -125,7 +148,7 @@ func Col2ImInto(dst, cols *Tensor, n int, g ConvGeom) *Tensor {
 						for kx := 0; kx < g.KernelW; kx++ {
 							ix := ix0 + kx
 							if ix >= 0 && ix < g.Width {
-								dst.data[rowBase+ix] += row[ri]
+								dst[rowBase+ix] += row[ri]
 							}
 							ri++
 						}
@@ -134,7 +157,6 @@ func Col2ImInto(dst, cols *Tensor, n int, g ConvGeom) *Tensor {
 			}
 		}
 	}
-	return dst
 }
 
 // Pad2D zero-pads the two trailing spatial dimensions of an (N, C, H, W)

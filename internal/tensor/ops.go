@@ -145,7 +145,8 @@ func (t *Tensor) mustMatch(o *Tensor, op string) {
 // → (m×n), into dst (see the package doc for the …Into contract). Small
 // products use an i-k-j loop whose innermost loop walks both operands with
 // unit stride and skips zero A elements; large products switch to the
-// cache-blocked kernel in block.go.
+// cache-blocked kernel in block.go. Large products are split over output
+// rows (see ParallelFor); so are the two transposed forms.
 func MatMulInto(dst, a, b *Tensor) *Tensor {
 	if a.Dims() != 2 || b.Dims() != 2 {
 		panic(fmt.Sprintf("tensor: MatMul requires rank-2 operands, got %v and %v", a.shape, b.shape))
@@ -157,9 +158,15 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 	}
 	dst = Reuse(dst, m, n)
 	mustNotAlias("MatMulInto", dst, a, b)
-	dst.Zero()
-	matMulRange(a.data, b.data, dst.data, m, k, n, 0, m)
+	forOperands(m, m*k*n, operands{dst: dst.data, a: a.data, b: b.data, m: m, k: k, n: n}, matMulBody)
 	return dst
+}
+
+// matMulBody zeroes and computes output rows [lo,hi) of a MatMulInto.
+func matMulBody(ctx any, lo, hi int) {
+	op := ctx.(*operands)
+	clear(op.dst[lo*op.n : hi*op.n])
+	matMulRange(op.a, op.b, op.dst, op.m, op.k, op.n, lo, hi)
 }
 
 // MatMulTransAInto writes aᵀ·b for rank-2 a (k×m) and b (k×n) → (m×n)
@@ -175,9 +182,16 @@ func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
 	}
 	dst = Reuse(dst, m, n)
 	mustNotAlias("MatMulTransAInto", dst, a, b)
-	dst.Zero()
-	matMulTransACols(a.data, b.data, dst.data, k, m, n, 0, m)
+	forOperands(m, m*k*n, operands{dst: dst.data, a: a.data, b: b.data, m: m, k: k, n: n}, matMulTransABody)
 	return dst
+}
+
+// matMulTransABody zeroes and computes output rows [lo,hi) of a
+// MatMulTransAInto: every row still sums over the whole of k.
+func matMulTransABody(ctx any, lo, hi int) {
+	op := ctx.(*operands)
+	clear(op.dst[lo*op.n : hi*op.n])
+	matMulTransACols(op.a, op.b, op.dst, op.k, op.m, op.n, lo, hi)
 }
 
 // MatMulTransBInto writes a·bᵀ for rank-2 a (m×k) and b (n×k) → (m×n)
@@ -194,8 +208,14 @@ func MatMulTransBInto(dst, a, b *Tensor) *Tensor {
 	}
 	dst = Reuse(dst, m, n)
 	mustNotAlias("MatMulTransBInto", dst, a, b)
-	matMulTransBRange(a.data, b.data, dst.data, m, k, n, 0, m)
+	forOperands(m, m*k*n, operands{dst: dst.data, a: a.data, b: b.data, m: m, k: k, n: n}, matMulTransBBody)
 	return dst
+}
+
+// matMulTransBBody computes output rows [lo,hi) of a MatMulTransBInto.
+func matMulTransBBody(ctx any, lo, hi int) {
+	op := ctx.(*operands)
+	matMulTransBRange(op.a, op.b, op.dst, op.m, op.k, op.n, lo, hi)
 }
 
 // Transpose returns the transpose of a rank-2 tensor.

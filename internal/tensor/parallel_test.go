@@ -2,21 +2,15 @@ package tensor
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/stsl/stsl/internal/mathx"
 )
-
-func TestMatMulTransBPMatchesSerial(t *testing.T) {
-	r := mathx.NewRNG(2)
-	a := Randn(r, 1, 400, 60)
-	b := Randn(r, 1, 90, 60)
-	want := MatMulTransBInto(nil, a, b)
-	got := MatMulTransBPInto(nil, a, b)
-	if !got.Equal(want, 0) {
-		t.Fatal("parallel transB differs from serial (must be bitwise equal)")
-	}
-}
 
 // panicMessage runs f and returns the textual panic it raised, or "" if
 // it returned normally.
@@ -30,12 +24,222 @@ func panicMessage(f func()) (msg string) {
 	return ""
 }
 
-// TestMatMulPBadRankMatchesSerialPanic regresses the validation-order
-// bug: the parallel kernel read shape[1] before the rank guard, so a
-// rank-1 (or rank-3) operand large enough for the fast path panicked
-// with a raw index-out-of-range instead of the serial kernel's
-// descriptive shape panic. The panic text must be identical to the
-// serial kernel's for every malformed-rank combination.
+// atWidth runs f with GOMAXPROCS set to procs.
+func atWidth(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
+// sameBits reports whether a and b have one shape and equal bits.
+func sameBits(a, b *Tensor) bool {
+	if !a.SameShape(b) {
+		return false
+	}
+	for i, v := range a.data {
+		if math.Float64bits(v) != math.Float64bits(b.data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// fannedCase is one kernel that fans out, at a volume above
+// parallelThreshold.
+type fannedCase struct {
+	name string
+	run  func() *Tensor
+}
+
+func fannedCases() []fannedCase {
+	r := mathx.NewRNG(21)
+	// Rows of a product: 403 is prime, so no width divides it evenly.
+	// a·b is above blockedThreshold as a whole but not per half, so a
+	// range that picked its kernel by its own size would be caught.
+	a := Randn(r, 1, 403, 60)
+	b := Randn(r, 1, 60, 20)
+	bt := Randn(r, 1, 90, 60)
+	// Five output rows — fewer than the widest split — over a long k.
+	tall := Randn(r, 1, 4000, 5)
+	wide := Randn(r, 1, 4000, 27)
+	// Sparse operands take the naive kernels' zero skip.
+	sparse := Randn(r, 1, 403, 60)
+	for i := range sparse.data {
+		if i%3 == 0 {
+			sparse.data[i] = 0
+		}
+	}
+	g := ConvGeom{Channels: 3, Height: 32, Width: 32, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+	batch := Randn(r, 1, 11, 3, 32, 32) // 11 images: an odd split
+	big := ConvGeom{Channels: 3, Height: 128, Width: 128, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+	single := Randn(r, 1, 1, 3, 128, 128) // one image: nothing to split
+	cols := Randn(r, 1, 11*32*32, 27)
+	parts := []*Tensor{Randn(r, 1, 300, 400), Randn(r, 1, 1, 400), Randn(r, 1, 500, 400)}
+	stacked := Randn(r, 1, 801, 400)
+	return []fannedCase{
+		{"MatMulInto", func() *Tensor { return MatMulInto(nil, a, b) }},
+		{"MatMulInto-sparse", func() *Tensor { return MatMulInto(nil, sparse, b) }},
+		{"MatMulTransAInto", func() *Tensor { return MatMulTransAInto(nil, tall, wide) }},
+		{"MatMulTransAInto-sparse", func() *Tensor { return MatMulTransAInto(nil, sparse, Randn(mathx.NewRNG(3), 1, 403, 200)) }},
+		{"MatMulTransBInto", func() *Tensor { return MatMulTransBInto(nil, a, bt) }},
+		{"Im2ColInto", func() *Tensor { return Im2ColInto(nil, batch, g) }},
+		{"Im2ColInto-single", func() *Tensor { return Im2ColInto(nil, single, big) }},
+		{"Col2ImInto", func() *Tensor { return Col2ImInto(nil, cols, 11, g) }},
+		{"ConcatRows", func() *Tensor { return ConcatRows(parts...) }},
+		{"SplitRows", func() *Tensor { return SplitRows(stacked, 300, 1, 500)[2] }},
+	}
+}
+
+// TestParallelKernelsMatchSerial pins the fan-out rule: a kernel splits
+// its outputs, never a reduction, so its bits are the serial kernel's at
+// every GOMAXPROCS — including splits into more ranges than there are
+// rows, and batches of one image.
+func TestParallelKernelsMatchSerial(t *testing.T) {
+	for _, tc := range fannedCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			var want *Tensor
+			atWidth(1, func() { want = tc.run() })
+			for _, procs := range []int{2, 3, 7} {
+				var got *Tensor
+				atWidth(procs, func() { got = tc.run() })
+				if !sameBits(got, want) {
+					t.Fatalf("GOMAXPROCS %d: result differs from the serial kernel's bits", procs)
+				}
+			}
+		})
+	}
+}
+
+// TestParallelForCoversRange: the ranges tile [0, n) exactly once, for
+// n below, at and above the split width, and serially below the
+// threshold.
+func TestParallelForCoversRange(t *testing.T) {
+	for _, procs := range []int{1, 2, 3, 7} {
+		for _, n := range []int{1, 2, 5, 7, 64, 1001} {
+			for _, work := range []int{0, parallelThreshold} {
+				seen := make([]atomic.Int32, n)
+				var calls atomic.Int32
+				atWidth(procs, func() {
+					ParallelFor(n, work, func(ctx any, lo, hi int) {
+						calls.Add(1)
+						if lo >= hi {
+							t.Errorf("empty range [%d,%d)", lo, hi)
+						}
+						for i := lo; i < hi; i++ {
+							ctx.([]atomic.Int32)[i].Add(1)
+						}
+					}, seen)
+				})
+				for i := range seen {
+					if c := seen[i].Load(); c != 1 {
+						t.Fatalf("GOMAXPROCS %d n %d work %d: index %d visited %d times", procs, n, work, i, c)
+					}
+				}
+				if want := int32(min(procs, n)); work == 0 && calls.Load() != 1 || work > 0 && calls.Load() != want {
+					t.Fatalf("GOMAXPROCS %d n %d work %d: %d ranges", procs, n, work, calls.Load())
+				}
+			}
+		}
+	}
+}
+
+// TestParallelForConcurrentCallers: eight goroutines fanning kernels out
+// at once share the one worker set, finish, and still get the serial
+// bits. Run it under -race.
+func TestParallelForConcurrentCallers(t *testing.T) {
+	cases := fannedCases()
+	want := make([]*Tensor, len(cases))
+	atWidth(1, func() {
+		for i, tc := range cases {
+			want[i] = tc.run()
+		}
+	})
+	atWidth(max(runtime.GOMAXPROCS(0), 2), func() {
+		var wg sync.WaitGroup
+		for c := 0; c < 8; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range cases {
+					k := (i + c) % len(cases)
+					if got := cases[k].run(); !sameBits(got, want[k]) {
+						t.Errorf("caller %d: %s differs from the serial bits", c, cases[k].name)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	})
+}
+
+// TestParallelForNested: a body must not call ParallelFor — nesting buys
+// nothing, since the workers are busy with the outer call — but if one
+// does, every range still runs once and the call returns.
+func TestParallelForNested(t *testing.T) {
+	const outer, inner = 6, 50
+	var seen [outer * inner]atomic.Int32
+	atWidth(3, func() {
+		ParallelFor(outer, parallelThreshold, func(_ any, lo, hi int) {
+			for o := lo; o < hi; o++ {
+				ParallelFor(inner, parallelThreshold, func(_ any, lo, hi int) {
+					for i := lo; i < hi; i++ {
+						seen[o*inner+i].Add(1)
+					}
+				}, nil)
+			}
+		}, nil)
+	})
+	for i := range seen {
+		if c := seen[i].Load(); c != 1 {
+			t.Fatalf("index %d visited %d times", i, c)
+		}
+	}
+}
+
+// mallocsPerRun is testing.AllocsPerRun without its GOMAXPROCS 1, which
+// would keep every kernel serial: it counts the allocations of f per
+// call at GOMAXPROCS ≥ 2, after one warm call.
+func mallocsPerRun(runs int, f func()) float64 {
+	var n float64
+	atWidth(max(runtime.GOMAXPROCS(0), 2), func() {
+		f()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		n = float64(after.Mallocs-before.Mallocs) / float64(runs)
+	})
+	return n
+}
+
+// TestParallelKernelsDoNotAllocate: above the threshold a warm kernel
+// fans out without allocating — no goroutine, closure or descriptor per
+// call.
+func TestParallelKernelsDoNotAllocate(t *testing.T) {
+	r := mathx.NewRNG(22)
+	a, bt := Randn(r, 1, 403, 60), Randn(r, 1, 90, 60)
+	b := Randn(r, 1, 60, 90)
+	x := Randn(r, 1, 11, 3, 32, 32)
+	g := ConvGeom{Channels: 3, Height: 32, Width: 32, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+	var mm, ta, tb, cols, img *Tensor
+	if n := mallocsPerRun(50, func() {
+		mm = MatMulInto(mm, a, b)
+		ta = MatMulTransAInto(ta, a, a)
+		tb = MatMulTransBInto(tb, a, bt)
+		cols = Im2ColInto(cols, x, g)
+		img = Col2ImInto(img, cols, 11, g)
+	}); n >= 1 {
+		t.Fatalf("warm fanned kernels allocated %v times per call", n)
+	}
+}
+
+// TestMatMulPBadRankMatchesSerialPanic regresses a validation-order bug:
+// a parallel matmul read shape[1] before the rank guard, so a rank-1 (or
+// rank-3) operand large enough to fan out panicked with a raw
+// index-out-of-range instead of the serial kernel's descriptive shape
+// panic. Each kernel must raise the same panic at GOMAXPROCS 1 as on
+// its fanned path.
 func TestMatMulPBadRankMatchesSerialPanic(t *testing.T) {
 	r := mathx.NewRNG(4)
 	rank1 := Randn(r, 1, 600_000)      // would overflow shape[1] pre-fix
@@ -50,17 +254,25 @@ func TestMatMulPBadRankMatchesSerialPanic(t *testing.T) {
 		{"rank3-a", rank3, rank2},
 		{"rank3-b", rank2, rank3},
 		// Two large rank-2 operands whose inner dimensions disagree.
-		{"inner-mismatch", Randn(r, 1, 600, 500), Randn(r, 1, 600, 400)},
+		{"inner-mismatch", Randn(r, 1, 600, 500), Randn(r, 1, 400, 300)},
+	}
+	kernels := map[string]func(a, b *Tensor) *Tensor{
+		"MatMulInto":       func(a, b *Tensor) *Tensor { return MatMulInto(nil, a, b) },
+		"MatMulTransAInto": func(a, b *Tensor) *Tensor { return MatMulTransAInto(nil, a, b) },
+		"MatMulTransBInto": func(a, b *Tensor) *Tensor { return MatMulTransBInto(nil, a, b) },
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			wantTB := panicMessage(func() { MatMulTransBInto(nil, tc.a, tc.b) })
-			if wantTB == "" {
-				t.Fatal("serial MatMulTransB accepted malformed operands")
-			}
-			if got := panicMessage(func() { MatMulTransBPInto(nil, tc.a, tc.b) }); got != wantTB {
-				t.Errorf("MatMulTransBP panic %q, want serial kernel's %q", got, wantTB)
+			for name, k := range kernels {
+				var serial, fanned string
+				atWidth(1, func() { serial = panicMessage(func() { k(tc.a, tc.b) }) })
+				atWidth(4, func() { fanned = panicMessage(func() { k(tc.a, tc.b) }) })
+				if serial == "" || !strings.HasPrefix(serial, "tensor: MatMul") {
+					t.Fatalf("%s accepted or misreported malformed operands: %q", name, serial)
+				}
+				if fanned != serial {
+					t.Errorf("%s fanned panic %q, want the serial %q", name, fanned, serial)
+				}
 			}
 		})
 	}

@@ -1,17 +1,13 @@
 package tensor
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // ConcatRows concatenates tensors along axis 0: parts of shape
 // (n_i, d1, …, dk) become one tensor of shape (Σn_i, d1, …, dk). All
 // parts must share rank and trailing dimensions. It is the stacking half
 // of the server's micro-batch coalescing — per-client activation batches
 // become one batch-axis-stacked operand for a single forward pass.
-// Large concatenations copy the parts in parallel, one goroutine each,
-// reusing the threshold the parallel matmul kernels fan out at.
+// Large concatenations copy the parts in parallel (see ParallelFor).
 func ConcatRows(parts ...*Tensor) *Tensor {
 	if len(parts) == 0 {
 		panic("tensor: ConcatRows needs at least one tensor")
@@ -31,25 +27,26 @@ func ConcatRows(parts ...*Tensor) *Tensor {
 	shape := append([]int(nil), first.shape...)
 	shape[0] = rows
 	out := New(shape...)
-	if len(out.data) < parallelThreshold || len(parts) == 1 {
-		off := 0
-		for _, p := range parts {
-			off += copy(out.data[off:], p.data)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
+	cp := partCopies{dst: make([][]float64, len(parts)), src: make([][]float64, len(parts))}
 	off := 0
-	for _, p := range parts {
-		wg.Add(1)
-		go func(dst []float64, src []float64) {
-			defer wg.Done()
-			copy(dst, src)
-		}(out.data[off:off+len(p.data)], p.data)
+	for i, p := range parts {
+		cp.dst[i], cp.src[i] = out.data[off:off+len(p.data)], p.data
 		off += len(p.data)
 	}
-	wg.Wait()
+	ParallelFor(len(parts), len(out.data), copyParts, &cp)
 	return out
+}
+
+// partCopies pairs the destinations and sources of a ConcatRows or
+// SplitRows.
+type partCopies struct{ dst, src [][]float64 }
+
+// copyParts copies parts [lo,hi) of a *partCopies.
+func copyParts(ctx any, lo, hi int) {
+	cp := ctx.(*partCopies)
+	for i := lo; i < hi; i++ {
+		copy(cp.dst[i], cp.src[i])
+	}
 }
 
 // SplitRows splits t along axis 0 into len(sizes) tensors where part i
@@ -76,27 +73,16 @@ func SplitRows(t *Tensor, sizes ...int) []*Tensor {
 		rowVol *= d
 	}
 	out := make([]*Tensor, len(sizes))
-	parallel := len(t.data) >= parallelThreshold && len(sizes) > 1
-	var wg sync.WaitGroup
+	cp := partCopies{dst: make([][]float64, len(sizes)), src: make([][]float64, len(sizes))}
 	off := 0
 	for i, n := range sizes {
 		shape := append([]int(nil), t.shape...)
 		shape[0] = n
-		part := New(shape...)
-		src := t.data[off : off+n*rowVol]
+		out[i] = New(shape...)
+		cp.dst[i], cp.src[i] = out[i].data, t.data[off:off+n*rowVol]
 		off += n * rowVol
-		out[i] = part
-		if parallel {
-			wg.Add(1)
-			go func(dst, src []float64) {
-				defer wg.Done()
-				copy(dst, src)
-			}(part.data, src)
-		} else {
-			copy(part.data, src)
-		}
 	}
-	wg.Wait()
+	ParallelFor(len(sizes), len(t.data), copyParts, &cp)
 	return out
 }
 

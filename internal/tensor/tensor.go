@@ -12,6 +12,13 @@
 // otherwise, zeroes or overwrites every element itself, panics when dst
 // shares storage with an operand, and returns the tensor it wrote. A
 // caller that keeps dst across calls therefore allocates once per shape.
+//
+// Large kernels fan out over the CPUs through ParallelFor, whose workers
+// start at package init. They split outputs — rows of a product, images
+// of a batch — never a reduction, so every result is bit-identical to
+// the serial kernel's at any GOMAXPROCS, and a warm call allocates
+// nothing.
+//
 // float64 was chosen over float32 so that analytic gradients can be checked
 // against central finite differences to tight tolerances; the cost of the
 // choice is measured in the benchmark suite.
