@@ -53,7 +53,6 @@ import (
 	"github.com/stsl/stsl/internal/nn"
 	"github.com/stsl/stsl/internal/obs"
 	"github.com/stsl/stsl/internal/opt"
-	"github.com/stsl/stsl/internal/paramsync"
 	"github.com/stsl/stsl/internal/queue"
 	"github.com/stsl/stsl/internal/transport"
 )
@@ -69,12 +68,10 @@ func main() {
 		policy       = flag.String("policy", "fifo", "queue policy: fifo|staleness|fair-rr")
 		queueCap     = flag.Int("queue-cap", 64, "scheduling queue depth cap; a session parks at the cap until there is headroom (-1 = unbounded)")
 		coalesce     = flag.Int("coalesce", 1, "micro-batch coalescing cap: stack up to this many queued activations per pass")
-		workers      = flag.Int("workers", 1, "data-parallel model replicas draining the queue concurrently (1 = classic single worker)")
-		syncEvery    = flag.Int("sync-every", 0, "pool steps between FedAvg replica-averaging barriers (0 = default; only with -workers > 1)")
 		straggler    = flag.Duration("straggler-timeout", 0, "drop silent clients after this long (0 = never)")
 		maxSessions  = flag.Int("max-sessions", 0, "admission cap on concurrently live sessions; joins beyond it are refused with a RetryAfter hint (0 = unlimited)")
 		workDeadline = flag.Duration("work-deadline", 0, "queued activations older than this are shed un-served and the client told to resend (0 = serve everything)")
-		sendTimeout  = flag.Duration("send-timeout", 0, "per-reply write deadline; a client that stalls reading longer than this is evicted instead of wedging a worker (0 = block forever)")
+		sendTimeout  = flag.Duration("send-timeout", 0, "per-reply write deadline; a client that stalls reading longer than this is evicted instead of wedging the worker (0 = block forever)")
 		grace        = flag.Duration("resume-grace", 30*time.Second, "how long a disconnected client may reconnect and resume its session (0 = evict immediately)")
 		ckptDir      = flag.String("checkpoint-dir", "", "directory for periodic server checkpoints (empty = no checkpointing)")
 		ckptEvery    = flag.Int("checkpoint-every", 50, "server steps between checkpoints (with -checkpoint-dir)")
@@ -83,7 +80,6 @@ func main() {
 		adminAddr    = flag.String("admin-addr", "", "admin HTTP listener: /metrics (Prometheus), /statusz (JSON), /trace, /debug/pprof. Serves operational internals — bind loopback (e.g. 127.0.0.1:9090) unless the network is trusted. Empty = off")
 		weights      = flag.String("weights", "", "path to write learned server weights (optional)")
 		checksum     = flag.Bool("checksum", false, "send CRC32C-checksummed wire frames (self-describing — plain peers interoperate; corrupted inbound frames are detected either way)")
-		aggregate    = flag.String("aggregate", "average", "replica aggregation rule at sync barriers: average|trimmed|clipped (robust rules bound what poisoned replicas can do; only with -workers > 1)")
 		sanitize     = flag.Bool("sanitize", false, "screen inbound activations for NaN/Inf and norm outliers; clients that repeatedly send garbage are quarantined")
 	)
 	flag.Parse()
@@ -115,45 +111,16 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	aggMethod, err := paramsync.ParseMethod(*aggregate)
-	if err != nil {
-		fatal(err)
-	}
 	clusterCfg := cluster.Config{
 		Checksum:         *checksum,
-		Aggregate:        aggMethod,
 		Sanitize:         *sanitize,
 		QueueCap:         *queueCap,
 		StragglerTimeout: *straggler,
 		BatchCoalesce:    *coalesce,
 		ResumeGrace:      *grace,
-		Workers:          *workers,
-		SyncEvery:        *syncEvery,
 		MaxSessions:      *maxSessions,
 		WorkDeadline:     *workDeadline,
 		SendTimeout:      *sendTimeout,
-		// Each extra worker gets a structurally identical replica of the
-		// server stack, built the same way as the primary; NewServer fans
-		// the primary's weights (including any -resume restore) out to it.
-		NewReplica: func() (*core.Server, error) {
-			tpl, err := nn.BuildPaperCNN(s.Model, mathx.NewRNG(*seed))
-			if err != nil {
-				return nil, err
-			}
-			_, up, err := core.Split(tpl, *cut)
-			if err != nil {
-				return nil, err
-			}
-			o, err := opt.NewSGD(opt.Config{LR: *lr})
-			if err != nil {
-				return nil, err
-			}
-			p, err := queue.NewPolicy(*policy)
-			if err != nil {
-				return nil, err
-			}
-			return core.NewServer(up, o, p)
-		},
 	}
 	// Telemetry comes alive with the admin listener: a registry for
 	// /metrics and a bounded trace ring for /trace. Without -admin-addr
@@ -222,8 +189,8 @@ func main() {
 		defer admin.Close()
 		fmt.Printf("stsl-server: admin listener on http://%s (/healthz /metrics /statusz /trace /debug/pprof)\n", admin.Addr())
 	}
-	fmt.Printf("stsl-server: listening on %s for %d end-system(s), cut=%d policy=%s cap=%d coalesce=%d workers=%d\n",
-		lis.Addr(), *clients, *cut, *policy, *queueCap, *coalesce, *workers)
+	fmt.Printf("stsl-server: listening on %s for %d end-system(s), cut=%d policy=%s cap=%d coalesce=%d\n",
+		lis.Addr(), *clients, *cut, *policy, *queueCap, *coalesce)
 	go srv.ServeListener(lis)
 
 	// The ticker stops when training ends, not at process exit, so late

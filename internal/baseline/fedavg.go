@@ -1,13 +1,15 @@
 package baseline
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"github.com/stsl/stsl/internal/data"
 	"github.com/stsl/stsl/internal/mathx"
 	"github.com/stsl/stsl/internal/metrics"
 	"github.com/stsl/stsl/internal/nn"
-	"github.com/stsl/stsl/internal/paramsync"
+	"github.com/stsl/stsl/internal/tensor"
 )
 
 // FedAvgConfig parameterises the federated-averaging baseline.
@@ -75,7 +77,7 @@ func TrainFedAvg(cfg FedAvgConfig, shards []*data.Dataset) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Example-count weights for the aggregation rule; paramsync.Average
+	// Example-count weights for the aggregation rule; averageParams
 	// normalises them, so raw shard sizes are fine.
 	weights := make([]float64, len(shards))
 	replicaParams := make([][]*nn.Param, len(replicas))
@@ -87,7 +89,7 @@ func TrainFedAvg(cfg FedAvgConfig, shards []*data.Dataset) (*Result, error) {
 	for round := 0; round < cfg.Rounds; round++ {
 		for i, rep := range replicas {
 			// Pull global weights.
-			if err := paramsync.Copy(rep.Net.Params(), global.Net.Params()); err != nil {
+			if err := copyParams(rep.Net.Params(), global.Net.Params()); err != nil {
 				return nil, err
 			}
 			optim, err := newOptimizer("sgd", cfg.LR)
@@ -112,11 +114,94 @@ func TrainFedAvg(cfg FedAvgConfig, shards []*data.Dataset) (*Result, error) {
 				}
 			}
 		}
-		// Example-weighted average into the global model — the shared
-		// aggregation kernel the cluster worker pool also syncs with.
-		if err := paramsync.Average(global.Net.Params(), replicaParams, weights); err != nil {
+		// Example-weighted average into the global model.
+		if err := averageParams(global.Net.Params(), replicaParams, weights); err != nil {
 			return nil, err
 		}
 	}
 	return &Result{Model: global, Losses: curve}, nil
+}
+
+// errNonFinite reports parameter values that are NaN or ±Inf where
+// finite numbers are required: a source set handed to copyParams or
+// averageParams. A client whose local training diverged fails the run
+// instead of poisoning the global model.
+var errNonFinite = errors.New("baseline: non-finite parameter values")
+
+// finiteParams reports whether every value of every parameter is finite.
+func finiteParams(set []*nn.Param) bool {
+	for _, p := range set {
+		for _, v := range p.Value.Data() {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// copyParams overwrites dst's parameter values with src's. Gradients and
+// optimiser slots are untouched. The two sets must be structurally
+// identical (same length, same per-position shapes).
+func copyParams(dst, src []*nn.Param) error {
+	if len(dst) != len(src) {
+		return fmt.Errorf("baseline: copy %d params into %d", len(src), len(dst))
+	}
+	// The check runs before any write so a rejected copy leaves dst
+	// untouched.
+	if !finiteParams(src) {
+		return fmt.Errorf("baseline: copy source: %w", errNonFinite)
+	}
+	for i := range dst {
+		dst[i].Value.CopyFrom(src[i].Value)
+	}
+	return nil
+}
+
+// averageParams computes the weighted average of the parameter sets into
+// dst (dst may alias one of the sets — every source value is read
+// through a private accumulator before dst is written). weights is
+// normalised internally; nil means uniform.
+func averageParams(dst []*nn.Param, sets [][]*nn.Param, weights []float64) error {
+	if len(sets) == 0 {
+		return fmt.Errorf("baseline: average of zero parameter sets")
+	}
+	if weights != nil && len(weights) != len(sets) {
+		return fmt.Errorf("baseline: %d weights for %d parameter sets", len(weights), len(sets))
+	}
+	total := 0.0
+	if weights == nil {
+		total = float64(len(sets))
+	} else {
+		for _, w := range weights {
+			if w < 0 {
+				return fmt.Errorf("baseline: negative weight %v", w)
+			}
+			total += w
+		}
+		if total <= 0 {
+			return fmt.Errorf("baseline: weights sum to %v, want positive", total)
+		}
+	}
+	for si, set := range sets {
+		if len(set) != len(dst) {
+			return fmt.Errorf("baseline: averaging %d params into %d", len(set), len(dst))
+		}
+		// A single NaN would poison every coordinate of the mean.
+		if !finiteParams(set) {
+			return fmt.Errorf("baseline: set %d: %w", si, errNonFinite)
+		}
+	}
+	for pi := range dst {
+		acc := tensor.New(sets[0][pi].Value.Shape()...)
+		for si, set := range sets {
+			w := 1.0 / total
+			if weights != nil {
+				w = weights[si] / total
+			}
+			acc.AXPY(w, set[pi].Value)
+		}
+		dst[pi].Value.CopyFrom(acc)
+	}
+	return nil
 }

@@ -27,18 +27,15 @@ var (
 		"StragglerTimeout": TestStragglerDropped,
 		"BatchCoalesce":    TestBatchCoalesceStacksQueuedItems,
 		"ResumeGrace":      TestGraceExpiryEvicts,
-		"Workers":          TestWorkerPoolAllPolicies,
-		"SyncEvery":        TestSyncEverySpacesBarriers,
 		"CheckpointEvery":  TestCheckpointEveryPacesTheSink,
 		"MaxSessions":      TestRefusalWithoutDialIsTyped,
 		"WorkDeadline":     TestDeadlineShedRollsBackAndReports,
 		"SendTimeout":      TestStalledReaderEvicted,
 		"Checksum":         TestHostileFleetChaos,
-		"Aggregate":        TestRobustSyncHealsPoisonedReplica,
 		"Sanitize":         TestHostileFleetChaos,
 	}
 	serverWiring = map[string]string{
-		"NewReplica": "factory for the pool's extra replicas; Workers is the knob",
+		"Workers":    "only 0 or 1 (TestWorkersOnlyOne): the pool it sized was removed; kept until the benchmark stops setting it",
 		"Checkpoint": "the sink the state is written to; CheckpointEvery is the knob",
 		"Now":        "clock injection",
 		"Obs":        "telemetry registry",
@@ -110,7 +107,7 @@ func TestBatchCoalesceStacksQueuedItems(t *testing.T) {
 		waitFor(t, func() bool { return srv.Snapshot().QueueDepth == 3 })
 		release()
 		awaitGradients()
-		passes := reg.Histogram("stsl_worker_process_seconds", obs.Labels{"replica": "0"}).Count()
+		passes := reg.Histogram("stsl_worker_process_seconds", nil).Count()
 		if int(passes) != tc.passes || srv.Snapshot().ServerSteps != 3 {
 			t.Errorf("BatchCoalesce %d: %d model passes for %d served items, want %d passes for 3",
 				tc.coalesce, passes, srv.Snapshot().ServerSteps, tc.passes)
@@ -118,28 +115,20 @@ func TestBatchCoalesceStacksQueuedItems(t *testing.T) {
 	}
 }
 
-// TestSyncEverySpacesBarriers: the same 16-step run crosses a sync
-// barrier every couple of steps at SyncEvery 2 and never at SyncEvery
-// 1000, where the only aggregation left is the supervisor's final fold.
-func TestSyncEverySpacesBarriers(t *testing.T) {
-	syncs := func(every int) int {
-		res, err := Run(context.Background(), buildDeployment(t, 2, "fifo"), RunnerConfig{
-			StepsPerClient: 8,
-			GradTimeout:    20 * time.Second,
-			Cluster:        Config{Workers: 2, SyncEvery: every},
-		})
-		if err != nil {
-			t.Fatal(err)
+// TestWorkersOnlyOne: one worker owns the model. Workers 0 and 1 both
+// mean that; anything else is refused with an error that says the pool
+// is gone.
+func TestWorkersOnlyOne(t *testing.T) {
+	for _, w := range []int{0, 1} {
+		if _, err := NewServer(buildDeployment(t, 1, "fifo").Server, Config{Workers: w}); err != nil {
+			t.Errorf("Workers %d: %v", w, err)
 		}
-		return res.Snapshot.Syncs
 	}
-	// A barrier arms at 2 pool steps and the other worker can land one
-	// more before it rendezvouses: at most 3 steps per barrier.
-	if dense := syncs(2); dense < 16/3 {
-		t.Errorf("SyncEvery 2 over 16 steps: %d syncs, want at least %d", dense, 16/3)
-	}
-	if sparse := syncs(1000); sparse != 1 {
-		t.Errorf("SyncEvery 1000 over 16 steps: %d syncs, want only the final fold", sparse)
+	for _, w := range []int{-1, 2, 4} {
+		_, err := NewServer(buildDeployment(t, 1, "fifo").Server, Config{Workers: w})
+		if err == nil || !strings.Contains(err.Error(), "worker pool was removed") {
+			t.Errorf("Workers %d: err = %v, want the pool-removed error", w, err)
+		}
 	}
 }
 
@@ -153,7 +142,7 @@ func TestCheckpointEveryPacesTheSink(t *testing.T) {
 			GradTimeout:    20 * time.Second,
 			Cluster: Config{
 				CheckpointEvery: tc.every,
-				Checkpoint:      func([]*core.Server) error { return nil },
+				Checkpoint:      func(*core.Server) error { return nil },
 			},
 		})
 		if err != nil {

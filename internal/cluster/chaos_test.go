@@ -463,11 +463,11 @@ func TestServerRestartFromCheckpoint(t *testing.T) {
 	// restart, not a filesystem (FileCheckpointer has its own test).
 	var ckptMu sync.Mutex
 	var ckpt bytes.Buffer
-	sink := func(srvs []*core.Server) error {
+	sink := func(srv *core.Server) error {
 		ckptMu.Lock()
 		defer ckptMu.Unlock()
 		ckpt.Reset()
-		return core.SavePoolState(&ckpt, srvs, 0, 0)
+		return srv.SaveState(&ckpt, 0, 0)
 	}
 
 	dep := chaosDeployment(t, clients)
@@ -505,15 +505,22 @@ func TestServerRestartFromCheckpoint(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
+	// Every first connection is made before any client trains: a first
+	// dial has no retry, so one made after another client's steps had
+	// already taken the server down would fail with "server down".
+	conns := make([]transport.Conn, clients)
+	for i := range conns {
+		conn, err := dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns[i] = conn
+	}
 	outcomes := make(chan error, clients)
 	for i := 0; i < clients; i++ {
 		i := i
+		conn := conns[i]
 		go func() {
-			conn, err := dial()
-			if err != nil {
-				outcomes <- err
-				return
-			}
 			res, err := RunClient(ctx, dep.Clients[i], conn, ClientConfig{
 				Steps:            steps,
 				GradTimeout:      20 * time.Second,
@@ -616,7 +623,7 @@ func TestFileCheckpointerRoundTrip(t *testing.T) {
 	if res.ServerSteps != 3 {
 		t.Fatalf("trained %d steps, want 3", res.ServerSteps)
 	}
-	if err := FileCheckpointer(path)([]*core.Server{dep.Server}); err != nil {
+	if err := FileCheckpointer(path)(dep.Server); err != nil {
 		t.Fatal(err)
 	}
 

@@ -19,8 +19,8 @@ import (
 // bit rot — while bounding disk use at a few model sizes.
 const DefaultCheckpointKeep = 3
 
-// FileCheckpointer returns a Checkpoint sink that persists the worker
-// pool's training state to path with crash and corruption resilience:
+// FileCheckpointer returns a Checkpoint sink that persists the server's
+// training state to path with crash and corruption resilience:
 //
 //   - Atomic + durable publish: the state is written to a sibling temp
 //     file, fsynced, renamed into place, and the directory fsynced — so
@@ -33,20 +33,20 @@ const DefaultCheckpointKeep = 3
 //     verifies checksums and falls back to the newest generation that
 //     passes, so one corrupted file costs one checkpoint interval of
 //     progress instead of the whole run.
-func FileCheckpointer(path string) func([]*core.Server) error {
+func FileCheckpointer(path string) func(*core.Server) error {
 	return GenerationalCheckpointer(path, DefaultCheckpointKeep)
 }
 
 // GenerationalCheckpointer is FileCheckpointer with an explicit
 // retention depth. keep <= 1 retains only the latest generation file
 // (path itself is always maintained besides the generation files).
-func GenerationalCheckpointer(path string, keep int) func([]*core.Server) error {
+func GenerationalCheckpointer(path string, keep int) func(*core.Server) error {
 	if keep < 1 {
 		keep = 1
 	}
 	var mu sync.Mutex
 	gen := -1 // lazily initialised from the files already on disk
-	return func(srvs []*core.Server) error {
+	return func(srv *core.Server) error {
 		mu.Lock()
 		defer mu.Unlock()
 		if gen < 0 {
@@ -55,7 +55,7 @@ func GenerationalCheckpointer(path string, keep int) func([]*core.Server) error 
 		parent := gen
 		gen++
 		var buf bytes.Buffer
-		if err := core.SavePoolState(&buf, srvs, gen, parent); err != nil {
+		if err := srv.SaveState(&buf, gen, parent); err != nil {
 			return err
 		}
 		// The generation file is published first, then the stable path:
@@ -141,10 +141,6 @@ func publishSync(path string, data []byte) error {
 
 // RestoreFromFile loads a checkpoint written by FileCheckpointer into a
 // structurally identical core server, returning the restored step count.
-// The checkpoint lands as the FedAvg average of its replica stacks (see
-// core.LoadState), which NewServer then fans out to however many replicas
-// the restarted server runs — an N-worker checkpoint restores into an
-// M-worker server for any N and M.
 //
 // Integrity: path is tried first, then the retained generation files
 // newest-first; the first candidate that verifies (the checksum is

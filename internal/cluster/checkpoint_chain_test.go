@@ -58,11 +58,11 @@ func TestCheckpointChainBitFlipFallback(t *testing.T) {
 	path := t.TempDir() + "/server.ckpt"
 	sink := GenerationalCheckpointer(path, 3)
 	depA := trainedDeployment(t, 3)
-	if err := sink([]*core.Server{depA.Server}); err != nil { // g1, steps=3
+	if err := sink(depA.Server); err != nil { // g1, steps=3
 		t.Fatal(err)
 	}
 	depB := trainedDeployment(t, 6)
-	if err := sink([]*core.Server{depB.Server}); err != nil { // g2, steps=6
+	if err := sink(depB.Server); err != nil { // g2, steps=6
 		t.Fatal(err)
 	}
 
@@ -85,11 +85,11 @@ func TestCheckpointChainTornFallback(t *testing.T) {
 	path := t.TempDir() + "/server.ckpt"
 	sink := GenerationalCheckpointer(path, 3)
 	depA := trainedDeployment(t, 3)
-	if err := sink([]*core.Server{depA.Server}); err != nil {
+	if err := sink(depA.Server); err != nil {
 		t.Fatal(err)
 	}
 	depB := trainedDeployment(t, 6)
-	if err := sink([]*core.Server{depB.Server}); err != nil {
+	if err := sink(depB.Server); err != nil {
 		t.Fatal(err)
 	}
 
@@ -118,7 +118,7 @@ func TestCheckpointChainAllCorrupt(t *testing.T) {
 	}
 
 	depA := trainedDeployment(t, 3)
-	if err := GenerationalCheckpointer(path, 3)([]*core.Server{depA.Server}); err != nil {
+	if err := GenerationalCheckpointer(path, 3)(depA.Server); err != nil {
 		t.Fatal(err)
 	}
 	flipByte(t, path)
@@ -142,7 +142,7 @@ func TestCheckpointChainRetention(t *testing.T) {
 	sink := GenerationalCheckpointer(path, 3)
 	dep := trainedDeployment(t, 3)
 	for i := 0; i < 5; i++ {
-		if err := sink([]*core.Server{dep.Server}); err != nil {
+		if err := sink(dep.Server); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,7 +158,7 @@ func TestCheckpointChainRetention(t *testing.T) {
 	}
 
 	// A fresh checkpointer (restarted server) picks up at g6.
-	if err := GenerationalCheckpointer(path, 3)([]*core.Server{dep.Server}); err != nil {
+	if err := GenerationalCheckpointer(path, 3)(dep.Server); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path + ".g6"); err != nil {
@@ -179,7 +179,7 @@ func TestCheckpointChainMissingParent(t *testing.T) {
 		if i >= 2 {
 			srv = depB.Server
 		}
-		if err := sink([]*core.Server{srv}); err != nil {
+		if err := sink(srv); err != nil {
 			t.Fatal(err)
 		}
 	}

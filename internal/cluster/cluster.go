@@ -10,19 +10,14 @@
 // framing, or in-memory channel pairs. The server feeds every arriving
 // activation into a single mutex-guarded instance of the paper's
 // scheduling queue (queue.Safe wrapping any queue.Policy) and drains it
-// with a pool of worker goroutines that own all model state, so the
-// paper's parameter-scheduling discipline absorbs actual wall-clock
-// arrival skew. The session layer (join/resume/park/leave, reply cache,
-// janitor) owns no model state at all — see DESIGN.md §3.5 for the
-// split. With Config.Workers = 1 (the default) a single worker owns the
-// one model replica, the classic arrangement; at Workers = N each
-// worker drains the shared queue into its own data-parallel replica and
-// the replicas synchronise through a FedAvg parameter average every
-// Config.SyncEvery steps (DESIGN.md §3.2). With Config.BatchCoalesce a
+// with one worker goroutine that owns all model state — the paper's one
+// centralized server — so the paper's parameter-scheduling discipline
+// absorbs actual wall-clock arrival skew. The session layer
+// (join/resume/park/leave, reply cache, janitor) owns no model state at
+// all — see DESIGN.md §3.5 for the split. With Config.BatchCoalesce the
 // worker drains up to B queued activations per pick and runs them as
 // one stacked forward/backward pass, scattering per-client gradient
-// slices back to their sessions — the two levers compose: coalescing
-// amortises the conv/matmul hot path, workers multiply it.
+// slices back to their sessions.
 //
 // The pieces:
 //
@@ -58,7 +53,6 @@ import (
 
 	"github.com/stsl/stsl/internal/core"
 	"github.com/stsl/stsl/internal/obs"
-	"github.com/stsl/stsl/internal/paramsync"
 )
 
 // Config parameterises a cluster Server.
@@ -95,45 +89,21 @@ type Config struct {
 	// and a gated policy keeps counting it — grace is the knob trading
 	// round stall against eviction.
 	ResumeGrace time.Duration
-	// Workers is the number of data-parallel model replicas draining the
-	// scheduling queue concurrently (0 or 1 = the classic single
-	// model-owning worker). Each extra worker runs an independent
-	// forward/backward/step on its own replica of the server stack; the
-	// replicas synchronise through a FedAvg parameter average every
-	// SyncEvery pool steps. Workers > 1 requires NewReplica.
-	//
-	// Averaging N replicas' parameters folds N optimiser steps into
-	// roughly one, so the pool multiplies every replica's server-side
-	// learning rate by Workers — the linear scaling rule — which
-	// restores the sequential trajectory and keeps live-vs-sim loss
-	// parity. Client-side optimisers are never touched.
+	// Workers must be 0 or 1: the one worker goroutine owns the model.
+	// The data-parallel worker pool it once sized was removed; the field
+	// stays only until the benchmark stops setting it.
 	Workers int
-	// SyncEvery is the pool-wide number of served steps between replica
-	// parameter-averaging barriers (0 defaults to 16). Wider spacing
-	// buys throughput at the price of replica divergence — watch the
-	// stsl_replica_divergence gauge. Meaningful only at Workers > 1.
-	SyncEvery int
-	// NewReplica builds one additional core server structurally
-	// identical to the primary (same stack shapes, fresh optimiser) for
-	// the worker pool; it is called Workers-1 times by NewServer and the
-	// primary's weights — including any restored checkpoint — are fanned
-	// out to every replica before Start. core.Deployment.NewServerReplica
-	// is the standard factory; the runner wires it automatically.
-	NewReplica func() (*core.Server, error)
 	// CheckpointEvery invokes Checkpoint after every this many server
 	// steps. 0 with a non-nil Checkpoint still writes the final
-	// checkpoint at worker exit. At Workers > 1 the cadence is rounded
-	// to sync barriers: a due checkpoint forces the next barrier and is
-	// written there, while every replica is quiescent.
+	// checkpoint at worker exit.
 	CheckpointEvery int
-	// Checkpoint, when non-nil, persists the pool's training state: it
-	// receives every model replica (one entry at Workers <= 1). It is
-	// called only while no worker is mid-pass — from the single worker
-	// between passes, or at a pool sync barrier — so it can never
-	// observe a half-applied update; it runs every CheckpointEvery steps
-	// and once more at shutdown, making a server restart nearly
-	// lossless. Use FileCheckpointer for the standard file sink.
-	Checkpoint func([]*core.Server) error
+	// Checkpoint, when non-nil, persists the model's training state. It
+	// is called only from the worker between passes, or after the worker
+	// exited, so it can never observe a half-applied update; it runs
+	// every CheckpointEvery steps and once more at shutdown, making a
+	// server restart nearly lossless. It is never handed non-finite
+	// weights. Use FileCheckpointer for the standard file sink.
+	Checkpoint func(*core.Server) error
 	// Now supplies protocol timestamps. nil uses a monotonic wall clock
 	// started at Server.Start; the in-process runner injects one shared
 	// clock across server and clients so staleness ordering is
@@ -179,12 +149,6 @@ type Config struct {
 	// checksumming server interoperates with plain clients and vice
 	// versa; corrupted inbound frames are detected either way.
 	Checksum bool
-	// Aggregate selects the rule combining replica parameters at sync
-	// barriers (and at the final fold): plain FedAvg average (the zero
-	// value), coordinate-wise trimmed mean, or norm-clipped average. The
-	// robust rules bound what a minority of poisoned replicas can do to
-	// the consensus; see internal/paramsync.
-	Aggregate paramsync.Method
 	// Sanitize arms the activation sanitizer: every inbound activation
 	// payload is screened for NaN/Inf and norm outliers before it can
 	// reach the scheduling queue, and clients that repeatedly send
@@ -198,6 +162,9 @@ type Config struct {
 // costs real debugging time in a deployment manifest; fail loudly
 // instead.
 func (c Config) validate() error {
+	if c.Workers < 0 || c.Workers > 1 {
+		return fmt.Errorf("cluster: Workers must be 0 or 1, got %d: the data-parallel worker pool was removed, one worker owns the model", c.Workers)
+	}
 	if c.MaxSessions < 0 {
 		return fmt.Errorf("cluster: MaxSessions must be >= 0 (0 = unlimited), got %d", c.MaxSessions)
 	}
@@ -223,12 +190,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueCap < 0 {
 		c.QueueCap = 0 // unbounded for queue.Safe.TryPushParking
-	}
-	if c.Workers < 1 {
-		c.Workers = 1
-	}
-	if c.SyncEvery <= 0 {
-		c.SyncEvery = 16
 	}
 	return c
 }

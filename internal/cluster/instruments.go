@@ -9,13 +9,11 @@ import (
 )
 
 // instruments is the cluster server's telemetry bundle: session
-// lifecycle counters, the worker fleet's per-stage timing histograms
-// (one set per replica, labeled replica=<id>), and the pool's sync
-// telemetry. The lifecycle counters are owned by whichever goroutine
-// performs the transition (session loops join/park, the janitor and
-// workers evict); workers[i] is written only by worker goroutine i, and
-// the sync instruments only by the barrier's last arriver or the
-// supervisor — see DESIGN.md §3.2 and §3.4 for the ownership rules.
+// lifecycle counters and the worker's per-stage timing histograms. The
+// lifecycle counters are owned by whichever goroutine performs the
+// transition (session loops join/park, the janitor and the worker
+// evict); the stage histograms are written only by the worker — see
+// DESIGN.md §3.2 and §3.4 for the ownership rules.
 type instruments struct {
 	joins     *obs.Counter
 	resumes   *obs.Counter
@@ -33,19 +31,6 @@ type instruments struct {
 	// reg backs the lazily created per-client suspicion gauges.
 	reg *obs.Registry
 
-	// workers holds one per-stage histogram set per model replica.
-	workers []workerInstruments
-
-	// syncSeconds times one pool sync barrier: divergence read, FedAvg
-	// average, fan-out (stsl_sync_seconds).
-	syncSeconds *obs.Histogram
-	// divergence is the normalised RMS replica spread measured just
-	// before each average erased it (stsl_replica_divergence).
-	divergence *obs.Gauge
-}
-
-// workerInstruments is one replica's stage timing set.
-type workerInstruments struct {
 	// pop is time the worker spent obtaining its next batch — blocked
 	// waits included, so it reads as "idle share" next to process
 	// (stsl_worker_pop_seconds).
@@ -58,37 +43,26 @@ type workerInstruments struct {
 	scatter *obs.Histogram
 }
 
-func newInstruments(reg *obs.Registry, workers int) *instruments {
+func newInstruments(reg *obs.Registry) *instruments {
 	event := func(kind string) *obs.Counter {
 		return reg.Counter("stsl_cluster_sessions_total", obs.Labels{"event": kind})
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	ins := &instruments{
-		joins:       event("join"),
-		resumes:     event("resume"),
-		parks:       event("park"),
-		leaves:      event("leave"),
-		evictions:   event("evict"),
-		refusals:    event("refuse"),
-		workers:     make([]workerInstruments, workers),
-		syncSeconds: reg.Histogram("stsl_sync_seconds", nil),
-		divergence:  reg.Gauge("stsl_replica_divergence", nil),
+	return &instruments{
+		joins:     event("join"),
+		resumes:   event("resume"),
+		parks:     event("park"),
+		leaves:    event("leave"),
+		evictions: event("evict"),
+		refusals:  event("refuse"),
 
 		corruptFrames: reg.Counter("stsl_corrupt_frames_total", nil),
 		quarantines:   reg.Counter("stsl_quarantined_total", nil),
 		reg:           reg,
+
+		pop:     reg.Histogram("stsl_worker_pop_seconds", nil),
+		process: reg.Histogram("stsl_worker_process_seconds", nil),
+		scatter: reg.Histogram("stsl_worker_scatter_seconds", nil),
 	}
-	for i := range ins.workers {
-		lbl := obs.Labels{"replica": strconv.Itoa(i)}
-		ins.workers[i] = workerInstruments{
-			pop:     reg.Histogram("stsl_worker_pop_seconds", lbl),
-			process: reg.Histogram("stsl_worker_process_seconds", lbl),
-			scatter: reg.Histogram("stsl_worker_scatter_seconds", lbl),
-		}
-	}
-	return ins
 }
 
 // suspicionGauge is the per-client suspicion score series
@@ -182,12 +156,11 @@ func (s *Server) windowRateLocked(now time.Time) float64 {
 }
 
 // workerSpan records one completed worker stage into both the stage
-// histogram (nil-safe) and the trace ring. n annotates the batch size,
-// id the replica that ran the stage. Only called when telemetry is
-// enabled, so the disabled hot path pays a single bool check and no
-// clock reads.
-func (s *Server) workerSpan(kind string, id int, h *obs.Histogram, start time.Time, n int) {
+// histogram (nil-safe) and the trace ring. n annotates the batch size.
+// Only called when telemetry is enabled, so the disabled hot path pays
+// a single bool check and no clock reads.
+func (s *Server) workerSpan(kind string, h *obs.Histogram, start time.Time, n int) {
 	d := time.Since(start)
 	h.ObserveDuration(d)
-	s.tr.Record(kind, -1, -1, fmt.Sprintf("n=%d r=%d", n, id), d)
+	s.tr.Record(kind, -1, -1, fmt.Sprintf("n=%d", n), d)
 }

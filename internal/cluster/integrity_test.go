@@ -3,8 +3,8 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"errors"
 	"math"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -12,7 +12,6 @@ import (
 
 	"github.com/stsl/stsl/internal/core"
 	"github.com/stsl/stsl/internal/obs"
-	"github.com/stsl/stsl/internal/paramsync"
 	"github.com/stsl/stsl/internal/simnet"
 	"github.com/stsl/stsl/internal/transport"
 )
@@ -104,90 +103,119 @@ func TestSanitizerSuspicionDecay(t *testing.T) {
 	}
 }
 
-// TestPoolFailureContainment: a replica sync that cannot produce finite
-// parameters under plain Average degrades the service instead of
-// panicking — the healthy replicas are checkpointed, the failure is
-// visible in the snapshot, and admission refuses new sessions with
-// RetryLater.
-func TestPoolFailureContainment(t *testing.T) {
+// TestSanitizerBoundaries pins where the server's sanitizer draws its
+// lines, with the thresholds written out as numbers rather than read
+// back from the constants: an outlier is a norm beyond mean + 8σ of the
+// envelope AND beyond 2·mean, and a client is quarantined at its third
+// outlier, not its second. Each probe gets a freshly warmed envelope, so
+// an accepted probe cannot shift the next one's threshold.
+func TestSanitizerBoundaries(t *testing.T) {
 	dep := buildDeployment(t, 1, "fifo")
-	var mu sync.Mutex
-	var saved [][]*core.Server
-	sink := func(srvs []*core.Server) error {
-		mu.Lock()
-		defer mu.Unlock()
-		saved = append(saved, append([]*core.Server(nil), srvs...))
-		return nil
+	warmed := func(lo, hi float64) *sanitizer {
+		t.Helper()
+		srv, err := NewServer(dep.Server, Config{Sanitize: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Four of each: the envelope's mean is (lo+hi)/2 and its
+		// population std (hi-lo)/2, exactly.
+		for i := 0; i < 8; i++ {
+			norm := lo
+			if i%2 == 1 {
+				norm = hi
+			}
+			if v, _, why := srv.san.check(i, normPayload(norm)); v != sanitizeOK {
+				t.Fatalf("warmup norm %v: verdict=%v (%s)", norm, v, why)
+			}
+		}
+		return srv.san
 	}
-	srv := startServer(t, dep, Config{
-		Workers: 2, NewReplica: dep.NewServerReplica, Checkpoint: sink,
-	})
-	reps := srv.Replicas()
-	reps[1].Stack.Params()[0].Value.Data()[0] = math.NaN()
+	const probe = 99 // a client id the warmup never used
 
-	err := srv.syncReplicas()
-	if !errors.Is(err, paramsync.ErrNonFinite) {
-		t.Fatalf("sync over a poisoned replica: %v, want ErrNonFinite", err)
+	// High variance: mean 10, σ 9. mean + 8σ = 82 is the binding line,
+	// well past 2·mean = 20.
+	if v, _, why := warmed(1, 19).check(probe, normPayload(81.9)); v != sanitizeOK {
+		t.Errorf("norm 81.9 just inside mean+8σ = 82: verdict=%v (%s), want accepted", v, why)
 	}
-	srv.failPool(err)
+	if v, _, _ := warmed(1, 19).check(probe, normPayload(82.1)); v != sanitizeReject {
+		t.Errorf("norm 82.1 just outside mean+8σ = 82: verdict=%v, want rejected", v)
+	}
 
-	snap := srv.Snapshot()
-	if snap.PoolErr == "" || !strings.Contains(snap.PoolErr, "non-finite") {
-		t.Fatalf("snapshot PoolErr = %q, want the sync failure", snap.PoolErr)
+	// Low variance: mean 10, σ 1. mean + 8σ = 18 but 2·mean = 20, so a
+	// norm between them is benign drift, not an outlier.
+	if v, _, why := warmed(9, 11).check(probe, normPayload(19)); v != sanitizeOK {
+		t.Errorf("norm 19 between mean+8σ = 18 and 2·mean = 20: verdict=%v (%s), want accepted", v, why)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(saved) != 1 {
-		t.Fatalf("failPool wrote %d checkpoints, want 1", len(saved))
+	if v, _, _ := warmed(9, 11).check(probe, normPayload(20.1)); v != sanitizeReject {
+		t.Errorf("norm 20.1 past both lines: verdict=%v, want rejected", v)
 	}
-	if len(saved[0]) != 1 || saved[0][0] != reps[0] {
-		t.Fatalf("checkpoint persisted %d replicas, want only the healthy one", len(saved[0]))
-	}
-	srv.mu.Lock()
-	code, why := srv.admissionLocked()
-	srv.mu.Unlock()
-	if code != transport.RefusalRetryLater || why != "model pool failed" {
-		t.Fatalf("admission after pool failure: (%v, %q), want RetryLater/model pool failed", code, why)
-	}
-	// failPool is once-only: a second failure neither re-checkpoints nor
-	// overwrites the original cause.
-	srv.failPool(errors.New("later failure"))
-	if len(saved) != 1 {
-		t.Fatal("second failPool wrote another checkpoint")
-	}
-	if got := srv.Snapshot().PoolErr; !strings.Contains(got, "non-finite") {
-		t.Fatalf("second failPool overwrote the cause: %q", got)
+
+	// Escalation: rejected at the first and second outlier, quarantined
+	// at the third.
+	z := warmed(1, 19)
+	for i, want := range []sanitizeVerdict{sanitizeReject, sanitizeReject, sanitizeQuarantine} {
+		if v, score, _ := z.check(probe, normPayload(1000)); v != want || score != float64(i+1) {
+			t.Fatalf("outlier %d: verdict=%v suspicion=%v, want %v at %d", i+1, v, score, want, i+1)
+		}
 	}
 }
 
-// TestRobustSyncHealsPoisonedReplica: under a robust aggregation rule
-// the same poisoned replica is dropped from the aggregate and then
-// overwritten by the fan-out — the pool self-heals instead of failing.
-func TestRobustSyncHealsPoisonedReplica(t *testing.T) {
-	dep := buildDeployment(t, 1, "fifo")
-	srv := startServer(t, dep, Config{
-		Workers: 2, NewReplica: dep.NewServerReplica, Aggregate: paramsync.MethodTrimmed,
-	})
-	reps := srv.Replicas()
-	reps[1].Stack.Params()[0].Value.Data()[0] = math.NaN()
-
-	if err := srv.syncReplicas(); err != nil {
-		t.Fatalf("robust sync over a poisoned replica: %v, want self-heal", err)
+// TestCheckpointSkipsNonFiniteWeights: the sink never sees NaN weights.
+// A server whose model went non-finite skips its checkpoint, says why in
+// the snapshot, and leaves the last good checkpoint on disk untouched —
+// so a restart restores finite weights instead of the poison.
+func TestCheckpointSkipsNonFiniteWeights(t *testing.T) {
+	path := t.TempDir() + "/server.ckpt"
+	file := FileCheckpointer(path)
+	var mu sync.Mutex
+	writes := 0
+	sink := func(srv *core.Server) error {
+		mu.Lock()
+		writes++
+		mu.Unlock()
+		return file(srv)
 	}
-	for i, rep := range reps {
-		if !paramsync.Finite(rep.Stack.Params()) {
-			t.Fatalf("replica %d still non-finite after robust sync", i)
+	run := func(dep *core.Deployment) Snapshot {
+		t.Helper()
+		srv, err := NewServer(dep.Server, Config{Checkpoint: sink})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if err := srv.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		// Shutdown writes the final checkpoint after the worker exits.
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return srv.Snapshot()
 	}
-	var a, b bytes.Buffer
-	if err := reps[0].Stack.SaveWeights(&a); err != nil {
+
+	dep := buildDeployment(t, 1, "fifo")
+	if snap := run(dep); snap.Checkpoints != 1 || snap.CheckpointErr != "" {
+		t.Fatalf("healthy server: %d checkpoints, err %q; want 1 and none", snap.Checkpoints, snap.CheckpointErr)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reps[1].Stack.SaveWeights(&b); err != nil {
-		t.Fatal(err)
+
+	dep.Server.Stack.Params()[0].Value.Data()[0] = math.NaN()
+	snap := run(dep)
+	mu.Lock()
+	if writes != 1 {
+		t.Errorf("sink called %d times, want only the healthy server's write", writes)
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("healed replica does not match the surviving consensus")
+	mu.Unlock()
+	if snap.Checkpoints != 0 || !strings.Contains(snap.CheckpointErr, "non-finite") {
+		t.Errorf("poisoned server: %d checkpoints, err %q; want 0 and a non-finite error",
+			snap.Checkpoints, snap.CheckpointErr)
+	}
+	if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, good) {
+		t.Fatalf("the last good checkpoint changed (err %v)", err)
+	}
+	if _, err := os.Stat(path + ".g2"); !os.IsNotExist(err) {
+		t.Fatalf("a second generation appeared: %v", err)
 	}
 }
 

@@ -30,15 +30,6 @@ type Snapshot struct {
 	// Shed counts queued activations expired past WorkDeadline and shed
 	// un-served.
 	Shed int
-	// Workers is the number of data-parallel model replicas serving the
-	// queue (1 = the classic single model-owning worker).
-	Workers int
-	// Syncs counts completed FedAvg sync barriers (0 at Workers = 1).
-	Syncs int
-	// ReplicaDivergence is the normalised RMS spread across replicas
-	// measured at the most recent sync barrier, just before averaging
-	// erased it. 0 until the first sync, and always 0 at Workers = 1.
-	ReplicaDivergence float64
 	// CorruptFrames counts inbound frames whose CRC32C trailer did not
 	// match the payload — corruption that was detected and dropped (the
 	// client's resend recovers the message) instead of trained on.
@@ -47,15 +38,11 @@ type Snapshot struct {
 	// sanitizer: their payloads carried NaN/Inf or repeatedly fell
 	// outside the fleet's norm envelope.
 	Quarantined int
-	// PoolErr is the terminal worker-pool failure, if any ("" while
-	// healthy): a replica sync that could not produce finite parameters.
-	// A server with PoolErr set refuses new sessions with RetryLater and
-	// has already checkpointed its healthy replicas.
-	PoolErr string
 	// Checkpoints counts checkpoints written by the worker so far.
 	Checkpoints int
 	// CheckpointErr is the most recent checkpoint failure ("" while
-	// healthy; cleared by the next successful write).
+	// healthy; cleared by the next successful write), including a write
+	// skipped because the weights went non-finite.
 	CheckpointErr string
 	// LastLoss is the most recent window-averaged training loss.
 	LastLoss float64
@@ -103,16 +90,12 @@ func (s Snapshot) String() string {
 	if s.Checkpoints > 0 {
 		ckpt = fmt.Sprintf(" ckpt=%d", s.Checkpoints)
 	}
-	pool := ""
-	if s.Workers > 1 {
-		pool = fmt.Sprintf(" workers=%d syncs=%d div=%.3g", s.Workers, s.Syncs, s.ReplicaDivergence)
-	}
 	integrity := ""
 	if s.CorruptFrames > 0 || s.Quarantined > 0 {
 		integrity = fmt.Sprintf(" corrupt=%d quar=%d", s.CorruptFrames, s.Quarantined)
 	}
-	return fmt.Sprintf("steps=%d (%.1f/s life, %.1f/s now) depth=%d/%d%s%s%s loss=%.4f per-client[%s]",
-		s.ServerSteps, s.StepsPerSec, s.StepsPerSecWindow, s.QueueDepth, s.MaxQueueDepth, pool, ckpt, integrity, s.LastLoss,
+	return fmt.Sprintf("steps=%d (%.1f/s life, %.1f/s now) depth=%d/%d%s%s loss=%.4f per-client[%s]",
+		s.ServerSteps, s.StepsPerSec, s.StepsPerSecWindow, s.QueueDepth, s.MaxQueueDepth, ckpt, integrity, s.LastLoss,
 		strings.Join(parts, " "))
 }
 

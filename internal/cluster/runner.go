@@ -135,11 +135,6 @@ func Run(ctx context.Context, dep *core.Deployment, cfg RunnerConfig) (*RunnerRe
 		// drives the simulation coalesces identically on the live path.
 		serverCfg.BatchCoalesce = dep.Config.BatchCoalesce
 	}
-	if serverCfg.Workers > 1 && serverCfg.NewReplica == nil {
-		// The deployment knows how to mint structural twins of its own
-		// server, so a multi-worker run needs only the Workers knob.
-		serverCfg.NewReplica = dep.NewServerReplica
-	}
 	if cfg.Checksum {
 		serverCfg.Checksum = true
 	}
@@ -272,8 +267,7 @@ func Run(ctx context.Context, dep *core.Deployment, cfg RunnerConfig) (*RunnerRe
 	result.Snapshot = srv.Snapshot()
 	result.ServerSteps = result.Snapshot.ServerSteps
 	// The session layer owns no model state, so the loss comes from the
-	// worker pool: the mean across replicas that served work (at one
-	// worker, exactly the primary's curve).
+	// server's curve of the batches the worker served.
 	result.FinalLoss = srv.FinalLoss()
 	if len(errs) > 0 {
 		return result, errors.Join(errs...)

@@ -55,8 +55,8 @@ const (
 //     envelope (beyond mean + factor·std AND more than twice the mean —
 //     the second clause keeps a tight low-variance envelope from
 //     flagging benign drift) is rejected and suspicion rises by one.
-//     The rejected payload is never queued, so poison cannot reach a
-//     model replica even below the quarantine threshold.
+//     The rejected payload is never queued, so poison cannot reach the
+//     model even below the quarantine threshold.
 //   - Suspicion at or past limit quarantines the client.
 //   - Clean payloads feed the envelope and decay suspicion (halving per
 //     clean sample), so a client that hit a transient glitch recovers.

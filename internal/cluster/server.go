@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -12,8 +13,8 @@ import (
 	"github.com/stsl/stsl/internal/core"
 	"github.com/stsl/stsl/internal/mathx"
 	"github.com/stsl/stsl/internal/metrics"
+	"github.com/stsl/stsl/internal/nn"
 	"github.com/stsl/stsl/internal/obs"
-	"github.com/stsl/stsl/internal/paramsync"
 	"github.com/stsl/stsl/internal/queue"
 	"github.com/stsl/stsl/internal/transport"
 )
@@ -86,28 +87,21 @@ func violation(format string, args ...interface{}) error {
 
 // Server is the live centralized side of the framework: it accepts
 // end-system sessions over any transport.Conn, feeds one mutex-guarded
-// scheduling queue, and drains it with a pool of worker goroutines that
-// own all model state — one data-parallel model replica per worker,
-// FedAvg-averaged every Config.SyncEvery steps (a single worker with
-// Workers <= 1, the classic arrangement). The session layer — receive
-// goroutines, the janitor, the reply cache — touches only the queue and
-// per-session bookkeeping and owns no model state, so the paper's
-// scheduling discipline — not goroutine scheduling luck — decides the
-// service order of concurrently arriving activations.
+// scheduling queue, and drains it with one worker goroutine that owns
+// all model state. The session layer — receive goroutines, the janitor,
+// the reply cache — touches only the queue and per-session bookkeeping
+// and owns no model state, so the paper's scheduling discipline — not
+// goroutine scheduling luck — decides the service order of concurrently
+// arriving activations.
 type Server struct {
 	cfg  Config
 	core *core.Server
-	// replicas holds every model replica; replicas[0] is the primary
-	// (== core, the deployment's server). Worker i exclusively owns
-	// replicas[i] between sync barriers; at a barrier all workers are
-	// quiescent and the averaging worker may touch all of them.
-	replicas []*core.Server
-	q        *queue.Safe
-	now      func() time.Duration
+	q    *queue.Safe
+	now  func() time.Duration
 
 	// Telemetry (all optional): ins holds the cluster-level counters
-	// and per-replica worker histograms, tr the event ring. Both nil
-	// when Config.Obs/Tracer are unset.
+	// and worker histograms, tr the event ring. Both nil when
+	// Config.Obs/Tracer are unset.
 	ins *instruments
 	tr  *obs.Tracer
 
@@ -121,21 +115,14 @@ type Server struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	// wg tracks the supervisor and janitor; workerWG tracks the pool
-	// workers. The supervisor waits on workerWG and then writes the
-	// final checkpoint, so Shutdown (which waits on wg) returns only
-	// after it.
-	wg       sync.WaitGroup
-	workerWG sync.WaitGroup
-
-	// pool coordinates the sync barrier between workers; inert at
-	// Workers <= 1.
-	pool pool
+	// wg tracks the worker and the janitor. The worker writes the final
+	// checkpoint before it is done, so Shutdown (which waits on wg)
+	// returns only after it.
+	wg sync.WaitGroup
 
 	startWall time.Time
 
-	// ckptDue counts steps since the last checkpoint. Single-worker
-	// mode only (the pool tracks its own counter under pool.mu).
+	// ckptDue counts steps since the last checkpoint; worker-owned.
 	ckptDue int
 
 	mu       sync.Mutex
@@ -154,15 +141,10 @@ type Server struct {
 	checkpoints int
 	ckptErr     error
 	lastLoss    float64
-	// losses is the pool-wide training-loss curve, fed one raw batch
-	// loss per delivery under s.mu. Unlike the replicas' private curves
-	// (each windowed over local steps only), its window spans the last
-	// N global steps — the measurement the virtual-time simulation
-	// reports, so live-vs-sim loss comparisons stay apples to apples at
-	// any worker count.
-	losses  *metrics.LossCurve
-	syncs   int
-	lastDiv float64
+	// losses is the training-loss curve, fed one raw batch loss per
+	// delivery under s.mu, so FinalLoss and Snapshot can read it from any
+	// goroutine while the worker owns the core server's own curve.
+	losses *metrics.LossCurve
 	// corruptFrames counts inbound frames whose CRC32C trailer did not
 	// match — detected, dropped, and recovered by the client's resend.
 	corruptFrames int
@@ -171,12 +153,7 @@ type Server struct {
 	// for the server's lifetime (an evicted-but-retrying poisoner would
 	// otherwise rejoin and continue).
 	quarantined map[int]string
-	// poolErr is the terminal worker-pool failure (a replica sync that
-	// could not produce finite parameters); once set the server refuses
-	// new sessions with RetryLater and shuts down after persisting the
-	// healthy replicas.
-	poolErr error
-	started bool
+	started     bool
 	// rateSamples backs Snapshot's windowed throughput (see
 	// observeStepLocked).
 	rateSamples []rateSample
@@ -206,8 +183,7 @@ func NewServer(srv *core.Server, cfg Config) (*Server, error) {
 		// lift the cap rather than wedge.
 		cfg.QueueCap = 0
 	}
-	// Same averaging window as the core servers' private curves, so at
-	// one worker the pool curve reproduces the classic numbers exactly.
+	// Same averaging window as the core server's private curve.
 	losses, err := metrics.NewLossCurve(10)
 	if err != nil {
 		return nil, err
@@ -215,7 +191,6 @@ func NewServer(srv *core.Server, cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:         cfg,
 		core:        srv,
-		replicas:    []*core.Server{srv},
 		q:           safe,
 		tr:          cfg.Tracer,
 		svcLat:      new(obs.Histogram),
@@ -227,45 +202,12 @@ func NewServer(srv *core.Server, cfg Config) (*Server, error) {
 		s.san = newSanitizer(normWindow, normFactor, suspicionLimit)
 	}
 	if cfg.Obs != nil {
-		s.ins = newInstruments(cfg.Obs, cfg.Workers)
+		s.ins = newInstruments(cfg.Obs)
 		safe.SetInstruments(queue.NewInstruments(cfg.Obs, safe.Name()))
 		if srv.Instr == nil {
 			srv.Instr = core.NewServerInstruments(cfg.Obs)
 		}
 		s.svcLat = cfg.Obs.Histogram("stsl_service_seconds", nil)
-	}
-	if cfg.Workers > 1 {
-		if cfg.NewReplica == nil {
-			return nil, fmt.Errorf("cluster: Workers=%d needs a NewReplica factory", cfg.Workers)
-		}
-		for i := 1; i < cfg.Workers; i++ {
-			rep, err := cfg.NewReplica()
-			if err != nil {
-				return nil, fmt.Errorf("cluster: build replica %d: %w", i, err)
-			}
-			if rep == nil {
-				return nil, fmt.Errorf("cluster: NewReplica returned nil for replica %d", i)
-			}
-			// Replicas share the primary's thread-safe service metrics
-			// and step instruments so pool-wide accounting lands in one
-			// place; the loss curve stays private — it is not
-			// thread-safe and each worker owns its replica's curve.
-			rep.QueueMetrics = srv.QueueMetrics
-			rep.Instr = srv.Instr
-			// Start in lock-step with the primary; this also fans out a
-			// checkpoint restored into the primary before NewServer.
-			if err := paramsync.Copy(rep.Stack.Params(), srv.Stack.Params()); err != nil {
-				return nil, fmt.Errorf("cluster: replica %d is not structurally identical: %w", i, err)
-			}
-			s.replicas = append(s.replicas, rep)
-		}
-		// Linear scaling rule: averaging N replicas folds N steps into
-		// ~one, so the pool compensates with an N× server learning rate
-		// to preserve the sequential trajectory.
-		for _, rep := range s.replicas {
-			rep.Optim.SetLR(rep.Optim.LR() * float64(cfg.Workers))
-		}
-		s.pool.init(len(s.replicas), cfg.SyncEvery)
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s, nil
@@ -302,23 +244,23 @@ func (s *Server) Start(ctx context.Context) error {
 			return time.Since(start).Seconds()
 		})
 	}
-	// Wake AwaitClients waiters — and workers parked at a sync barrier —
-	// when the server stops for any reason.
+	// Wake AwaitClients waiters when the server stops for any reason.
 	context.AfterFunc(s.ctx, func() {
 		s.mu.Lock()
 		s.cond.Broadcast()
 		s.mu.Unlock()
-		s.pool.interrupt()
 	})
-	for i, rep := range s.replicas {
-		s.workerWG.Add(1)
-		go s.worker(i, rep)
-	}
-	// The supervisor outlives the workers: it waits for the pool to
-	// drain, writes the final checkpoint while every replica is
-	// quiescent, and folds the replicas into the primary for Core().
 	s.wg.Add(1)
-	go s.supervise()
+	go func() {
+		defer s.wg.Done()
+		s.worker()
+		if s.cfg.Checkpoint != nil {
+			// The final checkpoint at exit makes a graceful restart nearly
+			// lossless: every processed step is persisted, and clients
+			// resend only their unacknowledged in-flight batch.
+			s.checkpoint()
+		}
+	}()
 	if s.cfg.StragglerTimeout > 0 || s.cfg.ResumeGrace > 0 {
 		s.wg.Add(1)
 		go s.janitor()
@@ -326,35 +268,22 @@ func (s *Server) Start(ctx context.Context) error {
 	return nil
 }
 
-// worker is one pool goroutine owning one model replica: it drains the
-// shared queue per the scheduling policy — up to BatchCoalesce items
-// per PopBatch — runs one stacked forward/backward/step over the
-// coalesced batch on its replica, and scatters each client's gradient
-// slice back to its session. A batch that fails falls back to serving
-// its items one at a time, so only the offending client is evicted,
-// never its batchmates. At Workers > 1 the workers rendezvous at a
-// FedAvg sync barrier every SyncEvery pool steps (see pool.go); with a
-// single worker the loop is exactly the classic single-model-owner
-// arrangement, checkpoints included.
-func (s *Server) worker(id int, rep *core.Server) {
-	defer s.workerWG.Done()
-	pooled := len(s.replicas) > 1
-	if pooled {
-		defer s.pool.exit()
-	}
+// worker is the goroutine that owns the model: it drains the queue per
+// the scheduling policy — up to BatchCoalesce items per PopBatch — runs
+// one stacked forward/backward/step over the coalesced batch, and
+// scatters each client's gradient slice back to its session. A batch
+// that fails falls back to serving its items one at a time, so only the
+// offending client is evicted, never its batchmates.
+func (s *Server) worker() {
 	// telemetry gates every clock read on the hot path: with Obs and
 	// Tracer unset the loop runs exactly as before, one bool check per
 	// stage.
 	telemetry := s.ins != nil || s.tr != nil
 	var insPop, insProc, insScat *obs.Histogram
 	if s.ins != nil {
-		w := s.ins.workers[id]
-		insPop, insProc, insScat = w.pop, w.process, w.scatter
+		insPop, insProc, insScat = s.ins.pop, s.ins.process, s.ins.scatter
 	}
 	for {
-		if pooled {
-			s.syncIfDue()
-		}
 		var popStart time.Time
 		if telemetry {
 			popStart = time.Now()
@@ -375,21 +304,15 @@ func (s *Server) worker(id int, rep *core.Server) {
 			}
 			select {
 			case <-s.q.Pushed():
-			case <-s.pool.wake(): // nil (blocks forever) when not pooled
-				// A sync barrier wants every worker, including idle
-				// ones — arrive, then resume waiting for work.
 			case <-s.ctx.Done():
 				return
-			}
-			if pooled {
-				s.syncIfDue()
 			}
 		}
 		if telemetry {
 			// Blocked waits included: next to worker.process this reads
 			// as the worker's idle share — high pop times mean the
 			// queue, not the model, is the bottleneck.
-			s.workerSpan("worker.pop", id, insPop, popStart, len(items))
+			s.workerSpan("worker.pop", insPop, popStart, len(items))
 		}
 		if s.ctx.Err() != nil {
 			// Shutdown raced the pop: return the admitted work so the
@@ -405,23 +328,23 @@ func (s *Server) worker(id int, rep *core.Server) {
 			if telemetry {
 				procStart = time.Now()
 			}
-			replies, err := s.processBatch(rep, items, now)
+			replies, err := s.processBatch(items, now)
 			if err == nil {
 				if telemetry {
-					s.workerSpan("worker.process", id, insProc, procStart, len(items))
+					s.workerSpan("worker.process", insProc, procStart, len(items))
 				}
 				var scatStart time.Time
 				if telemetry {
 					scatStart = time.Now()
 				}
-				loss := rep.LastBatchLoss()
+				loss := s.core.LastBatchLoss()
 				for i, it := range items {
 					s.deliver(it, replies[i], now, loss, nil)
 				}
 				if telemetry {
-					s.workerSpan("worker.scatter", id, insScat, scatStart, len(items))
+					s.workerSpan("worker.scatter", insScat, scatStart, len(items))
 				}
-				s.accountSteps(pooled, len(items))
+				s.maybeCheckpoint(len(items))
 				continue
 			}
 			// The coalesced pass failed during pre-flight, before any
@@ -437,67 +360,25 @@ func (s *Server) worker(id int, rep *core.Server) {
 			if telemetry {
 				procStart = time.Now()
 			}
-			reply, err := s.process(rep, it, now)
+			reply, err := s.process(it, now)
 			if telemetry {
-				s.workerSpan("worker.process", id, insProc, procStart, 1)
+				s.workerSpan("worker.process", insProc, procStart, 1)
 			}
 			var scatStart time.Time
 			if telemetry {
 				scatStart = time.Now()
 			}
-			s.deliver(it, reply, now, rep.LastBatchLoss(), err)
+			s.deliver(it, reply, now, s.core.LastBatchLoss(), err)
 			if telemetry {
-				s.workerSpan("worker.scatter", id, insScat, scatStart, 1)
+				s.workerSpan("worker.scatter", insScat, scatStart, 1)
 			}
 		}
-		s.accountSteps(pooled, len(items))
-	}
-}
-
-// accountSteps credits n served steps to the checkpoint/sync cadence:
-// the pool counter (which may arm a sync barrier) at Workers > 1, the
-// classic per-step checkpoint check otherwise.
-func (s *Server) accountSteps(pooled bool, n int) {
-	if pooled {
-		wantCkpt := s.cfg.Checkpoint != nil && s.cfg.CheckpointEvery > 0
-		s.pool.account(n, wantCkpt, s.cfg.CheckpointEvery)
-		return
-	}
-	s.maybeCheckpoint(n)
-}
-
-// supervise waits for the worker pool to drain, then — with every
-// replica quiescent — writes the final checkpoint and folds the
-// replicas' work into the primary, so Core() (and evaluation through
-// the deployment) sees the synthesis of the whole pool. It is the
-// reason Shutdown returning implies the final checkpoint is on disk.
-func (s *Server) supervise() {
-	defer s.wg.Done()
-	s.workerWG.Wait()
-	if s.cfg.Checkpoint != nil {
-		// The final checkpoint at exit makes a graceful restart nearly
-		// lossless: every processed step is persisted (the pool format
-		// captures each replica's true state), and clients resend only
-		// their unacknowledged in-flight batch.
-		s.checkpoint()
-	}
-	if len(s.replicas) > 1 {
-		if err := s.syncReplicas(); err != nil {
-			// Too late to shed load — the pool is already drained — so
-			// just record the failure for Snapshot/Health. The final
-			// checkpoint above already excluded poisoned replicas.
-			s.mu.Lock()
-			if s.poolErr == nil {
-				s.poolErr = err
-			}
-			s.mu.Unlock()
-		}
+		s.maybeCheckpoint(len(items))
 	}
 }
 
 // maybeCheckpoint writes a checkpoint once enough steps have accumulated
-// since the last one. Single-worker mode only — the pool piggybacks
-// checkpoints on sync barriers instead.
+// since the last one.
 func (s *Server) maybeCheckpoint(n int) {
 	if s.cfg.Checkpoint == nil || s.cfg.CheckpointEvery <= 0 {
 		return
@@ -510,29 +391,21 @@ func (s *Server) maybeCheckpoint(n int) {
 	s.checkpoint()
 }
 
-// checkpoint invokes the configured sink with every replica and records
-// the outcome. Called only while no worker is mid-pass: from the single
-// worker between passes, from the barrier's averaging worker, or from
-// the supervisor after the pool drained — model ownership is exclusive
-// at all three. Only successful writes count toward
+// checkpoint invokes the configured sink and records the outcome. Called
+// only while the model is not mid-pass: from the worker between passes,
+// or after it exited. Only successful writes count toward
 // Snapshot.Checkpoints; a failing sink shows up as CheckpointErr with
 // the counter frozen.
 func (s *Server) checkpoint() {
-	// Only finite replicas are persisted: a checkpoint containing NaN
-	// weights restores into a poisoned server, which is exactly the
-	// outcome the verified checkpoint chain exists to prevent. After a
-	// partial pool failure this saves the healthy majority's progress.
-	healthy := make([]*core.Server, 0, len(s.replicas))
-	for _, rep := range s.replicas {
-		if paramsync.Finite(rep.Stack.Params()) {
-			healthy = append(healthy, rep)
-		}
-	}
+	// A checkpoint containing NaN weights restores into a poisoned
+	// server, which is exactly the outcome the verified checkpoint chain
+	// exists to prevent: skip the write, so the last good generation
+	// stays the newest on disk.
 	var err error
-	if len(healthy) == 0 {
-		err = fmt.Errorf("cluster: checkpoint skipped, every replica is poisoned: %w", paramsync.ErrNonFinite)
+	if finite(s.core.Stack.Params()) {
+		err = s.cfg.Checkpoint(s.core)
 	} else {
-		err = s.cfg.Checkpoint(healthy)
+		err = errors.New("cluster: checkpoint skipped, the server weights are non-finite")
 	}
 	s.mu.Lock()
 	if err == nil {
@@ -542,36 +415,22 @@ func (s *Server) checkpoint() {
 	s.mu.Unlock()
 }
 
-// failPool converts a replica-sync failure into a contained shutdown:
-// the error is recorded once (admission refuses new sessions with
-// RetryLater from here on), the healthy replicas are checkpointed while
-// model ownership is still exclusive, and the server context is
-// cancelled so workers and sessions wind down. Callers hold exclusive
-// model access (barrier last-arriver or the supervisor). This replaces
-// the old panic: one poisoned sync must degrade the service, not crash
-// the process serving every healthy client's final checkpoint.
-func (s *Server) failPool(cause error) {
-	s.mu.Lock()
-	already := s.poolErr != nil
-	if !already {
-		s.poolErr = cause
+// finite reports whether every value of every parameter is finite.
+func finite(params []*nn.Param) bool {
+	for _, p := range params {
+		for _, v := range p.Value.Data() {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return false
+			}
+		}
 	}
-	s.mu.Unlock()
-	if already {
-		return
-	}
-	s.tr.Event("pool.fail", -1, -1, cause.Error())
-	if s.cfg.Checkpoint != nil {
-		s.checkpoint()
-	}
-	s.cancel()
+	return true
 }
 
 // deliver finishes one served item: per-session bookkeeping, eviction on
 // a processing error, and the gradient send. loss is the raw batch loss
-// of the pass that served this item — passed in because the session
-// layer owns no model state and must not reach into a replica another
-// worker may be mutating; it feeds the pool-wide loss curve under s.mu.
+// of the pass that served this item; it feeds the server's loss curve
+// under s.mu.
 // The reply is cached before any send attempt, so a session that is
 // parked — or swaps connections mid-batch — can be answered from the
 // cache when the client resends.
@@ -714,15 +573,8 @@ func (s *Server) retryAfterHint() time.Duration {
 }
 
 // admissionLocked decides whether a fresh session may join right now:
-// refused past the MaxSessions cap or once the model pool has failed.
-// Caller must hold s.mu.
+// refused past the MaxSessions cap. Caller must hold s.mu.
 func (s *Server) admissionLocked() (transport.RefusalCode, string) {
-	if s.poolErr != nil {
-		// The model pool failed terminally; a session admitted now could
-		// never be served. RetryLater (rather than a dropped connection)
-		// lets a retry-enabled client survive an operator restart.
-		return transport.RefusalRetryLater, "model pool failed"
-	}
 	if s.cfg.MaxSessions > 0 && s.live >= s.cfg.MaxSessions {
 		return transport.RefusalOverloaded, "session cap reached"
 	}
@@ -753,31 +605,31 @@ func (s *Server) retireLocked(sess *session) {
 	}
 }
 
-// process runs one item through the worker's model replica, converting
+// process runs one item through the model, converting
 // the nn package's shape-assertion panics (a client trained with the
 // wrong cut point sends activations the server stack cannot consume)
 // into errors attributable to the offending client.
-func (s *Server) process(rep *core.Server, it queue.Item, now time.Duration) (reply *transport.Message, err error) {
+func (s *Server) process(it queue.Item, now time.Duration) (reply *transport.Message, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("cluster: processing client %d seq %d: %v",
 				it.ClientID(), it.Msg.Seq, r)
 		}
 	}()
-	return rep.Process(it, now)
+	return s.core.Process(it, now)
 }
 
-// processBatch runs one coalesced pass over already-popped items on the
-// worker's replica, converting panics into an error. A batch failure is
-// not attributable to a single client — the worker retries the items
-// individually to find the offender.
-func (s *Server) processBatch(rep *core.Server, items []queue.Item, now time.Duration) (replies []*transport.Message, err error) {
+// processBatch runs one coalesced pass over already-popped items,
+// converting panics into an error. A batch failure is not attributable
+// to a single client — the worker retries the items individually to
+// find the offender.
+func (s *Server) processBatch(items []queue.Item, now time.Duration) (replies []*transport.Message, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("cluster: processing coalesced batch of %d: %v", len(items), r)
 		}
 	}()
-	return rep.ProcessBatch(items, now)
+	return s.core.ProcessBatch(items, now)
 }
 
 // noteCorruptFrame records one inbound frame rejected by its CRC32C
@@ -1193,7 +1045,7 @@ func (s *Server) admit(sess *session, conn transport.Conn, msg *transport.Messag
 			return s.quarantine(sess, conn, why)
 		case sanitizeReject:
 			// Below the quarantine threshold the payload is still never
-			// queued — poison must not reach a replica — but the session
+			// queued — poison must not reach the model — but the session
 			// survives: bounce it with a RetryLater hint.
 			s.tr.Event("session.suspect", sess.id, msg.Seq, why)
 			return conn.Send(&transport.Message{
@@ -1393,19 +1245,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// Core exposes the primary model server for evaluation after training.
-// It must not be touched while the pool is live — Shutdown first, which
-// folds every replica's work into the primary before returning.
-func (s *Server) Core() *core.Server { return s.core }
-
-// Replicas exposes every model replica (the primary first). Like Core,
-// it must not be touched while the pool is live.
-func (s *Server) Replicas() []*core.Server { return s.replicas }
-
-// FinalLoss reports the pool-wide window-averaged training loss: the
-// average over the last N served batches regardless of which replica
-// ran them — the same measurement the virtual-time simulation reports.
-// With one worker it equals the primary's Losses.Last().
+// FinalLoss reports the window-averaged training loss over the last N
+// served batches — the same measurement the virtual-time simulation
+// reports. Safe from any goroutine.
 func (s *Server) FinalLoss() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1417,14 +1259,11 @@ func (s *Server) Snapshot() Snapshot {
 	now := time.Now()
 	s.mu.Lock()
 	snap := Snapshot{
-		Workers:           len(s.replicas),
 		ServerSteps:       s.steps,
 		Refused:           s.refused,
 		Shed:              s.shed,
 		Checkpoints:       s.checkpoints,
 		LastLoss:          s.lastLoss,
-		Syncs:             s.syncs,
-		ReplicaDivergence: s.lastDiv,
 		CorruptFrames:     s.corruptFrames,
 		Quarantined:       len(s.quarantined),
 		Clients:           s.snapshotClients(),
@@ -1432,9 +1271,6 @@ func (s *Server) Snapshot() Snapshot {
 	}
 	if s.ckptErr != nil {
 		snap.CheckpointErr = s.ckptErr.Error()
-	}
-	if s.poolErr != nil {
-		snap.PoolErr = s.poolErr.Error()
 	}
 	s.mu.Unlock()
 	snap.Uptime = now.Sub(s.startWall)

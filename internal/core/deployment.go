@@ -155,33 +155,6 @@ func NewDeployment(cfg Config, shards []*data.Dataset) (*Deployment, error) {
 	}, nil
 }
 
-// NewServerReplica builds one additional server structurally identical
-// to d.Server — same stack shapes from the same seed, a fresh optimiser
-// of the same kind — for a data-parallel worker pool. The replica's
-// weights are the template's; the pool fans the primary's current
-// weights (including any restored checkpoint) out before training. This
-// is the standard cluster.Config.NewReplica factory.
-func (d *Deployment) NewServerReplica() (*Server, error) {
-	cfg := d.Config
-	template, err := nn.BuildPaperCNN(cfg.Model, mathx.NewRNG(cfg.Seed))
-	if err != nil {
-		return nil, fmt.Errorf("core: build replica template: %w", err)
-	}
-	_, serverStack, err := Split(template, cfg.Cut)
-	if err != nil {
-		return nil, err
-	}
-	serverOpt, err := newOptimizer(cfg.Optimizer, cfg.LR)
-	if err != nil {
-		return nil, err
-	}
-	pol, err := newQueuePolicy(cfg.QueuePolicy, cfg.Clients)
-	if err != nil {
-		return nil, err
-	}
-	return NewServer(serverStack, serverOpt, pol)
-}
-
 func newOptimizer(name string, lr float64) (opt.Optimizer, error) {
 	switch name {
 	case "sgd":

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"hash/crc32"
 	"strings"
 	"testing"
 	"time"
@@ -11,11 +13,11 @@ import (
 	"github.com/stsl/stsl/internal/simnet"
 )
 
-// TestLoadStateOneFormat: the CRC'd pool header is the only server state
-// LoadState reads. A pool of one round-trips exactly; a stream that opens
-// with either retired header — even one followed by perfectly good
-// weights — is refused as unrecognised, with the weights and step counter
-// left as they were.
+// TestLoadStateOneFormat: the CRC'd single-stack header is the only
+// server state LoadState reads. It round-trips exactly; a stream that
+// opens with any retired header — even one followed by perfectly good
+// weights and a matching CRC — is refused as unrecognised, with the
+// weights and step counter left as they were.
 func TestLoadStateOneFormat(t *testing.T) {
 	ds := smallData(t, 32, 43)
 	mk := func(seed uint64) *Server {
@@ -38,8 +40,11 @@ func TestLoadStateOneFormat(t *testing.T) {
 	src.steps = 5
 	before := weights(dst)
 
-	for _, retired := range []string{"SRV1 steps=5", "POOL1 workers=1 steps=5"} {
-		file := append([]byte("STSL"+retired+"\n"), weights(src)...)
+	w := weights(src)
+	pool2 := fmt.Sprintf("POOL2 workers=1 steps=5 gen=0 parent=0 len=%d crc=%08x",
+		len(w), crc32.Checksum(w, ckptCRCTable))
+	for _, retired := range []string{"SRV1 steps=5", "POOL1 workers=1 steps=5", pool2} {
+		file := append([]byte("STSL"+retired+"\n"), w...)
 		err := dst.LoadState(bytes.NewReader(file))
 		if err == nil || !strings.Contains(err.Error(), "unrecognised server state header") {
 			t.Fatalf("%q: err = %v, want the unrecognised-header error", retired, err)
@@ -50,14 +55,14 @@ func TestLoadStateOneFormat(t *testing.T) {
 	}
 
 	var ckpt bytes.Buffer
-	if err := SavePoolState(&ckpt, []*Server{src}, 0, 0); err != nil {
+	if err := src.SaveState(&ckpt, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := dst.LoadState(&ckpt); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(weights(dst), weights(src)) || dst.Steps() != 5 {
-		t.Fatal("a pool of one did not restore its weights and step counter exactly")
+		t.Fatal("the checkpoint did not restore its weights and step counter exactly")
 	}
 }
 

@@ -37,8 +37,7 @@ type Server struct {
 	// dlogits is the loss gradient's workspace, reused across passes.
 	dlogits *tensor.Tensor
 	// lastBatchLoss is the raw (unwindowed) loss of the most recent
-	// pass — what a pool-level aggregate curve needs, since each
-	// replica's windowed Losses spans only its own local steps.
+	// pass — what the live runtime feeds its own per-item curve.
 	lastBatchLoss float64
 }
 
@@ -65,7 +64,7 @@ func (s *Server) Steps() int { return s.steps }
 
 // LastBatchLoss returns the raw loss of the most recent pass (0 before
 // the first). Unlike Losses.Last it is per-batch, not window-averaged —
-// the measurement a pool of replicas aggregates into one global curve.
+// the live runtime records it once per served item, under its own lock.
 func (s *Server) LastBatchLoss() float64 { return s.lastBatchLoss }
 
 // Enqueue admits an arriving activation message to the scheduling queue.
