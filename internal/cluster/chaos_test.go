@@ -12,6 +12,7 @@ import (
 	"github.com/stsl/stsl/internal/core"
 	"github.com/stsl/stsl/internal/data"
 	"github.com/stsl/stsl/internal/mathx"
+	"github.com/stsl/stsl/internal/obs"
 	"github.com/stsl/stsl/internal/simnet"
 	"github.com/stsl/stsl/internal/tensor"
 	"github.com/stsl/stsl/internal/transport"
@@ -762,10 +763,13 @@ func TestHelloToleratesEarlyGradient(t *testing.T) {
 // TestJoinDisplacesParkedSession regresses the lost-welcome dead end: a
 // client whose welcome never arrived holds no token, so its reconnect is
 // a fresh join — which must displace the parked half-open incarnation
-// cleanly instead of aborting "duplicate client id".
+// cleanly instead of aborting "duplicate client id". The displaced
+// incarnation ends with a leave of its own, so the lifecycle counters
+// balance: each join gets exactly one leave or evict.
 func TestJoinDisplacesParkedSession(t *testing.T) {
 	dep := buildDeployment(t, 1, "fifo")
-	srv := startServer(t, dep, Config{ResumeGrace: 10 * time.Second})
+	reg := obs.NewRegistry()
+	srv := startServer(t, dep, Config{ResumeGrace: 10 * time.Second, Obs: reg})
 
 	// First incarnation: join, get welcomed, die before using it.
 	first := rawJoin(t, srv, 0)
@@ -794,6 +798,17 @@ func TestJoinDisplacesParkedSession(t *testing.T) {
 		t.Fatalf("displaced parked session left an error: %v", err)
 	}
 	second.Close()
+	// Shutdown returns once every receive loop has ended, the second
+	// incarnation's included.
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	events := func(kind string) int64 {
+		return reg.Counter("stsl_cluster_sessions_total", obs.Labels{"event": kind}).Value()
+	}
+	if j, l, e := events("join"), events("leave"), events("evict"); j != 2 || l != 2 || e != 0 {
+		t.Fatalf("lifecycle counters join=%d leave=%d evict=%d, want 2, 2, 0", j, l, e)
+	}
 }
 
 // tensorOfOnes builds a payload tensor for scripted-peer messages.

@@ -460,16 +460,24 @@ func TestStragglerDropped(t *testing.T) {
 }
 
 // TestGracefulShutdown cancels the server mid-training and checks every
-// goroutine unwinds and the client surfaces a connection error.
+// goroutine unwinds and the client surfaces a connection error. A parked
+// session at shutdown ends with a leave, like the live one, and frees its
+// admission slot.
 func TestGracefulShutdown(t *testing.T) {
 	dep := buildDeployment(t, 1, "fifo")
-	srv, err := NewServer(dep.Server, Config{})
+	reg := obs.NewRegistry()
+	srv, err := NewServer(dep.Server, Config{ResumeGrace: 10 * time.Second, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	rawJoin(t, srv, 1).Close()
+	waitFor(t, func() bool {
+		cs := srv.Snapshot().Clients
+		return len(cs) == 1 && cs[0].Parked
+	})
 
 	client, server := transport.NewPair(1)
 	srv.Attach(server)
@@ -499,6 +507,20 @@ func TestGracefulShutdown(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("client did not unwind after shutdown")
+	}
+	events := func(kind string) int64 {
+		return reg.Counter("stsl_cluster_sessions_total", obs.Labels{"event": kind}).Value()
+	}
+	if j, p, l, e := events("join"), events("park"), events("leave"), events("evict"); j != 2 || p != 1 || l != 2 || e != 0 {
+		t.Errorf("lifecycle counters join=%d park=%d leave=%d evict=%d, want 2, 1, 2, 0", j, p, l, e)
+	}
+	if h := srv.Health(); h.Sessions != 0 {
+		t.Errorf("Health().Sessions = %d after shutdown, want 0", h.Sessions)
+	}
+	for _, c := range srv.Snapshot().Clients {
+		if c.Parked {
+			t.Errorf("client %d still parked after shutdown", c.ID)
+		}
 	}
 }
 

@@ -10,10 +10,10 @@ import (
 
 // instruments is the cluster server's telemetry bundle: session
 // lifecycle counters and the worker's per-stage timing histograms. The
-// lifecycle counters are owned by whichever goroutine performs the
-// transition (session loops join/park, the janitor and the worker
-// evict); the stage histograms are written only by the worker — see
-// DESIGN.md §3.2 and §3.4 for the ownership rules.
+// lifecycle counters are written by Server.transition under s.mu, from
+// whichever goroutine applies the edge; the stage histograms are written
+// only by the worker — see DESIGN.md §3.2 and §3.4 for the ownership
+// rules.
 type instruments struct {
 	joins     *obs.Counter
 	resumes   *obs.Counter

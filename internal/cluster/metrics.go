@@ -108,8 +108,8 @@ func (s *Server) snapshotClients() []ClientStatus {
 			ID:            id,
 			Served:        sess.served,
 			LastStaleness: sess.lastStaleness,
-			Done:          sess.done,
-			Parked:        sess.parked,
+			Done:          sess.state == stateDone || sess.state == stateDoneEnded,
+			Parked:        sess.state == stateParked,
 			Resumes:       sess.resumes,
 		}
 		if sess.err != nil {

@@ -7,7 +7,6 @@ import (
 	"math"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/stsl/stsl/internal/core"
@@ -18,61 +17,6 @@ import (
 	"github.com/stsl/stsl/internal/queue"
 	"github.com/stsl/stsl/internal/transport"
 )
-
-// session is the server-side state of one attached end-system. A session
-// outlives any single connection: with resume enabled it moves through
-// joined → parked (connection lost, state retained) → resumed, and only
-// eviction or grace expiry ends it.
-type session struct {
-	id int
-	// token is the resume credential issued at join and echoed in every
-	// welcome; a reconnecting client must present it to reclaim the
-	// session. Immutable after creation.
-	token int
-
-	// lastActive is the server-clock time (nanoseconds) of the last
-	// message received — the straggler janitor's evidence of life.
-	lastActive atomic.Int64
-	// closed is set by the janitor before force-closing the connection,
-	// so a goroutine parked on backpressure abandons instead of pushing
-	// work for a dead client.
-	closed atomic.Bool
-	// pending counts activations admitted to the queue but not yet
-	// replied to. A session with pending work is waiting on the server
-	// (a gated policy, a deep queue), so the janitor must not mistake
-	// that silence for straggling.
-	pending atomic.Int64
-
-	// The remaining fields are guarded by Server.mu.
-
-	// conn is the session's current carrier; resume swaps it in place,
-	// so every send must read it under the lock at send time.
-	conn          transport.Conn
-	served        int
-	lastStaleness time.Duration
-	done          bool
-	ended         bool
-	err           error
-	// parked marks a session whose connection died within the resume
-	// grace window: state is retained, the janitor counts down grace
-	// instead of straggler silence, and the worker caches replies
-	// instead of sending them.
-	parked   bool
-	parkedAt time.Duration
-	resumes  int
-	// maxAdmitted is the highest activation Seq admitted to the queue
-	// (-1 before the first). Reconnecting clients resend their in-flight
-	// batch, and duplicating networks redeliver; admission claims the
-	// seq under the lock so each batch is trained exactly once.
-	maxAdmitted int
-	// lastReply caches the most recent gradient reply. A resend of an
-	// already-served seq is answered from here rather than reprocessed —
-	// the other half of exactly-once.
-	lastReply *transport.Message
-	// retired guards the live-session count: set on the first of
-	// done/ended, so a session frees its MaxSessions slot exactly once.
-	retired bool
-}
 
 // protocolViolation marks receive-loop errors that are the peer's fault.
 // A session that violates the protocol is evicted, never parked: resume
@@ -130,8 +74,8 @@ type Server struct {
 	sessions map[int]*session
 	tokens   *mathx.RNG
 	joined   int
-	// live counts sessions still holding an admission slot (joined,
-	// neither done nor ended) — the MaxSessions denominator.
+	// live counts sessions holding an admission slot (joined or parked)
+	// — the MaxSessions denominator. Written only by transition.
 	live int
 	// refused counts joins bounced by admission control; shed counts
 	// queued activations expired past WorkDeadline.
@@ -465,7 +409,7 @@ func (s *Server) deliver(it queue.Item, reply *transport.Message, now time.Durat
 		sess.lastStaleness = it.Staleness(now)
 		sess.lastReply = reply
 		conn = sess.conn
-		parked = sess.parked
+		parked = sess.state == stateParked
 	}
 	s.mu.Unlock()
 	// Service latency — enqueue to gradient ready — is the basis of the
@@ -496,9 +440,7 @@ func (s *Server) deliver(it queue.Item, reply *transport.Message, now time.Durat
 		// The client died between enqueue and reply; record it on
 		// the session and keep serving the others.
 		s.mu.Lock()
-		if sess.err == nil && !sess.done {
-			sess.err = fmt.Errorf("cluster: send gradient to client %d: %w", sess.id, err)
-		}
+		s.transition(sess, evFail, fmt.Errorf("cluster: send gradient to client %d: %w", sess.id, err))
 		s.mu.Unlock()
 	}
 }
@@ -540,7 +482,7 @@ func (s *Server) shedExpired(it queue.Item) {
 			// unless a newer admission already superseded it.
 			sess.maxAdmitted = it.Msg.Seq - 1
 		}
-		conn, parked = sess.conn, sess.parked
+		conn, parked = sess.conn, sess.state == stateParked
 	}
 	hint := s.retryAfterHint()
 	s.mu.Unlock()
@@ -570,39 +512,6 @@ func (s *Server) retryAfterHint() time.Duration {
 		hint = 2 * time.Second
 	}
 	return hint
-}
-
-// admissionLocked decides whether a fresh session may join right now:
-// refused past the MaxSessions cap. Caller must hold s.mu.
-func (s *Server) admissionLocked() (transport.RefusalCode, string) {
-	if s.cfg.MaxSessions > 0 && s.live >= s.cfg.MaxSessions {
-		return transport.RefusalOverloaded, "session cap reached"
-	}
-	return transport.RefusalNone, ""
-}
-
-// refuse sends a structured admission refusal and counts it. Caller
-// must hold s.mu; refuse unlocks it.
-func (s *Server) refuse(conn transport.Conn, clientID int, code transport.RefusalCode, why string) {
-	s.refused++
-	hint := s.retryAfterHint()
-	s.lifecycle("session.refuse", clientID, why)
-	s.mu.Unlock()
-	_ = conn.Send(&transport.Message{
-		Type: transport.MsgControl, ClientID: clientID,
-		Note: core.RefusedNote + ": " + why, Code: code,
-		RetryAfter: hint, SentAt: s.now(),
-	})
-}
-
-// retireLocked frees a session's admission slot exactly once — on the
-// first of done/ended — so MaxSessions counts only sessions that can
-// still contribute work. Caller must hold s.mu.
-func (s *Server) retireLocked(sess *session) {
-	if !sess.retired {
-		sess.retired = true
-		s.live--
-	}
 }
 
 // process runs one item through the model, converting
@@ -654,45 +563,24 @@ func (s *Server) quarantine(sess *session, conn transport.Conn, why string) erro
 	err := fmt.Errorf("cluster: client %d quarantined: %s", sess.id, why)
 	s.mu.Lock()
 	s.quarantined[sess.id] = why
-	if sess.err == nil {
-		// A recorded error keeps finishSession from parking the session:
-		// quarantine must end it, not hold its slot open for a resume.
-		sess.err = err
-	}
-	sess.closed.Store(true)
+	// The recorded error keeps finishSession from parking the session:
+	// quarantine must end it, not hold its slot open for a resume.
+	s.transition(sess, evQuarantine, err)
 	s.mu.Unlock()
-	s.lifecycle("session.quarantine", sess.id, why)
-	_ = conn.Send(&transport.Message{
-		Type: transport.MsgControl, ClientID: sess.id,
-		Note: core.AbortNote + ": quarantined: " + why, SentAt: s.now(),
-	})
+	s.abort(conn, sess.id, "quarantined: "+why)
 	s.q.Deactivate(sess.id)
 	return err
 }
 
 // evict terminates one client's session after a processing failure,
-// keeping the rest of the cluster alive.
+// keeping the rest of the cluster alive. A live session ends when its
+// receive loop sees the closed carrier; a parked one ends here.
 func (s *Server) evict(clientID int, cause error) {
 	s.mu.Lock()
 	sess := s.sessions[clientID]
 	var conn transport.Conn
-	if sess != nil {
-		if sess.err == nil {
-			sess.err = cause
-		}
-		sess.closed.Store(true)
-		if sess.parked {
-			// A parked session has no receive loop left to observe the
-			// closed carrier and record the end — do it here. The same
-			// goes for the eviction event; a live session's eviction is
-			// recorded when its receive loop ends.
-			sess.ended = true
-			sess.parked = false
-			s.retireLocked(sess)
-			s.lifecycle("session.evict", clientID, cause.Error())
-		}
+	if sess != nil && s.transition(sess, evFail, cause) {
 		conn = sess.conn
-		s.cond.Broadcast()
 	}
 	s.mu.Unlock()
 	if conn != nil {
@@ -729,40 +617,26 @@ func (s *Server) janitor() {
 		var conns []transport.Conn
 		s.mu.Lock()
 		for _, sess := range s.sessions {
-			if sess.ended || sess.done {
-				continue
-			}
-			if sess.parked {
+			var err error
+			switch sess.state {
+			case stateParked:
 				if offline := now - sess.parkedAt; offline > s.cfg.ResumeGrace {
-					sess.err = fmt.Errorf("cluster: client %d evicted after %v offline (resume grace expired)",
+					err = fmt.Errorf("cluster: client %d evicted after %v offline (resume grace expired)",
 						sess.id, offline.Round(time.Millisecond))
-					sess.closed.Store(true)
-					// No receive loop remains to record the end.
-					sess.ended = true
-					sess.parked = false
-					s.retireLocked(sess)
-					s.lifecycle("session.evict", sess.id, "resume grace expired")
-					drop = append(drop, sess)
-					conns = append(conns, sess.conn)
 				}
-				continue
-			}
-			if s.cfg.StragglerTimeout <= 0 || sess.pending.Load() > 0 {
+			case stateJoined:
 				// A session with queued work is waiting on the server,
 				// not the other way round.
-				continue
+				idle := now - time.Duration(sess.lastActive.Load())
+				if s.cfg.StragglerTimeout > 0 && sess.pending.Load() == 0 && idle > s.cfg.StragglerTimeout {
+					err = fmt.Errorf("cluster: client %d dropped as straggler after %v silence",
+						sess.id, idle.Round(time.Millisecond))
+				}
 			}
-			idle := now - time.Duration(sess.lastActive.Load())
-			if idle > s.cfg.StragglerTimeout {
-				sess.err = fmt.Errorf("cluster: client %d dropped as straggler after %v silence",
-					sess.id, idle.Round(time.Millisecond))
-				sess.closed.Store(true)
+			if err != nil && s.transition(sess, evFail, err) {
 				drop = append(drop, sess)
 				conns = append(conns, sess.conn)
 			}
-		}
-		if len(drop) > 0 {
-			s.cond.Broadcast()
 		}
 		s.mu.Unlock()
 		for i, sess := range drop {
@@ -824,9 +698,7 @@ func (s *Server) sessionLoop(conn transport.Conn) {
 	}
 	if first.Type != transport.MsgControl ||
 		(first.Note != core.JoinNote && first.Note != core.ResumeNote) {
-		_ = conn.Send(&transport.Message{
-			Type: transport.MsgControl, Note: core.AbortNote + ": expected join", SentAt: s.now(),
-		})
+		s.abort(conn, 0, "expected join")
 		return
 	}
 	var sess *session
@@ -849,6 +721,14 @@ func (s *Server) sessionLoop(conn transport.Conn) {
 	s.finishSession(sess, conn, s.receive(sess, conn))
 }
 
+// abort refuses a handshake or ends a session with an abort note.
+func (s *Server) abort(conn transport.Conn, clientID int, why string) {
+	_ = conn.Send(&transport.Message{
+		Type: transport.MsgControl, ClientID: clientID,
+		Note: core.AbortNote + ": " + why, SentAt: s.now(),
+	})
+}
+
 // registerLocked creates and registers a fresh session with a new token.
 // Caller must hold s.mu.
 func (s *Server) registerLocked(id int, conn transport.Conn) *session {
@@ -858,11 +738,30 @@ func (s *Server) registerLocked(id int, conn transport.Conn) *session {
 	}
 	sess.lastActive.Store(int64(s.now()))
 	s.sessions[id] = sess
-	s.joined++
-	s.live++
-	s.lifecycle("session.join", id, "")
-	s.cond.Broadcast()
+	s.transition(sess, evJoin, nil)
 	return sess
+}
+
+// joinFreshLocked registers a session that takes a new admission slot, or,
+// at the MaxSessions cap, counts and sends a structured refusal instead.
+// Caller must hold s.mu; joinFreshLocked unlocks it.
+func (s *Server) joinFreshLocked(id int, conn transport.Conn) *session {
+	if s.cfg.MaxSessions <= 0 || s.live < s.cfg.MaxSessions {
+		sess := s.registerLocked(id, conn)
+		s.mu.Unlock()
+		return sess
+	}
+	const why = "session cap reached"
+	s.refused++
+	hint := s.retryAfterHint()
+	s.lifecycle("session.refuse", id, why)
+	s.mu.Unlock()
+	_ = conn.Send(&transport.Message{
+		Type: transport.MsgControl, ClientID: id,
+		Note: core.RefusedNote + ": " + why, Code: transport.RefusalOverloaded,
+		RetryAfter: hint, SentAt: s.now(),
+	})
+	return nil
 }
 
 // join handles a fresh join handshake. A *live* duplicate id is refused;
@@ -870,50 +769,33 @@ func (s *Server) registerLocked(id int, conn transport.Conn) *session {
 // either never received its welcome (so it holds no token and made no
 // progress) or restarted from scratch, and in both cases the right
 // outcome is a clean new incarnation, not a terminal abort on what the
-// client experiences as a transient first-exchange fault. The retired
-// incarnation ends without error; its queued items drain through the
-// dedup-safe serve path.
+// client experiences as a transient first-exchange fault. The displaced
+// incarnation ends without error (a leave); its queued items drain
+// through the dedup-safe serve path.
 func (s *Server) join(conn transport.Conn, first *transport.Message) *session {
 	s.mu.Lock()
 	if why, bad := s.quarantined[first.ClientID]; bad {
 		s.mu.Unlock()
-		_ = conn.Send(&transport.Message{
-			Type: transport.MsgControl, ClientID: first.ClientID,
-			Note: core.AbortNote + ": quarantined: " + why, SentAt: s.now(),
-		})
+		s.abort(conn, first.ClientID, "quarantined: "+why)
 		return nil
 	}
 	old, exists := s.sessions[first.ClientID]
-	if exists && !old.ended && !old.parked {
+	if exists && (old.state == stateJoined || old.state == stateDone) {
 		s.mu.Unlock()
-		_ = conn.Send(&transport.Message{
-			Type: transport.MsgControl, ClientID: first.ClientID,
-			Note: core.AbortNote + ": duplicate client id", SentAt: s.now(),
-		})
+		s.abort(conn, first.ClientID, "duplicate client id")
 		return nil
 	}
-	displacing := exists && !old.ended
-	if !displacing {
-		// Admission control applies only to joins that would consume a
-		// new slot; displacing a parked incarnation swaps slots 1:1 and
-		// must survive overload — it is how a wedged client recovers.
-		if code, why := s.admissionLocked(); code != transport.RefusalNone {
-			s.refuse(conn, first.ClientID, code, why)
-			return nil
-		}
+	if !exists || old.state != stateParked {
+		return s.joinFreshLocked(first.ClientID, conn)
 	}
-	var oldConn transport.Conn
-	if displacing {
-		old.ended = true
-		old.parked = false
-		s.retireLocked(old)
-		oldConn = old.conn
-	}
+	// Admission control applies only to joins that would consume a new
+	// slot; displacing a parked incarnation swaps slots 1:1 and must
+	// survive overload — it is how a wedged client recovers.
+	s.transition(old, evEnd, nil)
+	oldConn := old.conn
 	sess := s.registerLocked(first.ClientID, conn)
 	s.mu.Unlock()
-	if oldConn != nil {
-		oldConn.Close()
-	}
+	oldConn.Close()
 	return sess
 }
 
@@ -923,48 +805,32 @@ func (s *Server) join(conn transport.Conn, first *transport.Message) *session {
 // restarted, or grace already expired — is accepted as a fresh join, so
 // a client with retry enabled survives a server restart transparently.
 func (s *Server) resume(conn transport.Conn, first *transport.Message) *session {
-	abort := func(why string) *session {
-		_ = conn.Send(&transport.Message{
-			Type: transport.MsgControl, ClientID: first.ClientID,
-			Note: core.AbortNote + ": " + why, SentAt: s.now(),
-		})
-		return nil
-	}
 	s.mu.Lock()
-	if why, bad := s.quarantined[first.ClientID]; bad {
-		s.mu.Unlock()
-		return abort("quarantined: " + why)
-	}
 	sess, ok := s.sessions[first.ClientID]
-	if !ok || sess.ended {
+	why := ""
+	switch q, bad := s.quarantined[first.ClientID]; {
+	case bad:
+		why = "quarantined: " + q
+	case !ok || sess.state.terminal():
 		// Resume-as-fresh-join consumes a new slot, so it faces the same
 		// admission control as a join. A genuine resume below does not:
 		// its slot is already held.
-		if code, why := s.admissionLocked(); code != transport.RefusalNone {
-			s.refuse(conn, first.ClientID, code, why)
-			return nil
-		}
-		sess = s.registerLocked(first.ClientID, conn)
-		s.mu.Unlock()
-		return sess
-	}
-	switch {
-	case sess.done:
-		s.mu.Unlock()
-		return abort("session already completed")
+		return s.joinFreshLocked(first.ClientID, conn)
+	case sess.state == stateDone:
+		why = "session already completed"
 	case sess.err != nil:
-		s.mu.Unlock()
-		return abort("session terminated")
+		why = "session terminated"
 	case sess.token != first.Seq:
+		why = "bad resume token"
+	}
+	if why != "" {
 		s.mu.Unlock()
-		return abort("bad resume token")
+		s.abort(conn, first.ClientID, why)
+		return nil
 	}
 	old := sess.conn
 	sess.conn = conn
-	sess.parked = false
-	sess.resumes++
-	sess.lastActive.Store(int64(s.now()))
-	s.lifecycle("session.resume", sess.id, "")
+	s.transition(sess, evResume, nil)
 	s.mu.Unlock()
 	if old != nil && old != conn {
 		// The previous carrier may still be half-open (the client saw
@@ -1009,9 +875,7 @@ func (s *Server) receive(sess *session, conn transport.Conn) error {
 		case transport.MsgControl:
 			if msg.Note == core.DoneNote {
 				s.mu.Lock()
-				sess.done = true
-				s.retireLocked(sess)
-				s.cond.Broadcast()
+				s.transition(sess, evDone, nil)
 				s.mu.Unlock()
 				s.q.Deactivate(sess.id)
 			}
@@ -1067,20 +931,8 @@ func (s *Server) admit(sess *session, conn transport.Conn, msg *transport.Messag
 		}
 		return nil
 	}
-	prev := sess.maxAdmitted
 	sess.maxAdmitted = msg.Seq
 	s.mu.Unlock()
-	// abandon undoes a failed admission: the pending count, and the dedup
-	// watermark so the client's mandated resend of the same seq is not
-	// mistaken for a duplicate.
-	abandon := func() {
-		sess.pending.Add(-1)
-		s.mu.Lock()
-		if sess.maxAdmitted == msg.Seq {
-			sess.maxAdmitted = prev
-		}
-		s.mu.Unlock()
-	}
 
 	it := queue.Item{Msg: msg, ArrivedAt: s.now()}
 	if s.cfg.WorkDeadline > 0 {
@@ -1091,7 +943,11 @@ func (s *Server) admit(sess *session, conn transport.Conn, msg *transport.Messag
 	sess.pending.Add(1)
 
 	// At the cap, wait for headroom and retry. The queue counts the park
-	// (Instruments.Parked) on the first refusal only.
+	// (Instruments.Parked) on the first refusal only. An abandoned
+	// admission keeps its seq on the dedup watermark: it is abandoned
+	// only at shutdown or once the session is closed (an error recorded,
+	// or ended), so the session ends, and a later join or resume of this
+	// id registers a fresh session whose watermark starts at -1.
 	for first := true; !s.q.TryPushParking(it, s.cfg.QueueCap, first); first = false {
 		select {
 		case <-s.q.Popped():
@@ -1099,11 +955,11 @@ func (s *Server) admit(sess *session, conn transport.Conn, msg *transport.Messag
 			// Popped is edge-triggered and shared; poll so a dropped
 			// wakeup cannot park a session forever.
 		case <-s.ctx.Done():
-			abandon()
+			sess.pending.Add(-1)
 			return s.ctx.Err()
 		}
 		if sess.closed.Load() {
-			abandon()
+			sess.pending.Add(-1)
 			return fmt.Errorf("cluster: session %d closed while parked", sess.id)
 		}
 	}
@@ -1128,37 +984,18 @@ func (s *Server) finishSession(sess *session, conn transport.Conn, err error) {
 	if errors.Is(err, transport.ErrClosed) || errors.Is(err, context.Canceled) {
 		err = nil
 	}
-	if !isViolation && !sess.done && sess.err == nil &&
-		s.cfg.ResumeGrace > 0 && s.ctx.Err() == nil {
-		// The connection is gone but the client may come back: park the
-		// session instead of evicting. Queued items stay in the queue,
-		// replies accumulate in the cache, the janitor counts grace.
-		sess.parked = true
-		sess.parkedAt = s.now()
-		s.lifecycle("session.park", sess.id, "")
+	// The connection is gone but the client may come back: park the
+	// session instead of ending it. Queued items stay in the queue,
+	// replies accumulate in the cache, the janitor counts grace. A done
+	// session, or one with a recorded error, cannot park.
+	if !isViolation && s.cfg.ResumeGrace > 0 && s.ctx.Err() == nil &&
+		s.transition(sess, evPark, nil) {
 		s.mu.Unlock()
 		return
 	}
-	wasEnded := sess.ended
-	sess.ended = true
-	sess.parked = false
-	s.retireLocked(sess)
-	if sess.err == nil {
-		sess.err = err
-	}
-	if !wasEnded {
-		// One terminal event per session: a clean end is a leave, an
-		// end with a recorded error (processing eviction, straggler
-		// drop, protocol violation) is an evict. Sessions the janitor
-		// or evict() already closed arrive here with ended set and are
-		// not double-counted.
-		if sess.err != nil {
-			s.lifecycle("session.evict", sess.id, sess.err.Error())
-		} else {
-			s.lifecycle("session.leave", sess.id, "")
-		}
-	}
-	s.cond.Broadcast()
+	// A clean end is a leave, an end with a recorded error (processing
+	// eviction, straggler drop, protocol violation) is an evict.
+	s.transition(sess, evEnd, err)
 	s.mu.Unlock()
 	s.q.Deactivate(sess.id)
 }
@@ -1185,37 +1022,23 @@ func (s *Server) AwaitClients(ctx context.Context, n int) error {
 		if err := s.ctx.Err(); err != nil {
 			return fmt.Errorf("cluster: server stopped: %w", err)
 		}
-		if s.joined >= n && s.allFinishedLocked() {
-			return s.sessionErrsLocked()
+		// A session that holds no admission slot is done or gone.
+		finished, errs := s.joined >= n, []error(nil)
+		for _, sess := range s.sessions {
+			finished = finished && sess.state.slots() == 0
+			if sess.err != nil {
+				errs = append(errs, sess.err)
+			}
+		}
+		if finished {
+			return errors.Join(errs...)
 		}
 		s.cond.Wait()
 	}
 }
 
-// allFinishedLocked reports whether every joined session is done or gone.
-// Caller must hold s.mu.
-func (s *Server) allFinishedLocked() bool {
-	for _, sess := range s.sessions {
-		if !sess.done && !sess.ended {
-			return false
-		}
-	}
-	return true
-}
-
-// sessionErrsLocked joins the terminal errors of all sessions. Caller
-// must hold s.mu.
-func (s *Server) sessionErrsLocked() error {
-	var errs []error
-	for _, sess := range s.sessions {
-		if sess.err != nil {
-			errs = append(errs, sess.err)
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// Shutdown stops the server: cancels the worker and janitor, closes all
+// Shutdown stops the server: cancels the worker and janitor, ends parked
+// sessions (a leave — no receive loop remains to end them), closes all
 // session connections, and waits (bounded by ctx) for every goroutine to
 // exit. With a Checkpoint sink configured, the worker writes a final
 // checkpoint on its way out.
@@ -1224,7 +1047,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	conns := make([]transport.Conn, 0, len(s.sessions))
 	for _, sess := range s.sessions {
-		if !sess.ended {
+		if sess.state == stateParked {
+			s.transition(sess, evEnd, nil)
+		} else if !sess.state.terminal() {
 			conns = append(conns, sess.conn)
 		}
 	}
