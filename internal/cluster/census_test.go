@@ -258,7 +258,7 @@ func TestRefusalRetryTraceFollowsSeedAndFloor(t *testing.T) {
 		t.Fatalf("%d refusals over %d join attempts, want at least 2 refusals and one attempt more",
 			o.res.Refused, len(o.res.JoinAttempts))
 	}
-	jitter := overload.NewBackoff(floor, 0, seed)
+	jitter := overload.NewBackoff(floor, seed)
 	for k := 0; k < o.res.Refused; k++ {
 		gap := o.res.JoinAttempts[k+1] - o.res.JoinAttempts[k]
 		if want := retryAfterFloor + jitter.Next(); gap < want {

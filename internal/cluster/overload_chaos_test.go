@@ -229,7 +229,7 @@ func gridJitterSeeds(t *testing.T, n int, base time.Duration) []uint64 {
 				t.Fatalf("no seed draws a first delay within %v of %v: the jitter does not cover [%v, %v)",
 					tol, want, base, 3*base)
 			}
-			if d := overload.NewBackoff(base, 0, seed).Next(); d > want-tol && d < want+tol {
+			if d := overload.NewBackoff(base, seed).Next(); d > want-tol && d < want+tol {
 				seeds[k] = seed
 				seed++
 				break

@@ -1,14 +1,14 @@
 // Package overload holds the control-theory primitives behind the
-// client's retry discipline: decorrelated-jitter backoff, token-bucket
-// retry budgets, a circuit breaker, and a TCP-RTO-style RTT estimator.
+// client's retry discipline: decorrelated-jitter backoff, a token-bucket
+// retry budget, and a TCP-RTO-style RTT estimator.
 //
 // Every type is deterministic given its inputs — randomness comes from a
 // caller-supplied seed (mathx.RNG) and time is an injected monotonic
-// time.Duration, never the wall clock — so the retry storms and breaker
-// trips these govern are unit-testable without sleeps. cluster.RunClient
-// wires them into the live runtime: Backoff + Budget + Breaker for its
-// reconnect and refusal-retry policy, RTTEstimator for its adaptive
-// gradient wait (DESIGN.md §3.7).
+// time.Duration, never the wall clock — so the retry storms these govern
+// are unit-testable without sleeps. cluster.RunClient's state machine
+// wires them into the live runtime: Backoff + Budget for its reconnect
+// and refusal-retry policy, RTTEstimator for its adaptive gradient wait
+// (DESIGN.md §3.7).
 package overload
 
 import (
@@ -18,7 +18,7 @@ import (
 )
 
 // Backoff produces retry delays with decorrelated jitter: each delay is
-// drawn uniformly from [base, 3×previous], capped at max. Unlike plain
+// drawn uniformly from [base, 3×previous], capped at 100×base. Unlike plain
 // exponential backoff — where every client that failed together retries
 // together — the draws desynchronise a cohort of refused clients within a
 // couple of rounds, which is exactly the property the join-storm chaos
@@ -26,38 +26,20 @@ import (
 //
 // Not safe for concurrent use; each retrying actor owns one Backoff.
 type Backoff struct {
-	base, max time.Duration
-	prev      time.Duration
-	rng       *mathx.RNG
+	base, prev time.Duration
+	rng        *mathx.RNG
 }
 
-// NewBackoff constructs a decorrelated-jitter source. base is the floor
-// of every delay (and the first draw's upper bound starts from it), max
-// caps growth. Non-positive base or max panic-free defaults: base
-// defaults to 5ms, max to 100×base.
-func NewBackoff(base, max time.Duration, seed uint64) *Backoff {
-	if base <= 0 {
-		base = 5 * time.Millisecond
-	}
-	if max <= 0 {
-		max = 100 * base
-	}
-	if max < base {
-		max = base
-	}
-	return &Backoff{base: base, max: max, prev: base, rng: mathx.NewRNG(seed)}
+// NewBackoff constructs a decorrelated-jitter source whose delays start
+// at base and grow to at most 100×base.
+func NewBackoff(base time.Duration, seed uint64) *Backoff {
+	return &Backoff{base: base, prev: base, rng: mathx.NewRNG(seed)}
 }
 
 // Next draws the next delay: uniform in [base, 3×previous], capped at
-// max. The sequence is deterministic for a given seed.
+// 100×base. The sequence is deterministic for a given seed.
 func (b *Backoff) Next() time.Duration {
-	hi := 3 * b.prev
-	if hi > b.max {
-		hi = b.max
-	}
-	if hi < b.base {
-		hi = b.base
-	}
+	hi := min(3*b.prev, 100*b.base)
 	d := b.base + time.Duration(b.rng.Float64()*float64(hi-b.base))
 	b.prev = d
 	return d
@@ -71,8 +53,7 @@ func (b *Backoff) Reset() { b.prev = b.base }
 // withdraw a token, tokens refill at a steady rate up to a burst cap. A
 // client inside its budget retries immediately (after jitter); one that
 // has spent its burst is throttled to the refill rate, which is what
-// stops a retry storm from amplifying an overload. The zero refill rate
-// makes it a pure burst budget that never refills.
+// stops a retry storm from amplifying an overload.
 //
 // Time is injected, so exhaustion and refill are unit-testable; not safe
 // for concurrent use.
@@ -83,15 +64,9 @@ type Budget struct {
 	last     time.Duration
 }
 
-// NewBudget constructs a budget that starts full. capacity <= 0 defaults
-// to 8 tokens; perSec < 0 is treated as 0 (no refill).
+// NewBudget constructs a full budget of capacity tokens that refills at
+// perSec (> 0) tokens a second.
 func NewBudget(capacity, perSec float64) *Budget {
-	if capacity <= 0 {
-		capacity = 8
-	}
-	if perSec < 0 {
-		perSec = 0
-	}
 	return &Budget{capacity: capacity, perSec: perSec, tokens: capacity}
 }
 
@@ -99,12 +74,7 @@ func NewBudget(capacity, perSec float64) *Budget {
 // regressions (never expected; defensive) credit nothing.
 func (b *Budget) refill(now time.Duration) {
 	if dt := now - b.last; dt > 0 {
-		b.tokens += dt.Seconds() * b.perSec
-		if b.tokens > b.capacity {
-			b.tokens = b.capacity
-		}
-	}
-	if now > b.last {
+		b.tokens = min(b.capacity, b.tokens+dt.Seconds()*b.perSec)
 		b.last = now
 	}
 }
@@ -120,24 +90,12 @@ func (b *Budget) Take(now time.Duration) bool {
 	return true
 }
 
-// Tokens reports the balance as of now (diagnostics and tests).
-func (b *Budget) Tokens(now time.Duration) float64 {
-	b.refill(now)
-	return b.tokens
-}
-
 // NextAt reports when a token will next be available: now if one already
-// is, the refill instant otherwise. ok is false when the budget can never
-// recover (empty with no refill) — the caller should give up rather than
-// wait.
-func (b *Budget) NextAt(now time.Duration) (at time.Duration, ok bool) {
+// is, the refill instant otherwise.
+func (b *Budget) NextAt(now time.Duration) time.Duration {
 	b.refill(now)
 	if b.tokens >= 1 {
-		return now, true
+		return now
 	}
-	if b.perSec <= 0 {
-		return 0, false
-	}
-	need := 1 - b.tokens
-	return now + time.Duration(need/b.perSec*float64(time.Second)), true
+	return now + time.Duration((1-b.tokens)/b.perSec*float64(time.Second))
 }

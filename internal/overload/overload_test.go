@@ -5,26 +5,19 @@ import (
 	"time"
 )
 
-// TestBackoffBounds: every draw stays in [base, max], and the upper bound
-// of each draw tracks 3× the previous one (decorrelated jitter), checked
-// over a long deterministic sequence.
+// TestBackoffBounds: every draw stays in [base, 100×base], and the upper
+// bound of each draw tracks 3× the previous one (decorrelated jitter),
+// checked over a long deterministic sequence.
 func TestBackoffBounds(t *testing.T) {
-	base, max := 5*time.Millisecond, 200*time.Millisecond
-	b := NewBackoff(base, max, 42)
+	base, max := 5*time.Millisecond, 500*time.Millisecond
+	b := NewBackoff(base, 42)
 	prev := base
 	for i := 0; i < 1000; i++ {
 		d := b.Next()
 		if d < base || d > max {
 			t.Fatalf("draw %d: %v outside [%v, %v]", i, d, base, max)
 		}
-		hi := 3 * prev
-		if hi > max {
-			hi = max
-		}
-		if hi < base {
-			hi = base
-		}
-		if d > hi {
+		if hi := min(3*prev, max); d > hi {
 			t.Fatalf("draw %d: %v exceeds decorrelated bound %v (prev %v)", i, d, hi, prev)
 		}
 		prev = d
@@ -35,8 +28,8 @@ func TestBackoffBounds(t *testing.T) {
 // sequence, and different seeds diverge — the property that keeps a
 // cohort of refused clients from retrying in lock-step.
 func TestBackoffDeterministicAndSeedDiverse(t *testing.T) {
-	a1 := NewBackoff(time.Millisecond, time.Second, 7)
-	a2 := NewBackoff(time.Millisecond, time.Second, 7)
+	a1 := NewBackoff(time.Millisecond, 7)
+	a2 := NewBackoff(time.Millisecond, 7)
 	for i := 0; i < 50; i++ {
 		if d1, d2 := a1.Next(), a2.Next(); d1 != d2 {
 			t.Fatalf("same seed diverged at draw %d: %v vs %v", i, d1, d2)
@@ -44,7 +37,7 @@ func TestBackoffDeterministicAndSeedDiverse(t *testing.T) {
 	}
 	seen := make(map[time.Duration]bool)
 	for seed := uint64(1); seed <= 32; seed++ {
-		b := NewBackoff(time.Millisecond, time.Second, seed)
+		b := NewBackoff(time.Millisecond, seed)
 		b.Next()
 		b.Next()
 		seen[b.Next()] = true
@@ -56,7 +49,7 @@ func TestBackoffDeterministicAndSeedDiverse(t *testing.T) {
 
 // TestBackoffReset: after Reset the growth restarts from the floor.
 func TestBackoffReset(t *testing.T) {
-	b := NewBackoff(10*time.Millisecond, time.Second, 3)
+	b := NewBackoff(10*time.Millisecond, 3)
 	for i := 0; i < 10; i++ {
 		b.Next()
 	}
@@ -80,10 +73,7 @@ func TestBudgetExhaustion(t *testing.T) {
 	if b.Take(now) {
 		t.Fatal("withdrawal beyond capacity allowed")
 	}
-	at, ok := b.NextAt(now)
-	if !ok {
-		t.Fatal("refilling budget reported unrecoverable")
-	}
+	at := b.NextAt(now)
 	if want := 500 * time.Millisecond; at != want {
 		t.Fatalf("next token at %v, want %v (2/s refill)", at, want)
 	}
@@ -95,100 +85,18 @@ func TestBudgetExhaustion(t *testing.T) {
 	}
 }
 
-// TestBudgetNoRefill: perSec=0 is a pure burst budget that can never
-// recover once spent.
-func TestBudgetNoRefill(t *testing.T) {
-	b := NewBudget(2, 0)
-	now := time.Duration(0)
-	b.Take(now)
-	b.Take(now)
-	if b.Take(time.Hour) {
-		t.Fatal("no-refill budget recovered")
-	}
-	if _, ok := b.NextAt(time.Hour); ok {
-		t.Fatal("no-refill budget reported a recovery instant")
-	}
-}
-
-// TestBudgetCap: refill never overfills past capacity.
+// TestBudgetCap: refill never overfills past capacity — after a long
+// idle exactly capacity withdrawals succeed at one instant.
 func TestBudgetCap(t *testing.T) {
 	b := NewBudget(3, 1000)
-	if got := b.Tokens(time.Hour); got != 3 {
-		t.Fatalf("tokens %v exceed capacity 3 after long idle", got)
-	}
-}
-
-// TestBreakerTripHalfOpenClose walks the full state machine: closed →
-// (threshold failures) → open → (cooldown) → half-open → success →
-// closed, with the attempt gate matching each state.
-func TestBreakerTripHalfOpenClose(t *testing.T) {
-	br := NewBreaker(BreakerConfig{Threshold: 3, Cooldown: 100 * time.Millisecond, MaxCooldown: time.Second})
-	now := time.Duration(0)
-	for i := 0; i < 2; i++ {
-		if !br.Allow(now) {
-			t.Fatalf("closed breaker refused attempt %d", i)
-		}
-		br.Failure(now, 0)
-		if br.State() != BreakerClosed {
-			t.Fatalf("breaker tripped after %d failures, threshold 3", i+1)
+	b.Take(0)
+	for i := 0; i < 3; i++ {
+		if !b.Take(time.Hour) {
+			t.Fatalf("withdrawal %d refused after a long idle", i)
 		}
 	}
-	br.Failure(now, 0)
-	if br.State() != BreakerOpen {
-		t.Fatalf("breaker %v after threshold failures, want open", br.State())
-	}
-	if br.Allow(now + 50*time.Millisecond) {
-		t.Fatal("open breaker allowed attempt inside cooldown")
-	}
-	if !br.Allow(now + 101*time.Millisecond) {
-		t.Fatal("breaker refused the half-open probe after cooldown")
-	}
-	if br.State() != BreakerHalfOpen {
-		t.Fatalf("breaker %v after cooldown elapsed, want half-open", br.State())
-	}
-	br.Success()
-	if br.State() != BreakerClosed {
-		t.Fatalf("breaker %v after probe success, want closed", br.State())
-	}
-	if !br.Allow(now) {
-		t.Fatal("closed breaker refused after recovery")
-	}
-}
-
-// TestBreakerHalfOpenFailureEscalates: a failed probe re-opens with a
-// doubled cooldown, and repeated trips keep doubling up to the cap.
-func TestBreakerHalfOpenFailureEscalates(t *testing.T) {
-	br := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: 10 * time.Millisecond, MaxCooldown: 60 * time.Millisecond})
-	now := time.Duration(0)
-	br.Failure(now, 0) // trip 1: 10ms
-	if got := br.OpenUntil() - now; got != 10*time.Millisecond {
-		t.Fatalf("first cooldown %v, want 10ms", got)
-	}
-	now = br.OpenUntil()
-	br.Allow(now) // half-open
-	br.Failure(now, 0)
-	if got := br.OpenUntil() - now; got != 20*time.Millisecond {
-		t.Fatalf("second cooldown %v, want 20ms (doubled)", got)
-	}
-	for i := 0; i < 5; i++ {
-		now = br.OpenUntil()
-		br.Allow(now)
-		br.Failure(now, 0)
-	}
-	if got := br.OpenUntil() - now; got != 60*time.Millisecond {
-		t.Fatalf("cooldown %v after many trips, want 60ms cap", got)
-	}
-}
-
-// TestBreakerHonoursRetryAfter: a server hint longer than the cooldown
-// extends the open period — the breaker never probes before the server
-// asked it to come back.
-func TestBreakerHonoursRetryAfter(t *testing.T) {
-	br := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: 10 * time.Millisecond, MaxCooldown: time.Second})
-	now := 5 * time.Millisecond
-	br.Failure(now, 300*time.Millisecond)
-	if got := br.OpenUntil(); got != now+300*time.Millisecond {
-		t.Fatalf("open until %v, want hint-extended %v", got, now+300*time.Millisecond)
+	if b.Take(time.Hour) {
+		t.Fatal("a fourth withdrawal succeeded: refill overfilled capacity 3")
 	}
 }
 
