@@ -8,6 +8,7 @@ package stsl_test
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -172,31 +173,39 @@ func BenchmarkFedAvgBaseline(b *testing.B) {
 
 // --- ablation benches (DESIGN.md §6) ---
 
-// BenchmarkConvIm2Col vs BenchmarkConvDirect quantify the im2col design
-// choice for the paper's first conv layer geometry (3→16 ch, 32×32).
-func BenchmarkConvIm2Col(b *testing.B) {
-	r := mathx.NewRNG(1)
-	conv, err := nn.NewConv2D(nn.Conv2DConfig{Name: "c", In: 3, Out: 16, KernelH: 3, KernelW: 3, SamePad: true}, r)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := tensor.Randn(r, 1, 8, 3, 32, 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		conv.Forward(x, false)
-	}
-}
-
-func BenchmarkConvDirect(b *testing.B) {
-	r := mathx.NewRNG(1)
-	conv, err := nn.NewConv2D(nn.Conv2DConfig{Name: "c", In: 3, Out: 16, KernelH: 3, KernelW: 3, SamePad: true}, r)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := tensor.Randn(r, 1, 8, 3, 32, 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nn.DirectConvForward(conv, x)
+// BenchmarkConvLayer times one training Forward+Backward of each conv
+// layer of expt.SmallScale's network (batch 16), the geometry every
+// train-* step runs. The output gradient is 75 % zeros, one nonzero per
+// 2×2 window as max-pool backward leaves it.
+func BenchmarkConvLayer(b *testing.B) {
+	m := expt.SmallScale().Model
+	inC, h, w := m.InChannels, m.Height, m.Width
+	for i, outC := range m.Filters {
+		r := mathx.NewRNG(uint64(i + 1))
+		conv, err := nn.NewConv2D(nn.Conv2DConfig{Name: "c", In: inC, Out: outC, KernelH: 3, KernelW: 3, SamePad: true}, r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		x := tensor.Randn(r, 1, 16, inC, h, w)
+		grad := tensor.New(16, outC, h, w)
+		g := grad.Data()
+		for plane := 0; plane < 16*outC; plane++ {
+			for y := 0; y < h; y += 2 {
+				for xx := 0; xx < w; xx += 2 {
+					g[plane*h*w+(y+r.Intn(2))*w+xx+r.Intn(2)] = r.Norm()
+				}
+			}
+		}
+		b.Run(fmt.Sprintf("conv%d", i+1), func(b *testing.B) {
+			conv.Forward(x, true)
+			conv.Backward(grad)
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				conv.Forward(x, true)
+				conv.Backward(grad)
+			}
+		})
+		inC, h, w = outC, h/2, w/2
 	}
 }
 
@@ -213,13 +222,13 @@ func BenchmarkTensorMatMul(b *testing.B) {
 }
 
 // BenchmarkMatMulSerialVsParallel ablates the kernel fan-out at a
-// conv-sized workload (im2col matrix of the paper's conv1 layer): the
-// same MatMulTransBInto at GOMAXPROCS 1, where it runs serially, and at
-// the default.
+// dense-layer-sized workload (8192×27 times 16×27 transposed): the same
+// MatMulTransBInto at GOMAXPROCS 1, where it runs serially, and at the
+// default.
 func BenchmarkMatMulSerialVsParallel(b *testing.B) {
 	r := mathx.NewRNG(1)
-	a := tensor.Randn(r, 1, 8*32*32, 27) // batch-8 im2col for conv1
-	w := tensor.Randn(r, 1, 16, 27)      // 16 filters
+	a := tensor.Randn(r, 1, 8*32*32, 27)
+	w := tensor.Randn(r, 1, 16, 27)
 	var out *tensor.Tensor
 	b.Run("serial", func(b *testing.B) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

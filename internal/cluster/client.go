@@ -198,9 +198,9 @@ func RunClient(ctx context.Context, es *core.EndSystem, conn transport.Conn, cfg
 		return nil, fmt.Errorf("cluster: RunClient needs positive steps, got %d", cfg.Steps)
 	}
 	// The end-system goes idle when its session ends, yet its owner may
-	// keep it (a load generator keeps its whole fleet), so its stack
-	// stops holding the convolution scratch.
-	defer es.Stack.DropScratch()
+	// keep it (a load generator keeps its whole fleet), so it stops
+	// holding its convolution and batch scratch.
+	defer es.DropScratch()
 	now := cfg.Now
 	if now == nil {
 		start := time.Now()

@@ -42,8 +42,10 @@ func gradientServer(reply func(seq, attempt int) time.Duration, sends chan<- map
 // TestAdaptiveWaitRidesOutJitter: once the estimator has settled, a
 // reply that comes late by ordinary jitter is waited for, not resent —
 // a few milliseconds on a sub-millisecond round trip (below the resend
-// floor), or 40 % of a steady 20 ms round trip (below 2·SRTT, where a
-// bare SRTT + 4·RTTVAR has shrunk to about 22 ms).
+// floor), 40 % of a steady 20 ms round trip (below 2·SRTT, where a
+// bare SRTT + 4·RTTVAR has shrunk to about 22 ms), or 2.3 times a
+// steady 12 ms round trip (below 3·SRTT, the tail a busy 2-CPU host
+// shows once a step is that fast).
 func TestAdaptiveWaitRidesOutJitter(t *testing.T) {
 	const steps, late = 16, 14
 	for _, tc := range []struct {
@@ -52,6 +54,7 @@ func TestAdaptiveWaitRidesOutJitter(t *testing.T) {
 	}{
 		{"fast", 0, resendFloor / 4},
 		{"steady-20ms", 20 * time.Millisecond, 8 * time.Millisecond},
+		{"steady-12ms", 12 * time.Millisecond, 16 * time.Millisecond},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dep := buildDeployment(t, 1, "fifo")

@@ -16,12 +16,13 @@ const (
 	retryRefillPerSec = 4                    // retry budget: refill rate
 	// The adaptive gradient wait is the RTO (SRTT + 4·RTTVAR), but never
 	// less than srttFactor·SRTT or resendFloor: a steady step shrinks
-	// RTTVAR until ordinary jitter would fire the RTO alone. A traced
-	// SmallScale cut-1 round on a 2-CPU host had a step RTT p50 of 14.8
-	// ms and p99 of 22.1 ms (p99/p50 = 1.5, max 22.2 ms): twice SRTT
-	// clears that tail, and the floor covers a scheduling or GC stall of
-	// a few ms when the round trip itself is a millisecond.
-	srttFactor  = 2
+	// RTTVAR until ordinary jitter would fire the RTO alone. Traced
+	// SmallScale cut-1 rounds on a busy 2-CPU host had a gradient wait
+	// p50 of 14.6 ms and a maximum of 34.2 ms (2.3×); at twice SRTT such
+	// rounds resent up to 3 batches, so three times SRTT clears the
+	// tail. The floor covers a scheduling or GC stall of a few ms when
+	// the round trip itself is a millisecond.
+	srttFactor  = 3
 	resendFloor = 10 * time.Millisecond
 )
 

@@ -107,7 +107,7 @@ func TestClientTransitions(t *testing.T) {
 		{"hello", []clientEvent{{kind: evDialed}}},
 		{"await", []clientEvent{{kind: evDialed}, tWelcome}},
 		// Three clean round trips warm the estimator: the window is
-		// max(SRTT + 4·RTTVAR, 2·SRTT) = max(21.25, 20) ms.
+		// max(SRTT + 4·RTTVAR, srttFactor·SRTT) = max(21.25, 30) ms.
 		{"await-warm", []clientEvent{{kind: evDialed}, tWelcome, tGradient, cleanStep(0), tGradient, cleanStep(0), tGradient, cleanStep(0)}},
 		{"await-resent", []clientEvent{{kind: evDialed}, tWelcome, tRejected}},
 		{"backoff-resume", []clientEvent{{kind: evDialed}, tWelcome, tLost}},
@@ -195,10 +195,10 @@ func TestClientTransitions(t *testing.T) {
 		// A warm estimator waits adaptively; each fire doubles the
 		// window, and a fourth clean sample narrows it to 2·SRTT.
 		{"await-warm", "gradient"}:         apply,
-		{"await-warm", "applied"}:          {to: phaseAwait, op: opProduce, wait: 20 * time.Millisecond, adaptive: true, d: counters{steps: 1}, samples: 1},
-		{"await-warm", "rejected"}:         {to: phaseAwait, op: opResend, hint: tBounce, rej: true, wait: 21250 * time.Microsecond, adaptive: true, d: counters{rejected: 1}},
-		{"await-warm", "expired"}:          {to: phaseAwait, op: opResend, hint: tBounce, rej: true, wait: 21250 * time.Microsecond, adaptive: true, d: counters{resends: 1}},
-		{"await-warm", "adaptive-timeout"}: {to: phaseAwait, op: opResend, wait: 42500 * time.Microsecond, adaptive: true, d: counters{resends: 1}, tokens: 1},
+		{"await-warm", "applied"}:          {to: phaseAwait, op: opProduce, wait: srttFactor * tRTT, adaptive: true, d: counters{steps: 1}, samples: 1},
+		{"await-warm", "rejected"}:         {to: phaseAwait, op: opResend, hint: tBounce, rej: true, wait: srttFactor * tRTT, adaptive: true, d: counters{rejected: 1}},
+		{"await-warm", "expired"}:          {to: phaseAwait, op: opResend, hint: tBounce, rej: true, wait: srttFactor * tRTT, adaptive: true, d: counters{resends: 1}},
+		{"await-warm", "adaptive-timeout"}: {to: phaseAwait, op: opResend, wait: 2 * srttFactor * tRTT, adaptive: true, d: counters{resends: 1}, tokens: 1},
 		{"await-warm", "refused-hinted"}:   done,
 		{"await-warm", "refused-terminal"}: done,
 		{"await-warm", "abort"}:            done,

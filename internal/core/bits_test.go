@@ -96,11 +96,11 @@ func TestTrainingBitsPinned(t *testing.T) {
 		cut, coalesce  int
 		loss, paramSum uint64
 	}{
-		{pinnedModel(), 1, 1, 0x4003b4f813a6fdeb, 0x01b01042166b7dd2},
-		{pinnedModel(), 1, 2, 0x400388f61d5833ce, 0x1a77b49c4ed875a1},
-		{pinnedModel(), 4, 1, 0x40081f70b1557582, 0x24b01aa8490356b3},
-		{pinnedModel(), 4, 2, 0x4007a921ed4a3e8f, 0x06e089e902efb54a},
-		{withExtras, 2, 1, 0x400125ae446e544a, 0x9c9149a902ac8793},
+		{pinnedModel(), 1, 1, 0x4003b4f813a6fdeb, 0xd24136a41a828a5f},
+		{pinnedModel(), 1, 2, 0x400388f61d5833d0, 0xd1b03d5e81b2c08b},
+		{pinnedModel(), 4, 1, 0x40081f70b1557583, 0xaf8de44a566586d1},
+		{pinnedModel(), 4, 2, 0x4007a921ed4a3e90, 0xbe22db9a0968beec},
+		{withExtras, 2, 1, 0x400125ae446e544a, 0x4ce2cad30227b48a},
 	}
 	for _, tc := range cases {
 		name := fmt.Sprintf("cut%d-b%d-bn%v", tc.cut, tc.coalesce, tc.model.BatchNorm)

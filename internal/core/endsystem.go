@@ -65,6 +65,13 @@ func (e *EndSystem) HasOutstanding() bool { return e.outstanding >= 0 }
 // the network or the resume protocol.
 func (e *EndSystem) Outstanding() int { return e.outstanding }
 
+// DropScratch frees what an idle end-system holds only for its next
+// step: its stack's column matrices and its batcher's images buffer.
+func (e *EndSystem) DropScratch() {
+	e.Stack.DropScratch()
+	e.Batcher.DropScratch()
+}
+
 // ProduceBatch draws the next local batch, runs the private forward pass,
 // and returns the activation message to send. It fails if a previous
 // batch's gradient is still outstanding.

@@ -21,6 +21,8 @@ type Batcher struct {
 	rng       *mathx.RNG
 	order     []int
 	cursor    int
+	// x is the images buffer every Next fills.
+	x *tensor.Tensor
 	// DropLast, when set, skips a final batch smaller than batchSize.
 	DropLast bool
 }
@@ -62,7 +64,9 @@ func (b *Batcher) BatchesPerEpoch() int {
 }
 
 // Next returns the next mini-batch and false when the epoch is exhausted
-// (at which point the batcher resets, reshuffling if it has an RNG).
+// (at which point the batcher resets, reshuffling if it has an RNG). The
+// batch's X is the batcher's own buffer, overwritten by the next call;
+// its Y is a fresh slice the caller may keep.
 func (b *Batcher) Next() (Batch, bool) {
 	n := b.ds.Len()
 	if b.cursor >= n {
@@ -79,12 +83,18 @@ func (b *Batcher) Next() (Batch, bool) {
 	}
 	idx := b.order[b.cursor:end]
 	b.cursor = end
-	sub := b.ds.Subset(idx)
-	return Batch{X: sub.X, Y: sub.Y}, true
+	var y []int
+	b.x, y = b.ds.gather(b.x, idx)
+	return Batch{X: b.x, Y: y}, true
 }
 
-// Epoch collects all batches of one full epoch (convenience for tests and
-// small experiments; training loops should stream with Next).
+// DropScratch frees the images buffer; the next Next allocates it again.
+// Call it when a batcher goes idle but stays referenced.
+func (b *Batcher) DropScratch() { b.x = nil }
+
+// Epoch collects all batches of one full epoch, each with its own copy
+// of the images (convenience for tests and small experiments; training
+// loops should stream with Next).
 func (b *Batcher) Epoch() []Batch {
 	var out []Batch
 	for {
@@ -92,6 +102,6 @@ func (b *Batcher) Epoch() []Batch {
 		if !ok {
 			return out
 		}
-		out = append(out, batch)
+		out = append(out, Batch{X: batch.X.Clone(), Y: batch.Y})
 	}
 }

@@ -46,6 +46,46 @@ func TestBatcherDropLast(t *testing.T) {
 	}
 }
 
+// TestBatcherReusesImages: Next fills one images buffer, which the next
+// call overwrites, while its labels and Epoch's batches are the
+// caller's to keep; DropScratch lets the buffer go without changing a
+// batch.
+func TestBatcherReusesImages(t *testing.T) {
+	ds := tinyDataset(t, 12)
+	b, err := NewBatcher(ds, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _ := b.Next()
+	labels := append([]int(nil), first.Y...)
+	second, _ := b.Next()
+	if second.X != first.X {
+		t.Fatal("Next allocated a new images buffer for a batch of the same shape")
+	}
+	for i, y := range labels {
+		if first.Y[i] != y {
+			t.Fatal("the next batch overwrote the previous batch's labels")
+		}
+	}
+	b.DropScratch()
+	third, _ := b.Next()
+	if third.X == second.X {
+		t.Fatal("DropScratch kept the images buffer")
+	}
+	for i := range third.X.Data() {
+		if third.X.Data()[i] != ds.X.Data()[8*192+i] {
+			t.Fatalf("image element %d after DropScratch differs from the dataset", i)
+		}
+	}
+	if _, ok := b.Next(); ok {
+		t.Fatal("an exhausted epoch yielded a batch")
+	}
+	epoch := b.Epoch()
+	if epoch[0].X == epoch[1].X {
+		t.Fatal("Epoch's batches share one images buffer")
+	}
+}
+
 func TestBatcherSequentialOrderWithoutRNG(t *testing.T) {
 	ds := tinyDataset(t, 10)
 	b, err := NewBatcher(ds, 4, nil)

@@ -62,17 +62,24 @@ func (d *Dataset) Image(i int) *tensor.Tensor {
 // Subset returns a new dataset containing the examples at the given
 // indices (copied, not aliased).
 func (d *Dataset) Subset(indices []int) *Dataset {
-	s := d.X.Shape()
-	c, h, w := s[1], s[2], s[3]
+	x, y := d.gather(nil, indices)
+	return &Dataset{X: x, Y: y, Classes: d.Classes}
+}
+
+// gather copies the images at indices into x, reused when it already
+// has their shape, and returns it together with a fresh slice of their
+// labels.
+func (d *Dataset) gather(x *tensor.Tensor, indices []int) (*tensor.Tensor, []int) {
+	c, h, w := d.X.Dim(1), d.X.Dim(2), d.X.Dim(3)
 	vol := c * h * w
-	x := tensor.New(len(indices), c, h, w)
+	x = tensor.Reuse(x, len(indices), c, h, w)
 	y := make([]int, len(indices))
 	src, dst := d.X.Data(), x.Data()
 	for j, idx := range indices {
 		copy(dst[j*vol:(j+1)*vol], src[idx*vol:(idx+1)*vol])
 		y[j] = d.Y[idx]
 	}
-	return &Dataset{X: x, Y: y, Classes: d.Classes}
+	return x, y
 }
 
 // Split divides the dataset into a head of n examples and the remaining

@@ -49,21 +49,35 @@ func (l *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return l.out
 }
 
-// reluForward computes elements [lo,hi) of a ReLU Forward.
+// reluForward computes elements [lo,hi) of a ReLU Forward without a
+// branch on the sign: an element keeps its bits when 0 < v ≤ +Inf and
+// becomes +0 otherwise, NaN and −0 included.
 func reluForward(ctx any, lo, hi int) {
 	l := ctx.(*ReLU)
 	src, dst := l.in.Data()[lo:hi], l.out.Data()[lo:hi]
-	for i, v := range src {
-		pos := v > 0
-		if pos {
-			dst[i] = v
-		} else {
-			dst[i] = 0
+	dst = dst[:len(src)]
+	if !l.train {
+		for i, v := range src {
+			dst[i] = math.Float64frombits(reluBits(v))
 		}
-		if l.train {
-			l.mask[lo+i] = pos
-		}
+		return
 	}
+	mask := l.mask[lo:hi][:len(src)]
+	for i, v := range src {
+		b := reluBits(v)
+		dst[i] = math.Float64frombits(b)
+		mask[i] = b != 0
+	}
+}
+
+// reluBits returns the bits of v when 0 < v ≤ +Inf and 0 otherwise. The
+// sign bit of s, of s−1 (set only for s = 0) and of +Inf−s (set only for
+// a positive NaN) are each set exactly when v must become +0.
+func reluBits(v float64) uint64 {
+	s := int64(math.Float64bits(v))
+	const posInf = 0x7ff0000000000000
+	keep := ^((s | (s - 1) | (posInf - s)) >> 63)
+	return uint64(s & keep)
 }
 
 // Backward implements Layer.
@@ -82,17 +96,25 @@ func (l *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return l.dx
 }
 
-// reluBackward computes elements [lo,hi) of a ReLU Backward.
+// reluBackward computes elements [lo,hi) of a ReLU Backward, selecting
+// each gradient or +0 with a bit mask.
 func reluBackward(ctx any, lo, hi int) {
 	l := ctx.(*ReLU)
 	src, dst, mask := l.in.Data()[lo:hi], l.dx.Data()[lo:hi], l.mask[lo:hi]
+	dst, mask = dst[:len(src)], mask[:len(src)]
 	for i, g := range src {
-		if mask[i] {
-			dst[i] = g
-		} else {
-			dst[i] = 0
-		}
+		dst[i] = math.Float64frombits(math.Float64bits(g) & -b2u(mask[i]))
 	}
+}
+
+// b2u returns 1 for true and 0 for false. The compiler emits a SETcc or
+// a zero extension for it, not a branch, so -b2u(b) is a bit mask.
+func b2u(b bool) uint64 {
+	var u uint64
+	if b {
+		u = 1
+	}
+	return u
 }
 
 // Tanh applies the hyperbolic tangent elementwise. It is provided for

@@ -7,10 +7,11 @@ import (
 	"github.com/stsl/stsl/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution layer over NCHW input, lowered to matrix
-// multiplication with im2col. Weights have shape (outChannels,
-// inChannels*kH*kW) — each output channel's kernel flattened to one row —
-// and the bias has shape (outChannels).
+// Conv2D is a 2-D convolution layer over NCHW input, lowered per image
+// to a product of the filters with a channel-major column matrix (see
+// tensor.Conv2DInto). Weights have shape (outChannels, inChannels*kH*kW)
+// — each output channel's kernel flattened to one row — and the bias has
+// shape (outChannels).
 type Conv2D struct {
 	name             string
 	inC, outC        int
@@ -20,17 +21,12 @@ type Conv2D struct {
 	weight, bias     *Param
 	params           []*Param
 	// Forward cache for Backward: armed says Backward may consume cols,
-	// the im2col matrix of the last training Forward.
+	// the column matrices of the last training Forward.
 	armed      bool
-	cachedN    int
 	cachedGeom tensor.ConvGeom
-	// Workspaces (see the Layer ownership rule). Backward overwrites cols
-	// with the column gradient; mat holds the matmul result in Forward and
-	// the repacked output gradient in Backward.
-	cols, mat, out, dw, db, dx *tensor.Tensor
-	// grad is the output gradient of the Backward in progress, read by
-	// its repack's ranges.
-	grad *tensor.Tensor
+	// Workspaces (see the Layer ownership rule). Backward's input
+	// gradient overwrites cols.
+	cols, out, dx *tensor.Tensor
 }
 
 // Conv2DConfig collects the constructor arguments for NewConv2D. Zero
@@ -132,20 +128,12 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Dims() != 4 || x.Dim(1) != c.inC {
 		panic(shapeErr(c.name, fmt.Sprintf("(N,%d,H,W)", c.inC), x.Shape()))
 	}
-	n := x.Dim(0)
 	g, err := c.geom(x.Dim(2), x.Dim(3))
 	if err != nil {
 		panic(err)
 	}
-	c.cols = tensor.Im2ColInto(c.cols, x, g) // (N*oh*ow, inC*kh*kw)
-	// (N*oh*ow, outC) = cols · Wᵀ
-	c.mat = tensor.MatMulTransBInto(c.mat, c.cols, c.weight.Value)
-	c.mat.AddRowVector(c.bias.Value)
-	c.out = tensor.Reuse(c.out, n, c.outC, g.OutHeight(), g.OutWidth())
-	tensor.ParallelFor(n, c.out.Size(), convToNCHW, c)
-
+	c.out, c.cols = tensor.Conv2DInto(c.out, c.cols, x, c.weight.Value, c.bias.Value, g)
 	c.armed = train
-	c.cachedN = n
 	c.cachedGeom = g
 	return c.out
 }
@@ -153,9 +141,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward implements Layer.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	c.backwardParams(grad)
-	// dcols (R, K) = dmat · W, written over cols once dW has read it.
-	dcols := tensor.MatMulInto(c.cols, c.mat, c.weight.Value)
-	c.dx = tensor.Col2ImInto(c.dx, dcols, c.cachedN, c.cachedGeom)
+	c.dx = tensor.Conv2DInputGradInto(c.dx, c.cols, grad, c.weight.Value, c.cachedGeom)
 	return c.dx
 }
 
@@ -165,65 +151,19 @@ func (c *Conv2D) backwardParams(grad *tensor.Tensor) {
 	if !c.armed {
 		panic(fmt.Sprintf("nn: conv %s Backward without training Forward", c.name))
 	}
-	g := c.cachedGeom
-	n := c.cachedN
-	oh, ow := g.OutHeight(), g.OutWidth()
+	n := c.cols.Dim(0)
+	oh, ow := c.cachedGeom.OutHeight(), c.cachedGeom.OutWidth()
 	if grad.Dims() != 4 || grad.Dim(0) != n || grad.Dim(1) != c.outC || grad.Dim(2) != oh || grad.Dim(3) != ow {
 		panic(shapeErr(c.name, fmt.Sprintf("grad (N,%d,%d,%d)", c.outC, oh, ow), grad.Shape()))
 	}
-	c.mat = tensor.Reuse(c.mat, n*oh*ow, c.outC) // dmat (N*oh*ow, outC)
-	c.grad = grad
-	tensor.ParallelFor(n, grad.Size(), convFromNCHW, c)
-	c.grad = nil
-	// dW (outC, K) += dmatᵀ · cols
-	c.dw = tensor.MatMulTransAInto(c.dw, c.mat, c.cols)
-	c.weight.Grad.AddInPlace(c.dw)
-	// db += column sums of dmat
-	c.db = tensor.SumRowsInto(c.db, c.mat)
-	c.bias.Grad.AddInPlace(c.db)
+	tensor.AddConv2DParamGrads(c.weight.Grad, c.bias.Grad, grad, c.cols)
 	c.armed = false
 }
 
-// dropScratch frees mat, and cols unless a pending Backward reads it.
+// dropScratch frees cols unless a pending Backward reads it.
 func (c *Conv2D) dropScratch() {
-	c.mat = nil
 	if !c.armed {
 		c.cols = nil
-	}
-}
-
-// convToNCHW repacks images [lo,hi) of the forward matmul result mat,
-// an (N*H*W, C) matrix whose rows are ordered (n, y, x), into out, an
-// (N, C, H, W) tensor, overwriting every element.
-func convToNCHW(ctx any, lo, hi int) {
-	c := ctx.(*Conv2D)
-	cCh, hw := c.out.Dim(1), c.out.Dim(2)*c.out.Dim(3)
-	src, out := c.mat.Data(), c.out.Data()
-	for img := lo; img < hi; img++ {
-		base := img * cCh * hw
-		for pos := 0; pos < hw; pos++ {
-			row := src[(img*hw+pos)*cCh:][:cCh]
-			for ch, v := range row {
-				out[base+ch*hw+pos] = v
-			}
-		}
-	}
-}
-
-// convFromNCHW is the inverse repack of convToNCHW, from the output
-// gradient grad (N, C, H, W) into mat (N*H*W, C), for images [lo,hi).
-func convFromNCHW(ctx any, lo, hi int) {
-	c := ctx.(*Conv2D)
-	cCh, hw := c.grad.Dim(1), c.grad.Dim(2)*c.grad.Dim(3)
-	src, out := c.grad.Data(), c.mat.Data()
-	for img := lo; img < hi; img++ {
-		base := img * cCh * hw
-		for ch := 0; ch < cCh; ch++ {
-			plane := src[base+ch*hw:][:hw]
-			for pos, v := range plane {
-				out[(img*hw+pos)*cCh+ch] = v
-			}
-		}
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package nn implements the neural-network layers, loss, and container
-// types needed to train the paper's Fig-3 CNN from scratch: Conv2D (via
-// im2col), MaxPool2D, Dense, ReLU, Flatten, Dropout, BatchNorm, and a
-// numerically-stable softmax cross-entropy loss.
+// types needed to train the paper's Fig-3 CNN from scratch: Conv2D (a
+// channel-major lowering to a product), MaxPool2D, Dense, ReLU, Flatten,
+// Dropout, BatchNorm, and a numerically-stable softmax cross-entropy
+// loss.
 //
 // Layers follow a define-by-run contract: Forward caches whatever it needs
 // for the matching Backward call. A layer instance therefore handles one

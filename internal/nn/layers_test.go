@@ -69,28 +69,55 @@ func TestConv2DRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestConv2DGradients(t *testing.T) {
-	r := mathx.NewRNG(3)
-	conv, err := NewConv2D(Conv2DConfig{Name: "c", In: 2, Out: 3, KernelH: 3, KernelW: 3, SamePad: true}, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.Randn(r, 1, 2, 2, 5, 5)
-	if _, err := CheckLayerGradients(conv, x, 1e-5, 1e-5); err != nil {
-		t.Fatal(err)
+// convGradCase is one geometry for the conv gradient checks.
+type convGradCase struct {
+	name string
+	cfg  Conv2DConfig
+	h, w int
+}
+
+func checkConvGradients(t *testing.T, seed uint64, cases []convGradCase) {
+	t.Helper()
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := mathx.NewRNG(seed + uint64(i))
+			tc.cfg.Name = "c"
+			conv, err := NewConv2D(tc.cfg, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := tensor.Randn(r, 1, 2, tc.cfg.In, tc.h, tc.w)
+			if _, err := CheckLayerGradients(conv, x, 1e-5, 1e-5); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
+// TestConv2DGradients checks the stride-1 lowering against finite
+// differences, down to 1×1 and 2×2 outputs, 1×1 kernels, no padding,
+// non-square inputs and odd channel counts (the kernels' tails).
+func TestConv2DGradients(t *testing.T) {
+	checkConvGradients(t, 3, []convGradCase{
+		{"same-3x3", Conv2DConfig{In: 2, Out: 3, KernelH: 3, KernelW: 3, SamePad: true}, 5, 5},
+		{"1x1-kernel-nonsquare", Conv2DConfig{In: 3, Out: 5, KernelH: 1, KernelW: 1}, 4, 6},
+		{"2x2-out-pad0", Conv2DConfig{In: 2, Out: 4, KernelH: 3, KernelW: 3}, 4, 4},
+		{"1x1-out-pad0", Conv2DConfig{In: 3, Out: 2, KernelH: 3, KernelW: 3}, 3, 3},
+		{"1x1-out-padded", Conv2DConfig{In: 2, Out: 3, KernelH: 3, KernelW: 3, SamePad: true}, 1, 1},
+		{"2x3-kernel-nonsquare", Conv2DConfig{In: 2, Out: 3, KernelH: 2, KernelW: 3, PadH: 1}, 5, 7},
+	})
+}
+
+// TestConv2DStridedGradients is TestConv2DGradients for strided
+// geometries.
 func TestConv2DStridedGradients(t *testing.T) {
-	r := mathx.NewRNG(4)
-	conv, err := NewConv2D(Conv2DConfig{Name: "c", In: 1, Out: 2, KernelH: 2, KernelW: 2, StrideH: 2, StrideW: 2}, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.Randn(r, 1, 2, 1, 6, 6)
-	if _, err := CheckLayerGradients(conv, x, 1e-5, 1e-5); err != nil {
-		t.Fatal(err)
-	}
+	checkConvGradients(t, 4, []convGradCase{
+		{"2x2-stride2", Conv2DConfig{In: 1, Out: 2, KernelH: 2, KernelW: 2, StrideH: 2, StrideW: 2}, 6, 6},
+		{"3x3-stride2-padded-nonsquare", Conv2DConfig{In: 2, Out: 3, KernelH: 3, KernelW: 3, StrideH: 2, StrideW: 2, SamePad: true}, 5, 7},
+		{"1x1-out-stride2", Conv2DConfig{In: 2, Out: 3, KernelH: 3, KernelW: 3, StrideH: 2, StrideW: 2}, 4, 4},
+		{"1x1-kernel-stride2", Conv2DConfig{In: 3, Out: 2, KernelH: 1, KernelW: 1, StrideH: 2, StrideW: 2}, 5, 5},
+		{"2x2-out-stride2x1", Conv2DConfig{In: 2, Out: 5, KernelH: 3, KernelW: 2, StrideH: 2, StrideW: 1, PadW: 1}, 4, 2},
+	})
 }
 
 func TestMaxPoolKnownValues(t *testing.T) {
@@ -158,6 +185,52 @@ func TestMaxPoolWindowWithoutMaximum(t *testing.T) {
 	}
 }
 
+// TestMaxPoolMatchesBranchingScan checks the branch-free pool against
+// the scan it replaced — strict greater-than from −Inf, first maximum
+// wins, first element when nothing beats −Inf — bit for bit in value
+// and argmax, over windows drawn from a few values with ties, signed
+// zeros, infinities and NaN, in 2×2 and overlapping 3×2 windows.
+func TestMaxPoolMatchesBranchingScan(t *testing.T) {
+	vals := []float64{math.NaN(), math.Inf(-1), math.Inf(1), math.Copysign(0, -1), 0, -1, 1, 2}
+	r := mathx.NewRNG(43)
+	for _, k := range [][4]int{{2, 2, 2, 2}, {3, 2, 1, 2}} {
+		pool, err := NewMaxPool2D("p", k[0], k[1], k[2], k[3])
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, c, h, w := 3, 2, 6, 8
+		x := tensor.New(n, c, h, w)
+		for i := range x.Data() {
+			x.Data()[i] = vals[r.Intn(len(vals))]
+		}
+		y := pool.Forward(x, true).Data()
+		oh, ow := (h-k[0])/pool.strideH+1, (w-k[1])/pool.strideW+1
+		src := x.Data()
+		for plane := 0; plane < n*c; plane++ {
+			for oy := 0; oy < oh; oy++ {
+				for ox := 0; ox < ow; ox++ {
+					best, idx := math.Inf(-1), -1
+					for ky := 0; ky < k[0]; ky++ {
+						for kx := 0; kx < k[1]; kx++ {
+							i := plane*h*w + (oy*pool.strideH+ky)*w + ox*pool.strideW + kx
+							if src[i] > best {
+								best, idx = src[i], i
+							}
+						}
+					}
+					if idx < 0 {
+						idx = plane*h*w + oy*pool.strideH*w + ox*pool.strideW
+					}
+					di := (plane*oh+oy)*ow + ox
+					if pool.argmax[di] != idx || math.Float64bits(y[di]) != math.Float64bits(src[idx]) {
+						t.Fatalf("window %d: value %v at %d, want %v at %d", di, y[di], pool.argmax[di], src[idx], idx)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMaxPoolGradients(t *testing.T) {
 	r := mathx.NewRNG(5)
 	pool, err := NewMaxPool2D("p", 2, 2, 0, 0)
@@ -210,6 +283,45 @@ func TestReLUForwardBackward(t *testing.T) {
 	dx := relu.Backward(tensor.FromSlice([]float64{5, 5, 5, 5}, 1, 4))
 	if !dx.Equal(tensor.FromSlice([]float64{0, 0, 5, 0}, 1, 4), 0) {
 		t.Fatalf("relu backward = %v", dx)
+	}
+}
+
+// TestReLUSpecialValues pins the elementwise rules of the branch-free
+// ReLU: NaN of either sign and −0 become +0, +Inf and the smallest
+// denormal pass with their bits, and the mask marks exactly the inputs
+// that compare above zero — the rules of the branching form
+// (v > 0 ? v : 0), which the random values below are also checked
+// against bit for bit.
+func TestReLUSpecialValues(t *testing.T) {
+	negNaN := math.Float64frombits(math.Float64bits(math.NaN()) | 1<<63)
+	xs := []float64{math.NaN(), negNaN, math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64, 1, -1}
+	r := mathx.NewRNG(41)
+	for range 200 {
+		xs = append(xs, r.Norm())
+	}
+	relu := NewReLU("r")
+	y := relu.Forward(tensor.FromSlice(xs, len(xs)), true).Data()
+	grads := make([]float64, len(xs))
+	for i := range grads {
+		grads[i] = float64(i + 1)
+	}
+	grads[0] = math.NaN()
+	dx := relu.Backward(tensor.FromSlice(grads, len(xs))).Data()
+	for i, v := range xs {
+		want, wantDx := 0.0, 0.0
+		if v > 0 {
+			want, wantDx = v, grads[i]
+		}
+		if math.Float64bits(y[i]) != math.Float64bits(want) {
+			t.Errorf("relu(%v) = %v (%#x), want %v", v, y[i], math.Float64bits(y[i]), want)
+		}
+		if relu.mask[i] != (v > 0) {
+			t.Errorf("mask for %v = %v, want %v", v, relu.mask[i], v > 0)
+		}
+		if math.Float64bits(dx[i]) != math.Float64bits(wantDx) {
+			t.Errorf("relu backward at %v = %v, want %v", v, dx[i], wantDx)
+		}
 	}
 }
 

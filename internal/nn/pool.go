@@ -90,43 +90,40 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return p.out
 }
 
-// poolForward pools images [lo,hi) of a MaxPool2D Forward.
+// poolForward pools images [lo,hi) of a MaxPool2D Forward. Each window
+// keeps its first strict maximum, selected with a bit mask rather than a
+// branch, starting from its first element's index against −Inf: NaN
+// never compares greater, and a window where nothing beats −Inf yields
+// its first element.
 func poolForward(ctx any, lo, hi int) {
 	p := ctx.(*MaxPool2D)
 	c, h, w := p.inShape[1], p.inShape[2], p.inShape[3]
 	oh, ow := p.out.Dim(2), p.out.Dim(3)
+	kh, kw, sh, sw := p.kernelH, p.kernelW, p.strideH, p.strideW
 	src := p.in.Data()
-	dst := p.out.Data()
-	di := lo * c * oh * ow
-	for img := lo; img < hi; img++ {
-		for ch := 0; ch < c; ch++ {
-			plane := (img*c + ch) * h * w
-			for oy := 0; oy < oh; oy++ {
-				iy0 := oy * p.strideH
-				for ox := 0; ox < ow; ox++ {
-					ix0 := ox * p.strideW
-					best := math.Inf(-1)
-					bestIdx := -1
-					for ky := 0; ky < p.kernelH; ky++ {
-						rowBase := plane + (iy0+ky)*w + ix0
-						for kx := 0; kx < p.kernelW; kx++ {
-							if v := src[rowBase+kx]; v > best {
-								best = v
-								bestIdx = rowBase + kx
-							}
-						}
+	dst := p.out.Data()[lo*c*oh*ow : hi*c*oh*ow]
+	var argmax []int
+	if p.train {
+		argmax = p.argmax[lo*c*oh*ow : hi*c*oh*ow]
+	}
+	di := 0
+	for plane := lo * c * h * w; plane < hi*c*h*w; plane += h * w {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				first := plane + oy*sh*w + ox*sw
+				best, bestIdx := math.Inf(-1), first
+				for row := first; row < first+kh*w; row += w {
+					for i, v := range src[row : row+kw] {
+						m := -b2u(v > best)
+						best = math.Float64frombits(math.Float64bits(best)&^m | math.Float64bits(v)&m)
+						bestIdx = bestIdx&^int(m) | (row+i)&int(m)
 					}
-					if bestIdx < 0 {
-						// Nothing beat −Inf: every element is NaN or −Inf.
-						bestIdx = plane + iy0*w + ix0
-						best = src[bestIdx]
-					}
-					dst[di] = best
-					if p.train {
-						p.argmax[di] = bestIdx
-					}
-					di++
 				}
+				dst[di] = src[bestIdx]
+				if argmax != nil {
+					argmax[di] = bestIdx
+				}
+				di++
 			}
 		}
 	}

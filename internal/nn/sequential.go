@@ -70,7 +70,7 @@ func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // BackwardParams is Backward for a stack whose input gradient nobody
 // reads, such as an end-system's: it accumulates the same parameter
 // gradients bit for bit, but the first layer skips its input gradient
-// when it can (a Conv2D then skips a matmul and a col2im).
+// when it can (a Conv2D then skips its input gradient).
 func (s *Sequential) BackwardParams(grad *tensor.Tensor) {
 	if len(s.layers) == 0 {
 		return
@@ -111,11 +111,10 @@ func (s *Sequential) OutShape(in []int) ([]int, error) {
 	return in, nil
 }
 
-// DropScratch frees the scratch matrices of every Conv2D in the stack —
-// its im2col matrix and matmul result, the largest buffers a stack
-// keeps — except an im2col matrix a pending Backward still reads. Call
-// it when a stack goes idle but stays referenced; the next Forward sizes
-// the matrices again, so results do not change.
+// DropScratch frees the column matrices of every Conv2D in the stack —
+// the largest buffers a stack keeps — except those a pending Backward
+// still reads. Call it when a stack goes idle but stays referenced; the
+// next Forward sizes them again, so results do not change.
 func (s *Sequential) DropScratch() {
 	for _, l := range s.layers {
 		switch l := l.(type) {

@@ -23,14 +23,19 @@ func intoCases(r *mathx.RNG) []intoCase {
 	bigW := Randn(r, 1, 20, 30)
 	g := ConvGeom{Channels: 2, Height: 5, Width: 5, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	x := Randn(r, 1, 2, 2, 5, 5)
-	cols := Randn(r, 1, 2*5*5, 2*3*3)
+	w, bias := Randn(r, 1, 3, 2*3*3), Randn(r, 1, 3)
+	grad := Randn(r, 1, 2, 3, 5, 5)
 	return []intoCase{
 		{"MatMulInto", func(dst *Tensor) *Tensor { return MatMulInto(dst, a, b) }},
 		{"MatMulTransAInto", func(dst *Tensor) *Tensor { return MatMulTransAInto(dst, a, at) }},
 		{"MatMulTransBInto", func(dst *Tensor) *Tensor { return MatMulTransBInto(dst, a, bt) }},
 		{"MatMulTransBInto-fanned", func(dst *Tensor) *Tensor { return MatMulTransBInto(dst, big, bigW) }},
-		{"Im2ColInto", func(dst *Tensor) *Tensor { return Im2ColInto(dst, x, g) }},
-		{"Col2ImInto", func(dst *Tensor) *Tensor { return Col2ImInto(dst, cols, 2, g) }},
+		{"Conv2DInto", func(dst *Tensor) *Tensor { out, _ := Conv2DInto(dst, nil, x, w, bias, g); return out }},
+		{"Conv2DInto-cols", func(dst *Tensor) *Tensor { _, cols := Conv2DInto(nil, dst, x, w, bias, g); return cols }},
+		{"Conv2DInputGradInto", func(dst *Tensor) *Tensor {
+			_, cols := Conv2DInto(nil, nil, x, w, bias, g)
+			return Conv2DInputGradInto(dst, cols, grad, w, g)
+		}},
 		{"SumRowsInto", func(dst *Tensor) *Tensor { return SumRowsInto(dst, a) }},
 		{"CloneInto", func(dst *Tensor) *Tensor { return a.CloneInto(dst) }},
 	}
@@ -69,15 +74,16 @@ func TestIntoFormsRejectAliasedDestination(t *testing.T) {
 	sq := Randn(r, 1, 4, 4)
 	g := ConvGeom{Channels: 1, Height: 4, Width: 4, KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1}
 	img := Randn(r, 1, 1, 1, 4, 4)
-	cols := Randn(r, 1, 16, 1)
+	w, bias := Randn(r, 1, 1, 1), Randn(r, 1, 1)
+	_, cols := Conv2DInto(nil, nil, img, w, bias, g)
 	row := Randn(r, 1, 1, 4)
 	cases := map[string]func(){
-		"MatMulInto":       func() { MatMulInto(sq, sq, Randn(r, 1, 4, 4)) },
-		"MatMulTransAInto": func() { MatMulTransAInto(sq, Randn(r, 1, 4, 4), sq) },
-		"MatMulTransBInto": func() { MatMulTransBInto(sq, sq, sq) },
-		"Im2ColInto":       func() { Im2ColInto(New(16, 1).aliasOf(img), img, g) },
-		"Col2ImInto":       func() { Col2ImInto(New(1, 1, 4, 4).aliasOf(cols), cols, 1, g) },
-		"SumRowsInto":      func() { SumRowsInto(New(4).aliasOf(row), row) },
+		"MatMulInto":          func() { MatMulInto(sq, sq, Randn(r, 1, 4, 4)) },
+		"MatMulTransAInto":    func() { MatMulTransAInto(sq, Randn(r, 1, 4, 4), sq) },
+		"MatMulTransBInto":    func() { MatMulTransBInto(sq, sq, sq) },
+		"Conv2DInto":          func() { Conv2DInto(New(1, 1, 4, 4).aliasOf(img), nil, img, w, bias, g) },
+		"Conv2DInputGradInto": func() { Conv2DInputGradInto(New(1, 1, 4, 4).aliasOf(img), cols, img, w, g) },
+		"SumRowsInto":         func() { SumRowsInto(New(4).aliasOf(row), row) },
 	}
 	for name, f := range cases {
 		if msg := panicMessage(f); !strings.Contains(msg, "shares storage") {

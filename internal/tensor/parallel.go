@@ -71,8 +71,11 @@ func forOperands(n, work int, op operands, body func(ctx any, lo, hi int)) {
 // operands carries a tensor kernel's arguments to its ranges.
 type operands struct {
 	dst, a, b []float64
-	m, k, n   int
-	g         ConvGeom
+	// cols and bias are a convolution's column matrices and its bias
+	// (or bias gradient).
+	cols, bias []float64
+	m, k, n    int
+	g          ConvGeom
 }
 
 // partsFor returns how many ranges [0, n) is split into.

@@ -71,8 +71,16 @@ func fannedCases() []fannedCase {
 	g := ConvGeom{Channels: 3, Height: 32, Width: 32, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	batch := Randn(r, 1, 11, 3, 32, 32) // 11 images: an odd split
 	big := ConvGeom{Channels: 3, Height: 128, Width: 128, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	single := Randn(r, 1, 1, 3, 128, 128) // one image: nothing to split
-	cols := Randn(r, 1, 11*32*32, 27)
+	single := Randn(r, 1, 1, 3, 128, 128)               // one image: nothing to split
+	filters, bias := Randn(r, 1, 9, 27), Randn(r, 1, 9) // 9 channels: an odd split
+	grad := Randn(r, 1, 11, 9, 32, 32)
+	for i := range grad.data {
+		if i%4 != 0 {
+			grad.data[i] = 0
+		}
+	}
+	// Each run lowers afresh: the input gradient overwrites the columns.
+	columns := func() *Tensor { _, cols := Conv2DInto(nil, nil, batch, filters, bias, g); return cols }
 	parts := []*Tensor{Randn(r, 1, 300, 400), Randn(r, 1, 1, 400), Randn(r, 1, 500, 400)}
 	stacked := Randn(r, 1, 801, 400)
 	return []fannedCase{
@@ -81,9 +89,14 @@ func fannedCases() []fannedCase {
 		{"MatMulTransAInto", func() *Tensor { return MatMulTransAInto(nil, tall, wide) }},
 		{"MatMulTransAInto-sparse", func() *Tensor { return MatMulTransAInto(nil, sparse, Randn(mathx.NewRNG(3), 1, 403, 200)) }},
 		{"MatMulTransBInto", func() *Tensor { return MatMulTransBInto(nil, a, bt) }},
-		{"Im2ColInto", func() *Tensor { return Im2ColInto(nil, batch, g) }},
-		{"Im2ColInto-single", func() *Tensor { return Im2ColInto(nil, single, big) }},
-		{"Col2ImInto", func() *Tensor { return Col2ImInto(nil, cols, 11, g) }},
+		{"Conv2DInto", func() *Tensor { out, _ := Conv2DInto(nil, nil, batch, filters, bias, g); return out }},
+		{"Conv2DInto-single", func() *Tensor { out, _ := Conv2DInto(nil, nil, single, filters, bias, big); return out }},
+		{"AddConv2DParamGrads", func() *Tensor {
+			dw, db := New(9, 27), New(9)
+			AddConv2DParamGrads(dw, db, grad, columns())
+			return FromSlice(append(dw.data, db.data...), 9*28)
+		}},
+		{"Conv2DInputGradInto", func() *Tensor { return Conv2DInputGradInto(nil, columns(), grad, filters, g) }},
 		{"ConcatRows", func() *Tensor { return ConcatRows(parts...) }},
 		{"SplitRows", func() *Tensor { return SplitRows(stacked, 300, 1, 500)[2] }},
 	}
@@ -222,13 +235,16 @@ func TestParallelKernelsDoNotAllocate(t *testing.T) {
 	b := Randn(r, 1, 60, 90)
 	x := Randn(r, 1, 11, 3, 32, 32)
 	g := ConvGeom{Channels: 3, Height: 32, Width: 32, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	var mm, ta, tb, cols, img *Tensor
+	w, bias := Randn(r, 1, 8, 27), Randn(r, 1, 8)
+	dw, db := New(8, 27), New(8)
+	var mm, ta, tb, out, cols, img *Tensor
 	if n := mallocsPerRun(50, func() {
 		mm = MatMulInto(mm, a, b)
 		ta = MatMulTransAInto(ta, a, a)
 		tb = MatMulTransBInto(tb, a, bt)
-		cols = Im2ColInto(cols, x, g)
-		img = Col2ImInto(img, cols, 11, g)
+		out, cols = Conv2DInto(out, cols, x, w, bias, g)
+		AddConv2DParamGrads(dw, db, out, cols)
+		img = Conv2DInputGradInto(img, cols, out, w, g)
 	}); n >= 1 {
 		t.Fatalf("warm fanned kernels allocated %v times per call", n)
 	}
