@@ -9,7 +9,6 @@ package stsl_test
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -219,28 +218,6 @@ func BenchmarkTensorMatMul(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tensor.MatMulInto(nil, a, w)
 	}
-}
-
-// BenchmarkMatMulSerialVsParallel ablates the kernel fan-out at a
-// dense-layer-sized workload (8192×27 times 16×27 transposed): the same
-// MatMulTransBInto at GOMAXPROCS 1, where it runs serially, and at the
-// default.
-func BenchmarkMatMulSerialVsParallel(b *testing.B) {
-	r := mathx.NewRNG(1)
-	a := tensor.Randn(r, 1, 8*32*32, 27)
-	w := tensor.Randn(r, 1, 16, 27)
-	var out *tensor.Tensor
-	b.Run("serial", func(b *testing.B) {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		for i := 0; i < b.N; i++ {
-			out = tensor.MatMulTransBInto(out, a, w)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			out = tensor.MatMulTransBInto(out, a, w)
-		}
-	})
 }
 
 // BenchmarkQueuePolicies measures scheduling overhead per push+pop for

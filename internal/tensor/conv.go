@@ -79,7 +79,7 @@ func conv2DBody(ctx any, lo, hi int) {
 	for img := lo; img < hi; img++ {
 		cols := op.cols[img*k*p : (img+1)*k*p]
 		fillCols(cols, op.a[img*in:(img+1)*in], g)
-		gemm(op.dst[img*outC*p:(img+1)*outC*p], op.b, cols, op.bias, outC, k, p)
+		gemm(op.dst[img*outC*p:(img+1)*outC*p], op.b, cols, op.bias, outC, k, p, k, 1)
 	}
 }
 
@@ -102,23 +102,22 @@ func AddConv2DParamGrads(dw, db, grad, cols *Tensor) {
 }
 
 // nzList collects up to nzChunk nonzero entries of an output gradient
-// for the gradient kernels, which keep it on their stack: the entry's
-// value, its offset into the column matrices, and the offset of its
-// filter (read by the input gradient only).
+// for the filter gradient, which keeps it on its stack: the entry's
+// value and its offset into the column matrices.
 type nzList struct {
-	n      int
-	v      [nzChunk]float64
-	off, w [nzChunk]int
+	n   int
+	v   [nzChunk]float64
+	off [nzChunk]int
 }
 
-// nzChunk is how many nonzero gradient entries the gradient kernels
-// apply in one pass down the taps.
+// nzChunk is how many nonzero gradient entries the filter gradient
+// applies in one pass down the taps.
 const nzChunk = 128
 
 // add appends the entry when v is nonzero, and reports whether the list
 // is full.
-func (l *nzList) add(v float64, off, w int) bool {
-	l.v[l.n], l.off[l.n], l.w[l.n] = v, off, w
+func (l *nzList) add(v float64, off int) bool {
+	l.v[l.n], l.off[l.n] = v, off
 	if v != 0 {
 		l.n++
 	}
@@ -155,7 +154,7 @@ func convParamGradBody(ctx any, lo, hi int) {
 			dw := op.dst[o*k : (o+1)*k]
 			for img := b0; img < min(b0+block, n); img++ {
 				for q, v := range op.a[(img*outC+o)*p : (img*outC+o+1)*p] {
-					if nz.add(v, img*k*p+q, 0) {
+					if nz.add(v, img*k*p+q) {
 						addColumnDots(dw, op.cols, &nz, p)
 					}
 				}
@@ -204,9 +203,10 @@ func addColumnDots(dw, cols []float64, l *nzList, p int) {
 // Conv2DInto with respect to its input, from the output gradient grad
 // (N, outC, outH, outW) and the filters w. It overwrites cols, so the
 // filter gradient must have read them first: per image, the column
-// gradient Wᵀ·grad is accumulated into the image's own cols from the
-// nonzero entries of grad only, and each of its rows is added, shifted
-// back by its tap, into dx.
+// gradient Wᵀ·grad is written into the image's own cols by the dense
+// tile from +0, and each of its rows is added, shifted back by its tap,
+// into dx. Every column-gradient element sums its outC products in
+// ascending channel order.
 func Conv2DInputGradInto(dx, cols, grad, w *Tensor, g ConvGeom) *Tensor {
 	outC, k := convFilters("Conv2DInputGradInto", w, g)
 	p := g.OutHeight() * g.OutWidth()
@@ -217,7 +217,7 @@ func Conv2DInputGradInto(dx, cols, grad, w *Tensor, g ConvGeom) *Tensor {
 	n := grad.shape[0]
 	dx = Reuse(dx, n, g.Channels, g.Height, g.Width)
 	mustNotAlias("Conv2DInputGradInto", dx, cols, grad, w)
-	forOperands(n, n*outC*k*p/4, operands{dst: dx.data, cols: cols.data, a: grad.data, b: w.data, m: outC, g: g}, convInputGradBody)
+	forOperands(n, n*outC*k*p, operands{dst: dx.data, cols: cols.data, a: grad.data, b: w.data, m: outC, g: g}, convInputGradBody)
 	return dx
 }
 
@@ -227,49 +227,13 @@ func convInputGradBody(ctx any, lo, hi int) {
 	g := op.g
 	outC, k, p := op.m, g.taps(), g.OutHeight()*g.OutWidth()
 	in := g.Channels * g.Height * g.Width
-	var nz nzList
 	for img := lo; img < hi; img++ {
 		dcols := op.cols[img*k*p : (img+1)*k*p]
-		clear(dcols)
-		for o := 0; o < outC; o++ {
-			for q, v := range op.a[(img*outC+o)*p : (img*outC+o+1)*p] {
-				if nz.add(v, q, o*k) {
-					addToColumns(dcols, op.b, &nz, k, p)
-				}
-			}
-		}
-		addToColumns(dcols, op.b, &nz, k, p)
+		gemm(dcols, op.b, op.a[img*outC*p:(img+1)*outC*p], nil, k, outC, p, 1, k)
 		dx := op.dst[img*in : (img+1)*in]
 		clear(dx)
 		addColRows(dx, dcols, g)
 	}
-}
-
-// addToColumns adds each listed gradient entry times its filter into
-// its column of the (k × p) column gradient dcols, four taps to a pass
-// over the list, and empties the list.
-func addToColumns(dcols, w []float64, l *nzList, k, p int) {
-	v, off, wo := l.v[:l.n], l.off[:l.n], l.w[:l.n]
-	off, wo = off[:len(v)], wo[:len(v)]
-	r := 0
-	for ; r+4 <= k; r += 4 {
-		n := len(dcols) - (r+3)*p
-		d0, d1, d2, d3 := dcols[r*p:][:n], dcols[(r+1)*p:][:n], dcols[(r+2)*p:][:n], dcols[(r+3)*p:][:n]
-		for j, x := range v {
-			o, f := off[j], w[wo[j]+r:][:4]
-			d0[o] += x * f[0]
-			d1[o] += x * f[1]
-			d2[o] += x * f[2]
-			d3[o] += x * f[3]
-		}
-	}
-	for ; r < k; r++ {
-		d0 := dcols[r*p:]
-		for j, x := range v {
-			d0[off[j]] += x * w[wo[j]+r]
-		}
-	}
-	l.n = 0
 }
 
 // taps returns K, the length of one filter: C·kH·kW.
@@ -371,84 +335,4 @@ func addColRows(dx, cols []float64, g ConvGeom) {
 			}
 		}
 	}
-}
-
-// gemm writes out (m × n) = init + A·B for A (m × kk) and B (kk × n),
-// with one start value per row in init. Every element is its start value
-// plus its kk products added one at a time in ascending order, whether
-// the 2×4 tile or the single-element tail computes it. The tile keeps
-// the loop over kk innermost, so a product with few columns — a 2×2
-// output — runs long loops too.
-func gemm(out, a, b, init []float64, m, kk, n int) {
-	n4 := n &^ 3
-	i := 0
-	for ; i+2 <= m; i += 2 {
-		a0, a1 := a[i*kk:(i+1)*kk], a[(i+1)*kk:(i+2)*kk]
-		o0, o1 := out[i*n:(i+1)*n], out[(i+1)*n:(i+2)*n]
-		for j := 0; j < n4; j += 4 {
-			s00, s01, s02, s03 := init[i], init[i], init[i], init[i]
-			s10, s11, s12, s13 := init[i+1], init[i+1], init[i+1], init[i+1]
-			bo := j
-			for t, x := range a0 {
-				y := a1[t]
-				bv := b[bo : bo+4 : bo+4]
-				s00 += x * bv[0]
-				s01 += x * bv[1]
-				s02 += x * bv[2]
-				s03 += x * bv[3]
-				s10 += y * bv[0]
-				s11 += y * bv[1]
-				s12 += y * bv[2]
-				s13 += y * bv[3]
-				bo += n
-			}
-			o0[j], o0[j+1], o0[j+2], o0[j+3] = s00, s01, s02, s03
-			o1[j], o1[j+1], o1[j+2], o1[j+3] = s10, s11, s12, s13
-		}
-		for j := n4; j < n; j++ {
-			o0[j] = dotColumn(a0, b[j:], n, init[i])
-			o1[j] = dotColumn(a1, b[j:], n, init[i+1])
-		}
-	}
-	if i < m {
-		for j := 0; j < n; j++ {
-			out[i*n+j] = dotColumn(a[i*kk:(i+1)*kk], b[j:], n, init[i])
-		}
-	}
-}
-
-// dotColumn returns s plus the products a[t]·b[t·n], added in ascending
-// t: one element of gemm.
-func dotColumn(a, b []float64, n int, s float64) float64 {
-	for t, x := range a {
-		s += x * b[t*n]
-	}
-	return s
-}
-
-// Pad2D zero-pads the two trailing spatial dimensions of an (N, C, H, W)
-// tensor by padH rows on top/bottom and padW columns on left/right.
-func Pad2D(x *Tensor, padH, padW int) *Tensor {
-	if x.Dims() != 4 {
-		panic(fmt.Sprintf("tensor: Pad2D requires rank-4 input, got %v", x.shape))
-	}
-	if padH < 0 || padW < 0 {
-		panic("tensor: Pad2D negative padding")
-	}
-	if padH == 0 && padW == 0 {
-		return x.Clone()
-	}
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	out := New(n, c, h+2*padH, w+2*padW)
-	ow := w + 2*padW
-	for img := 0; img < n; img++ {
-		for ch := 0; ch < c; ch++ {
-			srcBase := (img*c + ch) * h * w
-			dstBase := (img*c+ch)*(h+2*padH)*ow + padH*ow + padW
-			for y := 0; y < h; y++ {
-				copy(out.data[dstBase+y*ow:dstBase+y*ow+w], x.data[srcBase+y*w:srcBase+(y+1)*w])
-			}
-		}
-	}
-	return out
 }

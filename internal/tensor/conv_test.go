@@ -192,32 +192,3 @@ func TestConvInputGradAdjointProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestPad2D(t *testing.T) {
-	x := FromSlice([]float64{1, 2, 3, 4}, 1, 1, 2, 2)
-	p := Pad2D(x, 1, 1)
-	if got := p.Shape(); got[2] != 4 || got[3] != 4 {
-		t.Fatalf("padded shape = %v", got)
-	}
-	if p.At(0, 0, 0, 0) != 0 || p.At(0, 0, 3, 3) != 0 {
-		t.Fatal("padding not zero")
-	}
-	if p.At(0, 0, 1, 1) != 1 || p.At(0, 0, 2, 2) != 4 {
-		t.Fatal("interior values misplaced")
-	}
-	if got := p.Sum(); got != x.Sum() {
-		t.Fatalf("padding changed sum: %v vs %v", got, x.Sum())
-	}
-}
-
-func TestPad2DZeroIsClone(t *testing.T) {
-	x := FromSlice([]float64{1, 2, 3, 4}, 1, 1, 2, 2)
-	p := Pad2D(x, 0, 0)
-	if !p.Equal(x, 0) {
-		t.Fatal("Pad2D(0,0) changed values")
-	}
-	p.Set(9, 0, 0, 0, 0)
-	if x.At(0, 0, 0, 0) == 9 {
-		t.Fatal("Pad2D(0,0) aliases input")
-	}
-}

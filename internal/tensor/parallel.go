@@ -10,8 +10,9 @@ import (
 // the matmuls, elements written or read for the copies, transforms and
 // elementwise layers — before a kernel is fanned out; below it the
 // serial path wins. A fan-out costs a worker's wake-up, a few µs; 2^16
-// units are tens of µs of serial work on a 2-CPU host. The tiny test
-// scale's largest kernel (55k multiply-adds) stays serial.
+// multiply-adds take ≈ 8 µs on the AVX2 tile and ≈ 45 µs on the Go tile
+// (gemm.go) on a 2-CPU host. The tiny test scale's largest kernel (55k
+// multiply-adds) stays serial.
 const parallelThreshold = 1 << 16
 
 // ParallelFor runs body(ctx, lo, hi) over contiguous ranges that
