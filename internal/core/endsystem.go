@@ -66,7 +66,8 @@ func (e *EndSystem) HasOutstanding() bool { return e.outstanding >= 0 }
 func (e *EndSystem) Outstanding() int { return e.outstanding }
 
 // DropScratch frees what an idle end-system holds only for its next
-// step: its stack's column matrices and its batcher's images buffer.
+// step: its stack's convolution scratch and padded inputs, and its
+// batcher's images buffer.
 func (e *EndSystem) DropScratch() {
 	e.Stack.DropScratch()
 	e.Batcher.DropScratch()

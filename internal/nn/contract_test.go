@@ -534,8 +534,10 @@ func TestBackwardParamsTwin(t *testing.T) {
 
 // TestDropScratchKeepsBits: a stack that drops its convolution scratch
 // between steps, and between a training Forward and its Backward (where
-// the column matrices must stay), produces the bits of a twin that never
-// does. The stack is nested one level so the recursion is exercised.
+// the padded input must stay), produces the bits of a twin that never
+// does. Every drop frees the lowering scratch; an idle conv frees its
+// padded input too. The stack is nested one level so the recursion is
+// exercised.
 func TestDropScratchKeepsBits(t *testing.T) {
 	var seq ownedLayer
 	for _, tc := range ownedLayers() {
@@ -559,8 +561,9 @@ func TestDropScratchKeepsBits(t *testing.T) {
 			t.Fatalf("step %d: Forward differs from the twin", i)
 		}
 		l.DropScratch()
-		if conv.cols == nil {
-			t.Fatalf("step %d: armed conv lost cols", i)
+		if conv.work.Padded == nil || conv.work.Scratch != nil {
+			t.Fatalf("step %d: armed conv kept padded input %v and scratch %v, want true and false",
+				i, conv.work.Padded != nil, conv.work.Scratch != nil)
 		}
 		for _, p := range append(l.Params(), twin.Params()...) {
 			p.ZeroGrad()
@@ -574,9 +577,13 @@ func TestDropScratchKeepsBits(t *testing.T) {
 				t.Fatalf("step %d: gradient of %s differs from the twin", i, p.Name)
 			}
 		}
+		if conv.work.Scratch == nil {
+			t.Fatalf("step %d: Backward left no lowering scratch to drop", i)
+		}
 		l.DropScratch()
-		if conv.cols != nil {
-			t.Fatalf("step %d: idle conv kept its scratch", i)
+		if conv.work.Padded != nil || conv.work.Scratch != nil {
+			t.Fatalf("step %d: idle conv kept padded input %v or scratch %v",
+				i, conv.work.Padded != nil, conv.work.Scratch != nil)
 		}
 	}
 }

@@ -8,10 +8,10 @@ import (
 )
 
 // Conv2D is a 2-D convolution layer over NCHW input, lowered per image
-// to a product of the filters with a channel-major column matrix (see
-// tensor.Conv2DInto). Weights have shape (outChannels, inChannels*kH*kW)
-// — each output channel's kernel flattened to one row — and the bias has
-// shape (outChannels).
+// from a padded copy of the input to a product of the filters with a
+// channel-major matrix (see tensor.Conv2DInto). Weights have shape
+// (outChannels, inChannels*kH*kW) — each output channel's kernel
+// flattened to one row — and the bias has shape (outChannels).
 type Conv2D struct {
 	name             string
 	inC, outC        int
@@ -20,13 +20,13 @@ type Conv2D struct {
 	padH, padW       int
 	weight, bias     *Param
 	params           []*Param
-	// Forward cache for Backward: armed says Backward may consume cols,
-	// the column matrices of the last training Forward.
+	// Forward cache for Backward: armed says Backward may consume
+	// work.Padded, the padded input of the last training Forward.
 	armed      bool
 	cachedGeom tensor.ConvGeom
-	// Workspaces (see the Layer ownership rule). Backward's input
-	// gradient overwrites cols.
-	cols, out, dx *tensor.Tensor
+	// Workspaces (see the Layer ownership rule).
+	work    tensor.ConvWork
+	out, dx *tensor.Tensor
 }
 
 // Conv2DConfig collects the constructor arguments for NewConv2D. Zero
@@ -132,7 +132,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if err != nil {
 		panic(err)
 	}
-	c.out, c.cols = tensor.Conv2DInto(c.out, c.cols, x, c.weight.Value, c.bias.Value, g)
+	c.out = tensor.Conv2DInto(c.out, &c.work, x, c.weight.Value, c.bias.Value, g)
 	c.armed = train
 	c.cachedGeom = g
 	return c.out
@@ -141,29 +141,31 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward implements Layer.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	c.backwardParams(grad)
-	c.dx = tensor.Conv2DInputGradInto(c.dx, c.cols, grad, c.weight.Value, c.cachedGeom)
+	c.dx = tensor.Conv2DInputGradInto(c.dx, &c.work, grad, c.weight.Value, c.cachedGeom)
 	return c.dx
 }
 
 // backwardParams is Backward without the input gradient: it accumulates
-// the weight and bias gradients and leaves cols and dx alone.
+// the weight and bias gradients and leaves dx alone.
 func (c *Conv2D) backwardParams(grad *tensor.Tensor) {
 	if !c.armed {
 		panic(fmt.Sprintf("nn: conv %s Backward without training Forward", c.name))
 	}
-	n := c.cols.Dim(0)
+	n := c.out.Dim(0)
 	oh, ow := c.cachedGeom.OutHeight(), c.cachedGeom.OutWidth()
 	if grad.Dims() != 4 || grad.Dim(0) != n || grad.Dim(1) != c.outC || grad.Dim(2) != oh || grad.Dim(3) != ow {
 		panic(shapeErr(c.name, fmt.Sprintf("grad (N,%d,%d,%d)", c.outC, oh, ow), grad.Shape()))
 	}
-	tensor.AddConv2DParamGrads(c.weight.Grad, c.bias.Grad, grad, c.cols)
+	tensor.AddConv2DParamGrads(c.weight.Grad, c.bias.Grad, grad, &c.work, c.cachedGeom)
 	c.armed = false
 }
 
-// dropScratch frees cols unless a pending Backward reads it.
+// dropScratch frees the lowering scratch, and the padded input unless a
+// pending Backward reads it.
 func (c *Conv2D) dropScratch() {
+	c.work.Scratch = nil
 	if !c.armed {
-		c.cols = nil
+		c.work.Padded = nil
 	}
 }
 

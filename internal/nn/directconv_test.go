@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -9,10 +10,15 @@ import (
 	"github.com/stsl/stsl/internal/tensor"
 )
 
-// TestDirectConvMatchesConv2D: the naive direct convolution and
-// Conv2D's channel-major lowering agree on random geometries — two
-// independent implementations cross-checking each other — down to 1×1
-// outputs and kernels, with or without padding, on non-square inputs.
+// TestDirectConvMatchesConv2D: naive direct loops and Conv2D's padded
+// lowering agree bit for bit — two independent implementations
+// cross-checking each other — on the forward, the input gradient and the
+// filter and bias gradients, over random geometries: kernels 1–3,
+// strides 1–2, pads 0–2, non-square inputs, batches 1–3, down to 1×1
+// outputs, and one in four large enough to fan out. The output gradient
+// is dense or three in four zero. The references skip the padding taps
+// where the lowering adds their ±0 products, which can flip the sign of
+// a zero sum and nothing else, so only a zero's sign is exempt.
 func TestDirectConvMatchesConv2D(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := mathx.NewRNG(seed)
@@ -29,14 +35,54 @@ func TestDirectConvMatchesConv2D(t *testing.T) {
 			return true // invalid random config, skip
 		}
 		h, w := cfg.KernelH+r.Intn(7), cfg.KernelW+r.Intn(7)
+		if r.Intn(4) == 0 {
+			h, w = h+16, w+16
+		}
 		x := tensor.Randn(r, 1, 1+r.Intn(3), cfg.In, h, w)
-		want := conv.Forward(x, false)
-		got := DirectConvForward(conv, x)
-		return got.Equal(want, 1e-10)
+		conv.bias.Value = tensor.Randn(r, 1, cfg.Out)
+		got := conv.Forward(x, true)
+		if !sameBitsButZeroSign(got, DirectConvForward(conv, x)) {
+			t.Logf("seed %d %+v on %v: forward differs", seed, cfg, x.Shape())
+			return false
+		}
+		grad := tensor.Randn(r, 1, got.Shape()...)
+		if r.Intn(2) == 0 {
+			for i, d := 0, grad.Data(); i < len(d); i++ {
+				if r.Intn(4) != 0 {
+					d[i] = 0
+				}
+			}
+		}
+		dx := conv.Backward(grad)
+		wantDx, wantDw, wantDb := DirectConvBackward(conv, x, grad)
+		for _, c := range []struct {
+			name      string
+			got, want *tensor.Tensor
+		}{{"input gradient", dx, wantDx}, {"filter gradient", conv.weight.Grad, wantDw}, {"bias gradient", conv.bias.Grad, wantDb}} {
+			if !sameBitsButZeroSign(c.got, c.want) {
+				t.Logf("seed %d %+v on %v: %s differs", seed, cfg, x.Shape(), c.name)
+				return false
+			}
+		}
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// sameBitsButZeroSign reports whether a and b hold the same bits, a
+// zero's sign aside.
+func sameBitsButZeroSign(a, b *tensor.Tensor) bool {
+	if !a.SameShape(b) {
+		return false
+	}
+	for i, v := range a.Data() {
+		if w := b.Data()[i]; math.Float64bits(v) != math.Float64bits(w) && (v != 0 || w != 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // DirectConvForward computes what Conv2D.Forward does with naive nested
@@ -93,6 +139,111 @@ func DirectConvForward(c *Conv2D, x *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	return out
+}
+
+// DirectConvBackward computes what Conv2D.Backward does for the input x
+// and output gradient grad with naive nested loops: the input gradient
+// and the filter and bias gradients. Every input-gradient element sums
+// its taps in ascending order, each tap the products of its one output
+// position over the output channels, also ascending. The filter gradient
+// groups its sums as the kernel does: blocks of max(1, 2^15/(K·P))
+// images, and within a block each output channel's nonzero gradient
+// entries in (image, position) order, 128 to a partial sum.
+func DirectConvBackward(c *Conv2D, x, grad *tensor.Tensor) (dx, dw, db *tensor.Tensor) {
+	s := x.Shape()
+	n, h, w := s[0], s[2], s[3]
+	g, err := c.geom(h, w)
+	if err != nil {
+		panic(err)
+	}
+	oh, ow := g.OutHeight(), g.OutWidth()
+	kArea, k, p := c.kernelH*c.kernelW, c.inC*c.kernelH*c.kernelW, oh*ow
+	src, gd, wd := x.Data(), grad.Data(), c.weight.Value.Data()
+	dx = tensor.New(n, c.inC, h, w)
+	for img := 0; img < n; img++ {
+		for ic := 0; ic < c.inC; ic++ {
+			for iy := 0; iy < h; iy++ {
+				for ix := 0; ix < w; ix++ {
+					var sum float64
+					for ky := 0; ky < c.kernelH; ky++ {
+						oy, ok := outPos(iy+c.padH-ky, c.strideH, oh)
+						if !ok {
+							continue
+						}
+						for kx := 0; kx < c.kernelW; kx++ {
+							ox, ok := outPos(ix+c.padW-kx, c.strideW, ow)
+							if !ok {
+								continue
+							}
+							var d float64
+							for oc := 0; oc < c.outC; oc++ {
+								d += wd[oc*k+ic*kArea+ky*c.kernelW+kx] * gd[((img*c.outC+oc)*oh+oy)*ow+ox]
+							}
+							sum += d
+						}
+					}
+					dx.Data()[((img*c.inC+ic)*h+iy)*w+ix] = sum
+				}
+			}
+		}
+	}
+	// tapOf returns the input under tap t of output position q of image
+	// img, and false on the padding.
+	tapOf := func(img, q, t int) (float64, bool) {
+		ic, ky, kx := t/kArea, t%kArea/c.kernelW, t%c.kernelW
+		iy, ix := q/ow*c.strideH-c.padH+ky, q%ow*c.strideW-c.padW+kx
+		if iy < 0 || iy >= h || ix < 0 || ix >= w {
+			return 0, false
+		}
+		return src[((img*c.inC+ic)*h+iy)*w+ix], true
+	}
+	dw, db = tensor.New(c.outC, k), tensor.New(c.outC)
+	block := max(1, (1<<15)/(k*p))
+	for oc := 0; oc < c.outC; oc++ {
+		var bias float64
+		for img := 0; img < n; img++ {
+			for q := 0; q < p; q++ {
+				bias += gd[(img*c.outC+oc)*p+q]
+			}
+		}
+		db.Data()[oc] = bias
+		for b0 := 0; b0 < n; b0 += block {
+			type entry struct{ img, q int }
+			var list []entry
+			flush := func() {
+				for t := 0; t < k; t++ {
+					var sum float64
+					for _, e := range list {
+						if v, ok := tapOf(e.img, e.q, t); ok {
+							sum += gd[(e.img*c.outC+oc)*p+e.q] * v
+						}
+					}
+					dw.Data()[oc*k+t] += sum
+				}
+				list = list[:0]
+			}
+			for img := b0; img < min(b0+block, n); img++ {
+				for q := 0; q < p; q++ {
+					if gd[(img*c.outC+oc)*p+q] != 0 {
+						if list = append(list, entry{img, q}); len(list) == 128 {
+							flush()
+						}
+					}
+				}
+			}
+			flush()
+		}
+	}
+	return dx, dw, db
+}
+
+// outPos returns the output position o with o·stride = at, and whether
+// there is one below n.
+func outPos(at, stride, n int) (int, bool) {
+	if at < 0 || at%stride != 0 || at/stride >= n {
+		return 0, false
+	}
+	return at / stride, true
 }
 
 func TestDirectConvPanicsOnBadInput(t *testing.T) {

@@ -189,16 +189,17 @@ func TestMaxPoolWindowWithoutMaximum(t *testing.T) {
 // the scan it replaced — strict greater-than from −Inf, first maximum
 // wins, first element when nothing beats −Inf — bit for bit in value
 // and argmax, over windows drawn from a few values with ties, signed
-// zeros, infinities and NaN, in 2×2 and overlapping 3×2 windows.
+// zeros, infinities and NaN, in 2×2 and overlapping 3×2 windows, and in
+// output rows wider than the run of windows the pool advances together.
 func TestMaxPoolMatchesBranchingScan(t *testing.T) {
 	vals := []float64{math.NaN(), math.Inf(-1), math.Inf(1), math.Copysign(0, -1), 0, -1, 1, 2}
 	r := mathx.NewRNG(43)
-	for _, k := range [][4]int{{2, 2, 2, 2}, {3, 2, 1, 2}} {
+	for _, k := range [][5]int{{2, 2, 2, 2, 8}, {3, 2, 1, 2, 8}, {2, 2, 1, 1, 2*poolRun + 9}} {
 		pool, err := NewMaxPool2D("p", k[0], k[1], k[2], k[3])
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, c, h, w := 3, 2, 6, 8
+		n, c, h, w := 3, 2, 6, k[4]
 		x := tensor.New(n, c, h, w)
 		for i := range x.Data() {
 			x.Data()[i] = vals[r.Intn(len(vals))]

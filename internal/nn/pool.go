@@ -94,7 +94,8 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // keeps its first strict maximum, selected with a bit mask rather than a
 // branch, starting from its first element's index against −Inf: NaN
 // never compares greater, and a window where nothing beats −Inf yields
-// its first element.
+// its first element. The windows of an output row advance together, up
+// to poolRun at a time, each taking its elements in row-major order.
 func poolForward(ctx any, lo, hi int) {
 	p := ctx.(*MaxPool2D)
 	c, h, w := p.inShape[1], p.inShape[2], p.inShape[3]
@@ -106,28 +107,51 @@ func poolForward(ctx any, lo, hi int) {
 	if p.train {
 		argmax = p.argmax[lo*c*oh*ow : hi*c*oh*ow]
 	}
+	var bests [poolRun]float64
+	var idxs [poolRun]int
 	di := 0
 	for plane := lo * c * h * w; plane < hi*c*h*w; plane += h * w {
 		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
+			for ox := 0; ox < ow; ox += poolRun {
+				best, idx := bests[:min(poolRun, ow-ox)], idxs[:min(poolRun, ow-ox)]
 				first := plane + oy*sh*w + ox*sw
-				best, bestIdx := math.Inf(-1), first
+				for j := range best {
+					best[j], idx[j] = math.Inf(-1), first+j*sw
+				}
 				for row := first; row < first+kh*w; row += w {
-					for i, v := range src[row : row+kw] {
-						m := -b2u(v > best)
-						best = math.Float64frombits(math.Float64bits(best)&^m | math.Float64bits(v)&m)
-						bestIdx = bestIdx&^int(m) | (row+i)&int(m)
+					for at := row; at < row+kw; at++ {
+						poolStep(best, idx, src, at, sw)
 					}
 				}
-				dst[di] = src[bestIdx]
-				if argmax != nil {
-					argmax[di] = bestIdx
+				for j, i := range idx {
+					dst[di+j] = src[i]
 				}
-				di++
+				if argmax != nil {
+					copy(argmax[di:], idx)
+				}
+				di += len(idx)
 			}
 		}
 	}
 }
+
+// poolStep offers window j of a run its element at + j·stride: the
+// window keeps it, and its index, when it is strictly greater than the
+// window's best so far.
+func poolStep(best []float64, idx []int, src []float64, at, stride int) {
+	idx = idx[:len(best)]
+	for j, b := range best {
+		v := src[at]
+		m := -b2u(v > b)
+		best[j] = math.Float64frombits(math.Float64bits(b)&^m | math.Float64bits(v)&m)
+		idx[j] = idx[j]&^int(m) | at&int(m)
+		at += stride
+	}
+}
+
+// poolRun is how many windows of an output row poolForward advances
+// together; their bests and indices live on its stack.
+const poolRun = 64
 
 // Backward implements Layer.
 func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {

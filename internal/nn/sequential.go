@@ -111,9 +111,9 @@ func (s *Sequential) OutShape(in []int) ([]int, error) {
 	return in, nil
 }
 
-// DropScratch frees the column matrices of every Conv2D in the stack —
-// the largest buffers a stack keeps — except those a pending Backward
-// still reads. Call it when a stack goes idle but stays referenced; the
+// DropScratch frees the lowering scratch and the padded input of every
+// Conv2D in the stack, except the padded inputs a pending Backward still
+// reads. Call it when a stack goes idle but stays referenced; the
 // next Forward sizes them again, so results do not change.
 func (s *Sequential) DropScratch() {
 	for _, l := range s.layers {

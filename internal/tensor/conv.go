@@ -38,22 +38,42 @@ func (g ConvGeom) Validate() error {
 	return nil
 }
 
-// Convolution is lowered channel-major, one image at a time. An image's
-// column matrix is K × P, for K = C·kH·kW filter taps and P = outH·outW
-// output positions: row (c, ky, kx) is input channel c shifted by
-// (ky, kx) under every output position, built from shifted row copies.
-// The filters are an (outC × K) matrix, so W·cols plus the bias is the
-// image's (outC × P) output — already its NCHW planes. The filter
-// gradient is split over output channels and the output and input
-// gradient over images: outputs, never a reduction (see ParallelFor).
+// Convolution is lowered channel-major, one image at a time, from a
+// padded copy of the input: each of its C planes inside a zero border,
+// Hp × Wp = (H+2·padH) × (W+2·padW). Tap t = (c, ky, kx) of output
+// position (oy, ox) reads the padded image at its tap offset +
+// oy·strideH·Wp + ox·strideW. An image's lowered matrix is K × oh·gw,
+// for K = C·kH·kW taps, on a grid of oh rows of gw columns: at unit
+// strides gw = Wp, so a tap's row is one contiguous run of the padded
+// image and each grid row carries Wp − ow junk columns; at other strides
+// gw = ow and a row is gathered. The filters are an (outC × K) matrix, so
+// W·lowered plus the bias is the image's output on the grid, and its
+// valid columns are the image's NCHW planes. A lowered matrix lives in
+// its range's scratch only while its image is convolved; the padded
+// input is what the filter gradient reads. The filter gradient is split
+// over output channels and the output and input gradient over images:
+// outputs, never a reduction (see ParallelFor).
+
+// ConvWork is a convolution's workspace. Conv2DInto writes Padded, the
+// input inside its zero border (N × C × Hp × Wp), and
+// AddConv2DParamGrads reads it. Scratch holds each range's lowered
+// matrices while an image is convolved, and the filter gradient's bias
+// sums, and nothing between calls. Both belong to the kernels, which
+// size them: a caller only sets one to nil, to free it — Padded only
+// when no AddConv2DParamGrads is pending, since that reads it.
+type ConvWork struct {
+	Padded  []float64
+	Scratch []float64
+	// taps holds the tap offsets of the last call's geometry.
+	taps []int
+}
 
 // Conv2DInto convolves x (N, C, H, W) with the filters w (outC, K) and
 // adds the bias b (outC), writing out (N, outC, outH, outW), and leaves
-// each image's column matrix in cols (N, K, outH·outW) for
-// AddConv2DParamGrads and Conv2DInputGradInto. Both destinations follow
+// the padded input in ws.Padded for AddConv2DParamGrads. out follows
 // the …Into contract. Each output element is its bias plus its K
 // products in ascending tap order.
-func Conv2DInto(out, cols, x, w, b *Tensor, g ConvGeom) (*Tensor, *Tensor) {
+func Conv2DInto(out *Tensor, ws *ConvWork, x, w, b *Tensor, g ConvGeom) *Tensor {
 	if x.Dims() != 4 || x.shape[1] != g.Channels || x.shape[2] != g.Height || x.shape[3] != g.Width {
 		panic(fmt.Sprintf("tensor: Conv2DInto input %v does not match geometry %+v", x.shape, g))
 	}
@@ -62,119 +82,159 @@ func Conv2DInto(out, cols, x, w, b *Tensor, g ConvGeom) (*Tensor, *Tensor) {
 		panic(fmt.Sprintf("tensor: Conv2DInto bias %v does not match %d filters", b.shape, outC))
 	}
 	n, p := x.shape[0], g.OutHeight()*g.OutWidth()
-	cols = Reuse(cols, n, k, p)
+	ws.Padded = grow(ws.Padded, n*g.paddedLen())
 	out = Reuse(out, n, outC, g.OutHeight(), g.OutWidth())
-	mustNotAlias("Conv2DInto", cols, x, w, b)
-	mustNotAlias("Conv2DInto", out, x, w, b, cols)
-	forOperands(n, n*outC*k*p, operands{dst: out.data, cols: cols.data, a: x.data, b: w.data, bias: b.data, g: g}, conv2DBody)
-	return out, cols
+	mustNotAlias("Conv2DInto", out, x, w, b)
+	ws.forImages(n, n*outC*k*p, operands{dst: out.data, padded: ws.Padded, a: x.data, b: w.data, bias: b.data, m: outC, g: g}, conv2DBody)
+	return out
 }
 
-// conv2DBody lowers and convolves images [lo,hi) of a Conv2DInto.
+// conv2DBody pads, lowers and convolves images [lo,hi) of a Conv2DInto.
 func conv2DBody(ctx any, lo, hi int) {
 	op := ctx.(*operands)
-	g := op.g
-	outC, k, p := len(op.bias), g.taps(), g.OutHeight()*g.OutWidth()
-	in := g.Channels * g.Height * g.Width
-	for img := lo; img < hi; img++ {
-		cols := op.cols[img*k*p : (img+1)*k*p]
-		fillCols(cols, op.a[img*in:(img+1)*in], g)
-		gemm(op.dst[img*outC*p:(img+1)*outC*p], op.b, cols, op.bias, outC, k, p, k, 1)
+	g, outC, k := op.g, op.m, op.g.taps()
+	l := g.grid()
+	pg, in, img := l.size(), g.Channels*g.Height*g.Width, g.paddedLen()
+	s := op.slot(lo)
+	cols, res := s[:k*pg], s[k*pg:(k+outC)*pg]
+	for i := lo; i < hi; i++ {
+		xp := op.padded[i*img : (i+1)*img]
+		g.pad(xp, op.a[i*in:(i+1)*in])
+		for t, at := range op.taps {
+			l.lower(cols[t*pg:(t+1)*pg], xp[at:])
+		}
+		gemm(res, op.b, cols, op.bias, outC, k, pg, k, 1)
+		dst := op.dst[i*outC*l.oh*l.ow : (i+1)*outC*l.oh*l.ow]
+		for r := 0; r < outC*l.oh; r++ {
+			copy(dst[r*l.ow:(r+1)*l.ow], res[r*l.w:])
+		}
 	}
 }
 
 // AddConv2DParamGrads adds the filter and bias gradients of the
-// Conv2DInto that left cols to dw (outC, K) and db (outC), given the
-// output gradient grad (N, outC, outH, outW). The filter gradient sums
-// grad·colsᵀ over the nonzero entries of grad only: in a conv, ReLU,
-// max-pool block, pool and ReLU backward leave at least three in four
-// zero. db[o] gains plane o of grad summed from zero in (image,
-// position) order.
-func AddConv2DParamGrads(dw, db, grad, cols *Tensor) {
-	if cols.Dims() != 3 || grad.Dims() != 4 || grad.shape[0] != cols.shape[0] || grad.shape[2]*grad.shape[3] != cols.shape[2] {
-		panic(fmt.Sprintf("tensor: AddConv2DParamGrads gradient %v does not match columns %v", grad.shape, cols.shape))
+// Conv2DInto that left ws.Padded to dw (outC, K) and db (outC), given
+// the output gradient grad (N, outC, outH, outW). The filter gradient
+// sums grad times the padded input over the nonzero entries of grad
+// only: in a conv, ReLU, max-pool block, pool and ReLU backward leave at
+// least three in four zero. db[o] gains plane o of grad summed from zero
+// in (image, position) order.
+func AddConv2DParamGrads(dw, db, grad *Tensor, ws *ConvWork, g ConvGeom) {
+	outC, k := convFilters("AddConv2DParamGrads", dw, g)
+	if grad.Dims() != 4 || !grad.hasShape([]int{grad.shape[0], outC, g.OutHeight(), g.OutWidth()}) || !db.hasShape([]int{outC}) {
+		panic(fmt.Sprintf("tensor: AddConv2DParamGrads output gradient %v and bias gradient %v do not match geometry %+v with %d filters",
+			grad.shape, db.shape, g, outC))
 	}
-	n, outC, k, p := cols.shape[0], grad.shape[1], cols.shape[1], cols.shape[2]
-	if !dw.hasShape([]int{outC, k}) || !db.hasShape([]int{outC}) {
-		panic(fmt.Sprintf("tensor: AddConv2DParamGrads gradients %v, %v do not match (%d, %d)", dw.shape, db.shape, outC, k))
+	n, p := grad.shape[0], g.OutHeight()*g.OutWidth()
+	if len(ws.Padded) != n*g.paddedLen() {
+		panic(fmt.Sprintf("tensor: AddConv2DParamGrads padded input of %d elements is not that of %d images under geometry %+v",
+			len(ws.Padded), n, g))
 	}
-	forOperands(outC, n*outC*k*p/4, operands{dst: dw.data, bias: db.data, a: grad.data, cols: cols.data, m: n, k: k, n: p}, convParamGradBody)
-}
-
-// nzList collects up to nzChunk nonzero entries of an output gradient
-// for the filter gradient, which keeps it on its stack: the entry's
-// value and its offset into the column matrices.
-type nzList struct {
-	n   int
-	v   [nzChunk]float64
-	off [nzChunk]int
+	ws.Scratch = grow(ws.Scratch, outC)
+	ws.taps = g.tapOffsets(ws.taps)
+	forOperands(outC, n*outC*k*p/4, operands{dst: dw.data, bias: db.data, a: grad.data, padded: ws.Padded, scratch: ws.Scratch, taps: ws.taps, n: n, g: g}, convParamGradBody)
 }
 
 // nzChunk is how many nonzero gradient entries the filter gradient
-// applies in one pass down the taps.
+// applies in one pass down the taps. It is a power of two: nzList.collect
+// masks its index with nzChunk − 1.
 const nzChunk = 128
 
-// add appends the entry when v is nonzero, and reports whether the list
-// is full.
-func (l *nzList) add(v float64, off int) bool {
-	l.v[l.n], l.off[l.n] = v, off
-	if v != 0 {
-		l.n++
-	}
-	return l.n == nzChunk
-}
-
-// colsBlock bounds, in float64, the column matrices convParamGradBody
-// applies every output channel of its range to before it moves on, so
-// that they stay in cache: 2^15 is 256 KiB.
+// colsBlock sets the filter gradient's image blocks: block =
+// colsBlock/(K·P) images, as many as fit 256 KiB of the column matrices
+// the kernel once read (it reads the padded input now), at least one.
+// Each output channel's nonzero list is applied at every block's end, so
+// colsBlock fixes the filter gradient's summation blocks, and therefore
+// its bits.
 const colsBlock = 1 << 15
 
 // convParamGradBody accumulates the gradients of output channels [lo,hi)
-// of an AddConv2DParamGrads. The filter gradient walks the images in
-// blocks whose column matrices fit colsBlock, and lists each channel's
-// nonzero entries across a whole block, so small outputs still make long
-// lists.
+// of an AddConv2DParamGrads. It walks the images in blocks of
+// colsBlock/(K·P), and lists each channel's nonzero entries across a
+// whole block, so small outputs still make long lists. The list is
+// applied whenever it holds nzChunk entries and at the block's end. The
+// bias sums ride along, one per channel in the scratch.
 func convParamGradBody(ctx any, lo, hi int) {
 	op := ctx.(*operands)
-	n, k, p := op.m, op.k, op.n
-	outC := len(op.bias)
-	for o := lo; o < hi; o++ {
-		var db float64
-		for img := 0; img < n; img++ {
-			for _, v := range op.a[(img*outC+o)*p : (img*outC+o+1)*p] {
-				db += v
-			}
-		}
-		op.bias[o] += db
-	}
+	g, n, outC := op.g, op.n, len(op.bias)
+	k, oh, ow := g.taps(), g.OutHeight(), g.OutWidth()
+	p, img, wp := oh*ow, g.paddedLen(), g.paddedW()
+	dbs := op.scratch[lo:hi]
+	clear(dbs)
 	var nz nzList
 	block := max(1, colsBlock/(k*p))
 	for b0 := 0; b0 < n; b0 += block {
 		for o := lo; o < hi; o++ {
-			dw := op.dst[o*k : (o+1)*k]
-			for img := b0; img < min(b0+block, n); img++ {
-				for q, v := range op.a[(img*outC+o)*p : (img*outC+o+1)*p] {
-					if nz.add(v, img*k*p+q) {
-						addColumnDots(dw, op.cols, &nz, p)
+			dw, db, cnt := op.dst[o*k:(o+1)*k], dbs[o-lo], 0
+			for i := b0; i < min(b0+block, n); i++ {
+				plane := op.a[(i*outC+o)*p : (i*outC+o+1)*p]
+				for oy := 0; oy < oh; oy++ {
+					row, at := plane[oy*ow:(oy+1)*ow], i*img+oy*g.StrideH*wp
+					for len(row) > 0 {
+						var r int
+						r, cnt, db = nz.collect(row, at, g.StrideW, cnt, db)
+						row, at = row[r:], at+r*g.StrideW
+						if cnt == nzChunk {
+							addTapDots(dw, op.padded, nz.v[:], nz.off[:], op.taps)
+							cnt = 0
+						}
 					}
 				}
 			}
-			addColumnDots(dw, op.cols, &nz, p)
+			addTapDots(dw, op.padded, nz.v[:cnt], nz.off[:cnt], op.taps)
+			dbs[o-lo] = db
 		}
+	}
+	for o := lo; o < hi; o++ {
+		op.bias[o] += dbs[o-lo]
 	}
 }
 
-// addColumnDots adds to each filter-gradient tap dw[r] the products of
-// the listed gradient entries with their column-matrix entries in row r,
-// four taps to a pass over the list, and empties the list.
-func addColumnDots(dw, cols []float64, l *nzList, p int) {
-	v, off := l.v[:l.n], l.off[:l.n]
-	off = off[:len(v)]
-	r := 0
-	for ; r+4 <= len(dw); r += 4 {
-		// Four rows cut to one length, so one bounds check covers them.
-		n := len(cols) - (r+3)*p
-		c0, c1, c2, c3 := cols[r*p:][:n], cols[(r+1)*p:][:n], cols[(r+2)*p:][:n], cols[(r+3)*p:][:n]
+// nzList holds up to nzChunk nonzero entries of an output gradient for
+// the filter gradient, on its stack: each entry's value, and the offset
+// of its output position's first tap in the padded input.
+type nzList struct {
+	v   [nzChunk]float64
+	off [nzChunk]int
+}
+
+// collect lists the nonzero entries of row, the first at offset at and
+// the rest step apart, after the n already listed, and stops when the
+// list is full. It returns how many entries of row it read, the new
+// count, and db plus every entry read. The count stays in a register:
+// every entry is written, and only a nonzero one is kept (the mask
+// drops the bounds checks).
+func (l *nzList) collect(row []float64, at, step, n int, db float64) (int, int, float64) {
+	for i, x := range row {
+		l.v[n&(nzChunk-1)], l.off[n&(nzChunk-1)] = x, at+i*step
+		n += nonzero(x)
+		db += x
+		if n == nzChunk {
+			return i + 1, n, db
+		}
+	}
+	return len(row), n, db
+}
+
+// nonzero returns 1 for a nonzero x (NaN included) and 0 for ±0; the
+// compiler emits a SETcc for it, not a branch.
+func nonzero(x float64) int {
+	var n int
+	if x != 0 {
+		n = 1
+	}
+	return n
+}
+
+// addTapDots adds to each filter-gradient tap dw[t] the products of the
+// listed gradient entries v with the padded input xp at their offsets
+// off plus the tap's offset taps[t], four taps to a pass over the list.
+func addTapDots(dw, xp, v []float64, off, taps []int) {
+	off, taps = off[:len(v)], taps[:len(dw)]
+	t := 0
+	for ; t+4 <= len(dw); t += 4 {
+		// Four taps cut to one length, so one bounds check covers them.
+		n := len(xp) - taps[t+3]
+		c0, c1, c2, c3 := xp[taps[t]:][:n], xp[taps[t+1]:][:n], xp[taps[t+2]:][:n], xp[taps[t+3]:][:n]
 		var s0, s1, s2, s3 float64
 		for j, x := range v {
 			o := off[j]
@@ -183,61 +243,207 @@ func addColumnDots(dw, cols []float64, l *nzList, p int) {
 			s2 += x * c2[o]
 			s3 += x * c3[o]
 		}
-		dw[r] += s0
-		dw[r+1] += s1
-		dw[r+2] += s2
-		dw[r+3] += s3
+		dw[t] += s0
+		dw[t+1] += s1
+		dw[t+2] += s2
+		dw[t+3] += s3
 	}
-	for ; r < len(dw); r++ {
-		c0 := cols[r*p:]
+	for ; t < len(dw); t++ {
+		c0 := xp[taps[t]:]
 		var s float64
 		for j, x := range v {
 			s += x * c0[off[j]]
 		}
-		dw[r] += s
+		dw[t] += s
 	}
-	l.n = 0
 }
 
 // Conv2DInputGradInto computes into dx (N, C, H, W) the gradient of a
 // Conv2DInto with respect to its input, from the output gradient grad
-// (N, outC, outH, outW) and the filters w. It overwrites cols, so the
-// filter gradient must have read them first: per image, the column
-// gradient Wᵀ·grad is written into the image's own cols by the dense
-// tile from +0, and each of its rows is added, shifted back by its tap,
-// into dx. Every column-gradient element sums its outC products in
-// ascending channel order.
-func Conv2DInputGradInto(dx, cols, grad, w *Tensor, g ConvGeom) *Tensor {
+// (N, outC, outH, outW) and the filters w. Per image, the output
+// gradient is laid on the grid (junk columns zero), the dense tile
+// writes the lowered gradient Wᵀ·grad from +0, and each of its tap rows
+// is added back into a padded dx, whose interior is the image's dx.
+// Every lowered-gradient element sums its outC products in ascending
+// channel order, and every dx element its taps in ascending order.
+func Conv2DInputGradInto(dx *Tensor, ws *ConvWork, grad, w *Tensor, g ConvGeom) *Tensor {
 	outC, k := convFilters("Conv2DInputGradInto", w, g)
 	p := g.OutHeight() * g.OutWidth()
-	if grad.Dims() != 4 || grad.shape[1] != outC || grad.shape[2] != g.OutHeight() || grad.shape[3] != g.OutWidth() ||
-		!cols.hasShape([]int{grad.shape[0], k, p}) {
-		panic(fmt.Sprintf("tensor: Conv2DInputGradInto gradient %v and columns %v do not match geometry %+v", grad.shape, cols.shape, g))
+	if grad.Dims() != 4 || grad.shape[1] != outC || grad.shape[2] != g.OutHeight() || grad.shape[3] != g.OutWidth() {
+		panic(fmt.Sprintf("tensor: Conv2DInputGradInto gradient %v does not match geometry %+v", grad.shape, g))
 	}
 	n := grad.shape[0]
 	dx = Reuse(dx, n, g.Channels, g.Height, g.Width)
-	mustNotAlias("Conv2DInputGradInto", dx, cols, grad, w)
-	forOperands(n, n*outC*k*p, operands{dst: dx.data, cols: cols.data, a: grad.data, b: w.data, m: outC, g: g}, convInputGradBody)
+	mustNotAlias("Conv2DInputGradInto", dx, grad, w)
+	ws.forImages(n, n*outC*k*p, operands{dst: dx.data, a: grad.data, b: w.data, m: outC, g: g}, convInputGradBody)
 	return dx
 }
 
 // convInputGradBody computes images [lo,hi) of a Conv2DInputGradInto.
+// The junk columns of the gradient's grid are zero, so with finite
+// filters their lowered gradient is ±0, and adding ±0 to a running sum
+// that starts at +0 never changes its bits.
 func convInputGradBody(ctx any, lo, hi int) {
 	op := ctx.(*operands)
-	g := op.g
-	outC, k, p := op.m, g.taps(), g.OutHeight()*g.OutWidth()
-	in := g.Channels * g.Height * g.Width
-	for img := lo; img < hi; img++ {
-		dcols := op.cols[img*k*p : (img+1)*k*p]
-		gemm(dcols, op.b, op.a[img*outC*p:(img+1)*outC*p], nil, k, outC, p, 1, k)
-		dx := op.dst[img*in : (img+1)*in]
-		clear(dx)
-		addColRows(dx, dcols, g)
+	g, outC, k := op.g, op.m, op.g.taps()
+	l := g.grid()
+	pg, in := l.size(), g.Channels*g.Height*g.Width
+	s := op.slot(lo)
+	grid, dcols, dxp := s[:outC*pg], s[outC*pg:(outC+k)*pg], s[(outC+k)*pg:][:g.paddedLen()]
+	for i := lo; i < hi; i++ {
+		src := op.a[i*outC*l.oh*l.ow : (i+1)*outC*l.oh*l.ow]
+		for r := 0; r < outC*l.oh; r++ {
+			row := grid[r*l.w : (r+1)*l.w]
+			clear(row[copy(row[:l.ow], src[r*l.ow:]):])
+		}
+		gemm(dcols, op.b, grid, nil, k, outC, pg, 1, k)
+		clear(dxp)
+		for t, at := range op.taps {
+			l.addRow(dxp[at:], dcols[t*pg:(t+1)*pg])
+		}
+		g.unpad(op.dst[i*in:(i+1)*in], dxp)
 	}
+}
+
+// forImages runs body over a convolution's n images, and gives each
+// range a slot of ws.Scratch for its lowered matrices and padded dx
+// (see operands.slot).
+func (ws *ConvWork) forImages(n, work int, op operands, body func(ctx any, lo, hi int)) {
+	g := op.g
+	op.n, op.parts = n, partsFor(n, work)
+	l := g.grid()
+	ws.Scratch = grow(ws.Scratch, op.parts*((g.taps()+op.m)*l.size()+g.paddedLen()))
+	ws.taps = g.tapOffsets(ws.taps)
+	op.scratch, op.taps = ws.Scratch, ws.taps
+	runOperands(n, op.parts, op, body)
+}
+
+// slot returns the scratch of the range that starts at image lo. Range
+// i is [i·n/parts, (i+1)·n/parts), and parts ≤ n, so lo·parts/n lies in
+// (i−1, i]: its ceiling is i.
+func (op *operands) slot(lo int) []float64 {
+	size := len(op.scratch) / op.parts
+	i := (lo*op.parts + op.n - 1) / op.n
+	return op.scratch[i*size : (i+1)*size]
+}
+
+// grow returns s resliced to n, or a new slice when s is too short.
+func grow(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
 }
 
 // taps returns K, the length of one filter: C·kH·kW.
 func (g ConvGeom) taps() int { return g.Channels * g.KernelH * g.KernelW }
+
+func (g ConvGeom) paddedH() int { return g.Height + 2*g.PadH }
+func (g ConvGeom) paddedW() int { return g.Width + 2*g.PadW }
+
+// paddedLen returns the length of one padded image: C·Hp·Wp.
+func (g ConvGeom) paddedLen() int { return g.Channels * g.paddedH() * g.paddedW() }
+
+// grid is the layout of an image's lowered matrices: oh rows of w
+// columns, the first ow of each valid. At unit strides the grid is wide,
+// the padded image's own layout (w = Wp): a tap's row is one run of the
+// padded image, and each grid row carries Wp − ow junk columns. At other
+// strides it is narrow (w = ow), and each grid row is gathered.
+type grid struct {
+	oh, ow, sh, sw int // output extent and strides
+	wp, w          int // padded image width and grid width
+	wide           bool
+}
+
+func (g ConvGeom) grid() grid {
+	l := grid{oh: g.OutHeight(), ow: g.OutWidth(), sh: g.StrideH, sw: g.StrideW, wp: g.paddedW()}
+	l.wide = l.sh == 1 && l.sw == 1
+	l.w = l.ow
+	if l.wide {
+		l.w = l.wp
+	}
+	return l
+}
+
+// size returns the grid's length, oh·w.
+func (l *grid) size() int { return l.oh * l.w }
+
+// tapOffsets returns in dst (reused when long enough) where each tap
+// t = (c, ky, kx) of output position (0, 0) lies in a padded image.
+func (g ConvGeom) tapOffsets(dst []int) []int {
+	if cap(dst) < g.taps() {
+		dst = make([]int, 0, g.taps())
+	}
+	dst = dst[:0]
+	for c := 0; c < g.Channels; c++ {
+		for ky := 0; ky < g.KernelH; ky++ {
+			for kx := 0; kx < g.KernelW; kx++ {
+				dst = append(dst, (c*g.paddedH()+ky)*g.paddedW()+kx)
+			}
+		}
+	}
+	return dst
+}
+
+// pad writes image x (C, H, W) into xp (C, Hp, Wp) inside a zero border.
+func (g ConvGeom) pad(xp, x []float64) {
+	hp, wp, end := g.paddedH(), g.paddedW(), 0
+	for c := 0; c < g.Channels; c++ {
+		for y := 0; y < g.Height; y++ {
+			at := (c*hp+g.PadH+y)*wp + g.PadW
+			clear(xp[end:at])
+			end = at + copy(xp[at:at+g.Width], x[(c*g.Height+y)*g.Width:])
+		}
+	}
+	clear(xp[end:])
+}
+
+// unpad copies the interior of a padded image xp into x (C, H, W).
+func (g ConvGeom) unpad(x, xp []float64) {
+	hp, wp := g.paddedH(), g.paddedW()
+	for c := 0; c < g.Channels; c++ {
+		for y := 0; y < g.Height; y++ {
+			copy(x[(c*g.Height+y)*g.Width:][:g.Width], xp[(c*hp+g.PadH+y)*wp+g.PadW:])
+		}
+	}
+}
+
+// lower writes one tap's row of the lowered matrix from src, the padded
+// image from the tap's offset on. On a wide grid the row is src itself,
+// one copy; the last grid row's junk columns can run past the image, and
+// are cleared.
+func (l *grid) lower(row, src []float64) {
+	if l.wide {
+		clear(row[copy(row, src):])
+		return
+	}
+	for oy := 0; oy < l.oh; oy++ {
+		in, out := src[oy*l.sh*l.wp:], row[oy*l.ow:(oy+1)*l.ow]
+		for ox := range out {
+			out[ox] = in[ox*l.sw]
+		}
+	}
+}
+
+// addRow adds one tap's row of a lowered gradient into dst, the padded
+// dx from the tap's offset on: the adjoint of lower, which leaves out
+// what ran past the image.
+func (l *grid) addRow(dst, row []float64) {
+	if l.wide {
+		row = row[:min(len(row), len(dst))]
+		dst = dst[:len(row)]
+		for i, v := range row {
+			dst[i] += v
+		}
+		return
+	}
+	for oy := 0; oy < l.oh; oy++ {
+		out := dst[oy*l.sh*l.wp:]
+		for ox, v := range row[oy*l.ow : (oy+1)*l.ow] {
+			out[ox*l.sw] += v
+		}
+	}
+}
 
 // convFilters checks that w is an (outC, K) filter matrix for g and
 // returns outC and K.
@@ -246,93 +452,4 @@ func convFilters(op string, w *Tensor, g ConvGeom) (outC, k int) {
 		panic(fmt.Sprintf("tensor: %s filters %v do not match geometry %+v", op, w.shape, g))
 	}
 	return w.shape[0], w.shape[1]
-}
-
-// validOut returns the output positions [lo, hi) of an axis of n whose
-// tap k lands inside an input axis of size: 0 ≤ o·stride − pad + k < size.
-func validOut(n, stride, pad, k, size int) (lo, hi int) {
-	lo = min(max(ceilDiv(pad-k, stride), 0), n)
-	hi = min(max(ceilDiv(size+pad-k, stride), lo), n)
-	return lo, hi
-}
-
-// ceilDiv returns ⌈a/b⌉ for b > 0.
-func ceilDiv(a, b int) int {
-	if a <= 0 {
-		return -(-a / b)
-	}
-	return (a + b - 1) / b
-}
-
-// fillCols writes the column matrix of one image x (C, H, W) into dst
-// (K × outH·outW), padding positions included as zeros.
-func fillCols(dst, x []float64, g ConvGeom) {
-	oh, ow := g.OutHeight(), g.OutWidth()
-	p, plane, kArea := oh*ow, g.Height*g.Width, g.KernelH*g.KernelW
-	for ky := 0; ky < g.KernelH; ky++ {
-		y0, y1 := validOut(oh, g.StrideH, g.PadH, ky, g.Height)
-		for kx := 0; kx < g.KernelW; kx++ {
-			x0, x1 := validOut(ow, g.StrideW, g.PadW, kx, g.Width)
-			// At unit strides with outW = W the tap's rows lie back to
-			// back in x as they do in dst: one copy moves them all, and
-			// the border columns it fills from the neighbouring rows are
-			// cleared after it.
-			block := g.StrideH == 1 && g.StrideW == 1 && ow == g.Width && y1 > y0 && x1 > x0
-			for c := 0; c < g.Channels; c++ {
-				r := c*kArea + ky*g.KernelW + kx
-				row := dst[r*p : (r+1)*p]
-				clear(row[:y0*ow])
-				clear(row[y1*ow:])
-				if block {
-					copy(row[y0*ow+x0:(y1-1)*ow+x1], x[c*plane+(y0-g.PadH+ky)*g.Width+x0-g.PadW+kx:])
-				}
-				for oy := y0; oy < y1; oy++ {
-					seg := row[oy*ow : (oy+1)*ow]
-					clear(seg[:x0])
-					clear(seg[x1:])
-					if block {
-						continue
-					}
-					src := x[c*plane+(oy*g.StrideH-g.PadH+ky)*g.Width:][:g.Width]
-					ix := x0*g.StrideW - g.PadW + kx
-					if g.StrideW == 1 {
-						copy(seg[x0:x1], src[ix:])
-						continue
-					}
-					for ox := x0; ox < x1; ox++ {
-						seg[ox] = src[ix]
-						ix += g.StrideW
-					}
-				}
-			}
-		}
-	}
-}
-
-// addColRows adds the rows of one image's column gradient cols
-// (K × outH·outW) into its input gradient dx (C, H, W): the adjoint of
-// fillCols, each row shifted back by its tap. Every input element sums
-// its taps in ascending order.
-func addColRows(dx, cols []float64, g ConvGeom) {
-	oh, ow := g.OutHeight(), g.OutWidth()
-	p, plane, kArea := oh*ow, g.Height*g.Width, g.KernelH*g.KernelW
-	for ky := 0; ky < g.KernelH; ky++ {
-		y0, y1 := validOut(oh, g.StrideH, g.PadH, ky, g.Height)
-		for kx := 0; kx < g.KernelW; kx++ {
-			x0, x1 := validOut(ow, g.StrideW, g.PadW, kx, g.Width)
-			for c := 0; c < g.Channels; c++ {
-				r := c*kArea + ky*g.KernelW + kx
-				row := cols[r*p : (r+1)*p]
-				for oy := y0; oy < y1; oy++ {
-					seg := row[oy*ow+x0 : oy*ow+x1]
-					dst := dx[c*plane+(oy*g.StrideH-g.PadH+ky)*g.Width:][:g.Width]
-					ix := x0*g.StrideW - g.PadW + kx
-					for _, v := range seg {
-						dst[ix] += v
-						ix += g.StrideW
-					}
-				}
-			}
-		}
-	}
 }

@@ -140,11 +140,12 @@ func BenchmarkConvLayerTile(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("conv%d/%s", i+1, tile.name), func(b *testing.B) {
 				useAVX2 = tile.avx2
-				var out, cols, dx *Tensor
+				var out, dx *Tensor
+				var ws ConvWork
 				for n := 0; n < b.N; n++ {
-					out, cols = Conv2DInto(out, cols, x, w, bias, g)
-					AddConv2DParamGrads(dw, db, grad, cols)
-					dx = Conv2DInputGradInto(dx, cols, grad, w, g)
+					out = Conv2DInto(out, &ws, x, w, bias, g)
+					AddConv2DParamGrads(dw, db, grad, &ws, g)
+					dx = Conv2DInputGradInto(dx, &ws, grad, w, g)
 				}
 			})
 		}

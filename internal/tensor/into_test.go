@@ -30,12 +30,8 @@ func intoCases(r *mathx.RNG) []intoCase {
 		{"MatMulTransAInto", func(dst *Tensor) *Tensor { return MatMulTransAInto(dst, a, at) }},
 		{"MatMulTransBInto", func(dst *Tensor) *Tensor { return MatMulTransBInto(dst, a, bt) }},
 		{"MatMulTransBInto-fanned", func(dst *Tensor) *Tensor { return MatMulTransBInto(dst, big, bigW) }},
-		{"Conv2DInto", func(dst *Tensor) *Tensor { out, _ := Conv2DInto(dst, nil, x, w, bias, g); return out }},
-		{"Conv2DInto-cols", func(dst *Tensor) *Tensor { _, cols := Conv2DInto(nil, dst, x, w, bias, g); return cols }},
-		{"Conv2DInputGradInto", func(dst *Tensor) *Tensor {
-			_, cols := Conv2DInto(nil, nil, x, w, bias, g)
-			return Conv2DInputGradInto(dst, cols, grad, w, g)
-		}},
+		{"Conv2DInto", func(dst *Tensor) *Tensor { return Conv2DInto(dst, &ConvWork{}, x, w, bias, g) }},
+		{"Conv2DInputGradInto", func(dst *Tensor) *Tensor { return Conv2DInputGradInto(dst, &ConvWork{}, grad, w, g) }},
 		{"SumRowsInto", func(dst *Tensor) *Tensor { return SumRowsInto(dst, a) }},
 		{"CloneInto", func(dst *Tensor) *Tensor { return a.CloneInto(dst) }},
 	}
@@ -75,14 +71,13 @@ func TestIntoFormsRejectAliasedDestination(t *testing.T) {
 	g := ConvGeom{Channels: 1, Height: 4, Width: 4, KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1}
 	img := Randn(r, 1, 1, 1, 4, 4)
 	w, bias := Randn(r, 1, 1, 1), Randn(r, 1, 1)
-	_, cols := Conv2DInto(nil, nil, img, w, bias, g)
 	row := Randn(r, 1, 1, 4)
 	cases := map[string]func(){
 		"MatMulInto":          func() { MatMulInto(sq, sq, Randn(r, 1, 4, 4)) },
 		"MatMulTransAInto":    func() { MatMulTransAInto(sq, Randn(r, 1, 4, 4), sq) },
 		"MatMulTransBInto":    func() { MatMulTransBInto(sq, sq, sq) },
-		"Conv2DInto":          func() { Conv2DInto(New(1, 1, 4, 4).aliasOf(img), nil, img, w, bias, g) },
-		"Conv2DInputGradInto": func() { Conv2DInputGradInto(New(1, 1, 4, 4).aliasOf(img), cols, img, w, g) },
+		"Conv2DInto":          func() { Conv2DInto(New(1, 1, 4, 4).aliasOf(img), &ConvWork{}, img, w, bias, g) },
+		"Conv2DInputGradInto": func() { Conv2DInputGradInto(New(1, 1, 4, 4).aliasOf(img), &ConvWork{}, img, w, g) },
 		"SumRowsInto":         func() { SumRowsInto(New(4).aliasOf(row), row) },
 	}
 	for name, f := range cases {

@@ -58,13 +58,19 @@ func ParallelFor(n, work int, body func(ctx any, lo, hi int), ctx any) {
 // operands travel in the pooled descriptor, and body receives a pointer
 // to them as its ctx.
 func forOperands(n, work int, op operands, body func(ctx any, lo, hi int)) {
+	runOperands(n, partsFor(n, work), op, body)
+}
+
+// runOperands is forOperands over a split the caller has fixed: parts
+// ranges, as partsFor returned them.
+func runOperands(n, parts int, op operands, body func(ctx any, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
 	j := getJob()
 	j.op = op
 	j.ctx = &j.op
-	j.run(n, partsFor(n, work), body)
+	j.run(n, parts, body)
 	j.op, j.ctx = operands{}, nil
 	putJob(j)
 }
@@ -72,11 +78,13 @@ func forOperands(n, work int, op operands, body func(ctx any, lo, hi int)) {
 // operands carries a tensor kernel's arguments to its ranges.
 type operands struct {
 	dst, a, b []float64
-	// cols and bias are a convolution's column matrices and its bias
-	// (or bias gradient).
-	cols, bias []float64
-	m, k, n    int
-	g          ConvGeom
+	// padded, scratch and bias are a convolution's padded input, its
+	// ranges' scratch and its bias (or bias gradient), taps its tap
+	// offsets and parts its split.
+	padded, scratch, bias []float64
+	taps                  []int
+	m, k, n, parts        int
+	g                     ConvGeom
 }
 
 // partsFor returns how many ranges [0, n) is split into.

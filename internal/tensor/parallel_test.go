@@ -79,8 +79,12 @@ func fannedCases() []fannedCase {
 			grad.data[i] = 0
 		}
 	}
-	// Each run lowers afresh: the input gradient overwrites the columns.
-	columns := func() *Tensor { _, cols := Conv2DInto(nil, nil, batch, filters, bias, g); return cols }
+	// Each run pads afresh, so every width writes its own padded input.
+	padded := func() *ConvWork {
+		var ws ConvWork
+		Conv2DInto(nil, &ws, batch, filters, bias, g)
+		return &ws
+	}
 	parts := []*Tensor{Randn(r, 1, 300, 400), Randn(r, 1, 1, 400), Randn(r, 1, 500, 400)}
 	stacked := Randn(r, 1, 801, 400)
 	return []fannedCase{
@@ -89,14 +93,14 @@ func fannedCases() []fannedCase {
 		{"MatMulTransAInto", func() *Tensor { return MatMulTransAInto(nil, tall, wide) }},
 		{"MatMulTransAInto-sparse", func() *Tensor { return MatMulTransAInto(nil, sparse, Randn(mathx.NewRNG(3), 1, 403, 200)) }},
 		{"MatMulTransBInto", func() *Tensor { return MatMulTransBInto(nil, a, bt) }},
-		{"Conv2DInto", func() *Tensor { out, _ := Conv2DInto(nil, nil, batch, filters, bias, g); return out }},
-		{"Conv2DInto-single", func() *Tensor { out, _ := Conv2DInto(nil, nil, single, filters, bias, big); return out }},
+		{"Conv2DInto", func() *Tensor { return Conv2DInto(nil, &ConvWork{}, batch, filters, bias, g) }},
+		{"Conv2DInto-single", func() *Tensor { return Conv2DInto(nil, &ConvWork{}, single, filters, bias, big) }},
 		{"AddConv2DParamGrads", func() *Tensor {
 			dw, db := New(9, 27), New(9)
-			AddConv2DParamGrads(dw, db, grad, columns())
+			AddConv2DParamGrads(dw, db, grad, padded(), g)
 			return FromSlice(append(dw.data, db.data...), 9*28)
 		}},
-		{"Conv2DInputGradInto", func() *Tensor { return Conv2DInputGradInto(nil, columns(), grad, filters, g) }},
+		{"Conv2DInputGradInto", func() *Tensor { return Conv2DInputGradInto(nil, &ConvWork{}, grad, filters, g) }},
 		{"ConcatRows", func() *Tensor { return ConcatRows(parts...) }},
 		{"SplitRows", func() *Tensor { return SplitRows(stacked, 300, 1, 500)[2] }},
 	}
@@ -237,14 +241,15 @@ func TestParallelKernelsDoNotAllocate(t *testing.T) {
 	g := ConvGeom{Channels: 3, Height: 32, Width: 32, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	w, bias := Randn(r, 1, 8, 27), Randn(r, 1, 8)
 	dw, db := New(8, 27), New(8)
-	var mm, ta, tb, out, cols, img *Tensor
+	var mm, ta, tb, out, img *Tensor
+	var ws ConvWork
 	if n := mallocsPerRun(50, func() {
 		mm = MatMulInto(mm, a, b)
 		ta = MatMulTransAInto(ta, a, a)
 		tb = MatMulTransBInto(tb, a, bt)
-		out, cols = Conv2DInto(out, cols, x, w, bias, g)
-		AddConv2DParamGrads(dw, db, out, cols)
-		img = Conv2DInputGradInto(img, cols, out, w, g)
+		out = Conv2DInto(out, &ws, x, w, bias, g)
+		AddConv2DParamGrads(dw, db, out, &ws, g)
+		img = Conv2DInputGradInto(img, &ws, out, w, g)
 	}); n >= 1 {
 		t.Fatalf("warm fanned kernels allocated %v times per call", n)
 	}

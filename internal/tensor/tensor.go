@@ -1,8 +1,9 @@
 // Package tensor implements a small dense N-dimensional array of float64
 // values with the operations required to train convolutional neural
 // networks: elementwise arithmetic, matrix multiplication, transposition,
-// padding, and the convolution, lowered per image to a product of the
-// filters with a channel-major column matrix, with its two gradients.
+// padding, and the convolution, lowered per image from a padded copy of
+// its input to a product of the filters with a channel-major matrix, with
+// its two gradients.
 //
 // Tensors are row-major and own their backing slice. Operations either
 // return fresh tensors, mutate the receiver in place where documented, or
