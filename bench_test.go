@@ -208,6 +208,44 @@ func BenchmarkConvLayer(b *testing.B) {
 	}
 }
 
+// BenchmarkConvBlock times one training Forward+Backward of each conv
+// block of expt.SmallScale's network (batch 16) as BuildPaperCNN emits
+// it: Conv2D, MaxPool2D and ReLU, in the order the network runs them.
+// Next to BenchmarkConvLayer it shows each block's share of the pool and
+// the ReLU.
+func BenchmarkConvBlock(b *testing.B) {
+	m := expt.SmallScale().Model
+	cnn, err := nn.BuildPaperCNN(m, mathx.NewRNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	layers := cnn.Net.Layers()
+	start, shape := 0, []int{m.InChannels, m.Height, m.Width}
+	for i, end := range cnn.Blocks {
+		block, err := nn.NewSequential(fmt.Sprintf("block%d", i+1), layers[start:end]...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out, err := block.OutShape(shape)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := mathx.NewRNG(uint64(i + 1))
+		x := tensor.Randn(r, 1, append([]int{16}, shape...)...)
+		grad := tensor.Randn(r, 1, append([]int{16}, out...)...)
+		b.Run(fmt.Sprintf("conv%d", i+1), func(b *testing.B) {
+			block.Forward(x, true)
+			block.Backward(grad)
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				block.Forward(x, true)
+				block.Backward(grad)
+			}
+		})
+		start, shape = end, out
+	}
+}
+
 // BenchmarkTensorMatMul measures the float64 matmul kernel at the shape
 // the fc1 layer uses (batch 32 × 256 → 512).
 func BenchmarkTensorMatMul(b *testing.B) {

@@ -43,6 +43,8 @@ func (l *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		l.mask = resize(l.mask, x.Size())
 	}
 	l.in, l.train = x, train
+	// An element is the work unit, forward and backward: at GOMAXPROCS 2
+	// a fan-out lost below 2^16 elements and won above (DESIGN.md §3.9).
 	tensor.ParallelFor(x.Size(), x.Size(), reluForward, l)
 	l.in = nil
 	l.armed = train

@@ -430,9 +430,9 @@ func mallocsPerRun(runs int, f func()) float64 {
 // TestLayerSteadyStateAllocs: once its workspaces exist, a training
 // Forward+Backward of every layer BuildPaperCNN emits — and the loss's
 // destination form — allocates nothing. The batch-8 cases stay below
-// the fan-out threshold; the batch-16 32×32 block crosses it in every
-// conv kernel, the ReLU and the pool, as the end-system's first block
-// does.
+// the fan-out threshold; the batch-32 32×32 block, in BuildPaperCNN's
+// order, crosses it in every conv kernel, the pool (2^16 windows) and
+// the ReLU (2^16 elements).
 func TestLayerSteadyStateAllocs(t *testing.T) {
 	cases := ownedLayers()
 	block := func() Layer {
@@ -444,7 +444,7 @@ func TestLayerSteadyStateAllocs(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		s, err := NewSequential("block", c, NewReLU("r"), p)
+		s, err := NewSequential("block", c, p, NewReLU("r"))
 		if err != nil {
 			panic(err)
 		}
@@ -455,7 +455,7 @@ func TestLayerSteadyStateAllocs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			batch := 8
 			if tc.name == "fanned-block" {
-				batch = 16
+				batch = 32
 			}
 			l := tc.build()
 			x := batchOf(50, batch, tc.in)

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -189,12 +190,13 @@ func TestMaxPoolWindowWithoutMaximum(t *testing.T) {
 // the scan it replaced — strict greater-than from −Inf, first maximum
 // wins, first element when nothing beats −Inf — bit for bit in value
 // and argmax, over windows drawn from a few values with ties, signed
-// zeros, infinities and NaN, in 2×2 and overlapping 3×2 windows, and in
-// output rows wider than the run of windows the pool advances together.
+// zeros, infinities and NaN, in 2×2, overlapping 3×2 and 3×3 windows,
+// and in long output rows, some of whose 2×2 windows the AVX2 kernel
+// takes four at a time and some the Go scan.
 func TestMaxPoolMatchesBranchingScan(t *testing.T) {
 	vals := []float64{math.NaN(), math.Inf(-1), math.Inf(1), math.Copysign(0, -1), 0, -1, 1, 2}
 	r := mathx.NewRNG(43)
-	for _, k := range [][5]int{{2, 2, 2, 2, 8}, {3, 2, 1, 2, 8}, {2, 2, 1, 1, 2*poolRun + 9}} {
+	for _, k := range [][5]int{{2, 2, 2, 2, 8}, {3, 2, 1, 2, 8}, {2, 2, 1, 1, 137}, {2, 2, 2, 2, 43}, {3, 3, 2, 2, 9}} {
 		pool, err := NewMaxPool2D("p", k[0], k[1], k[2], k[3])
 		if err != nil {
 			t.Fatal(err)
@@ -225,6 +227,84 @@ func TestMaxPoolMatchesBranchingScan(t *testing.T) {
 					di := (plane*oh+oy)*ow + ox
 					if pool.argmax[di] != idx || math.Float64bits(y[di]) != math.Float64bits(src[idx]) {
 						t.Fatalf("window %d: value %v at %d, want %v at %d", di, y[di], pool.argmax[di], src[idx], idx)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPoolReLUCommute holds BuildPaperCNN's block tail, max-pool then
+// ReLU, to the drawn ReLU then max-pool, bit for bit: the forward output
+// in train and eval mode and the input gradient. Windows hold both zeros,
+// both NaNs, both infinities, ties and only non-positive values, and so
+// do the gradients; the windows are 2×2 stride 2 (the kernels' tiled
+// case, with and without rows the AVX2 kernel takes) and an overlapping
+// 3×2 stride 1, alone and behind the same Conv2D + BatchNorm2D weights.
+func TestPoolReLUCommute(t *testing.T) {
+	specials := []float64{math.NaN(), math.Float64frombits(0xfff8000000000001), math.Inf(1), math.Inf(-1),
+		math.Copysign(0, -1), 0, -1, -0.5, 0.5, 1, 2}
+	draw := func(r *mathx.RNG, shape ...int) *tensor.Tensor {
+		x := tensor.New(shape...)
+		for i := range x.Data() {
+			x.Data()[i] = specials[r.Intn(len(specials))]
+		}
+		return x
+	}
+	for _, k := range [][4]int{{2, 2, 2, 2}, {3, 2, 1, 1}} {
+		for _, hw := range [][2]int{{8, 16}, {7, 18}} {
+			for _, withConv := range []bool{false, true} {
+				name := fmt.Sprintf("%dx%d/s%dx%d/%dx%d/conv=%v", k[0], k[1], k[2], k[3], hw[0], hw[1], withConv)
+				build := func(poolFirst bool) *Sequential {
+					var layers []Layer
+					if withConv {
+						conv, err := NewConv2D(Conv2DConfig{Name: "c", In: 3, Out: 4, KernelH: 3, KernelW: 3, SamePad: true}, mathx.NewRNG(9))
+						if err != nil {
+							t.Fatal(err)
+						}
+						bn, err := NewBatchNorm2D("b", 4)
+						if err != nil {
+							t.Fatal(err)
+						}
+						layers = append(layers, conv, bn)
+					}
+					pool, err := NewMaxPool2D("p", k[0], k[1], k[2], k[3])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if poolFirst {
+						layers = append(layers, pool, NewReLU("r"))
+					} else {
+						layers = append(layers, NewReLU("r"), pool)
+					}
+					s, err := NewSequential("tail", layers...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return s
+				}
+				drawn, run := build(false), build(true)
+				r := mathx.NewRNG(17)
+				x := draw(r, 3, 4, hw[0], hw[1])
+				if withConv {
+					x = tensor.Randn(r, 1, 3, 3, hw[0], hw[1])
+					for i := range x.Data() {
+						if r.Intn(50) == 0 {
+							x.Data()[i] = specials[r.Intn(len(specials))]
+						}
+					}
+				}
+				for _, train := range []bool{false, true} {
+					want, got := drawn.Forward(x, train), run.Forward(x, train)
+					if !sameBits(got, want) {
+						t.Fatalf("%s train=%v: forward differs:\n%v\n%v", name, train, got, want)
+					}
+					if !train {
+						continue
+					}
+					g := draw(r, want.Shape()...)
+					if want, got := drawn.Backward(g), run.Backward(g); !sameBits(got, want) {
+						t.Fatalf("%s: input gradient differs:\n%v\n%v", name, got, want)
 					}
 				}
 			}

@@ -10,7 +10,9 @@ import (
 // by Defaults to the exact Fig-3 architecture: five L-blocks of
 // Conv2D(3×3, same padding) + ReLU + MaxPool2D(2×2, stride 2) with 16, 32,
 // 64, 128 and 256 filters over 32×32×3 input, then Dense(512) + ReLU +
-// Dense(10).
+// Dense(10). BuildPaperCNN runs each block's pool before its ReLU: max
+// and ReLU commute exactly, in the values and in the routed gradients,
+// and the ReLU then touches a quarter of the elements.
 type PaperCNNConfig struct {
 	// InChannels, Height, Width describe the input image (default 3×32×32).
 	InChannels, Height, Width int
@@ -66,6 +68,8 @@ type PaperCNN struct {
 }
 
 // BuildPaperCNN constructs the Fig-3 CNN with weights initialised from r.
+// Each block is Conv2D → (BatchNorm2D) → MaxPool2D → ReLU, which computes
+// the drawn Conv2D → ReLU → MaxPool2D bit for bit (TestPoolReLUCommute).
 func BuildPaperCNN(cfg PaperCNNConfig, r *mathx.RNG) (*PaperCNN, error) {
 	cfg = cfg.Defaults()
 	if len(cfg.Filters) == 0 {
@@ -96,12 +100,11 @@ func BuildPaperCNN(cfg PaperCNNConfig, r *mathx.RNG) (*PaperCNN, error) {
 			}
 			layers = append(layers, bn)
 		}
-		layers = append(layers, NewReLU(fmt.Sprintf("relu%d", i+1)))
 		pool, err := NewMaxPool2D(fmt.Sprintf("pool%d", i+1), 2, 2, 0, 0)
 		if err != nil {
 			return nil, err
 		}
-		layers = append(layers, pool)
+		layers = append(layers, pool, NewReLU(fmt.Sprintf("relu%d", i+1)))
 		blocks = append(blocks, len(layers))
 		inC = f
 		h /= 2

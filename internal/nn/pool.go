@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/stsl/stsl/internal/tensor"
 )
@@ -12,7 +11,8 @@ import (
 // that produced the maximum (ties go to the first scanned position, which
 // matches the common framework convention). A window with no comparable
 // maximum — every element NaN or −Inf — yields its first element, and its
-// gradient routes there.
+// gradient routes there. The kernels are tensor.MaxPoolPlanes and
+// tensor.MaxPoolGradPlanes.
 type MaxPool2D struct {
 	name             string
 	kernelH, kernelW int
@@ -59,12 +59,10 @@ func (p *MaxPool2D) OutShape(in []int) ([]int, error) {
 	if len(in) != 3 {
 		return nil, shapeErr(p.name, "(C,H,W)", in)
 	}
-	oh := (in[1]-p.kernelH)/p.strideH + 1
-	ow := (in[2]-p.kernelW)/p.strideW + 1
-	if oh <= 0 || ow <= 0 {
+	if in[1] < p.kernelH || in[2] < p.kernelW {
 		return nil, fmt.Errorf("nn: pool %s yields empty output for input %v", p.name, in)
 	}
-	return []int{in[0], oh, ow}, nil
+	return []int{in[0], (in[1]-p.kernelH)/p.strideH + 1, (in[2]-p.kernelW)/p.strideW + 1}, nil
 }
 
 // Forward implements Layer. Input must be (N, C, H, W).
@@ -73,85 +71,36 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(shapeErr(p.name, "(N,C,H,W)", x.Shape()))
 	}
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	oh := (h-p.kernelH)/p.strideH + 1
-	ow := (w-p.kernelW)/p.strideW + 1
-	if oh <= 0 || ow <= 0 {
+	if h < p.kernelH || w < p.kernelW {
 		panic(fmt.Sprintf("nn: pool %s yields empty output for input %v", p.name, x.Shape()))
 	}
-	p.out = tensor.Reuse(p.out, n, c, oh, ow)
+	p.out = tensor.Reuse(p.out, n, c, (h-p.kernelH)/p.strideH+1, (w-p.kernelW)/p.strideW+1)
 	if train {
 		p.argmax = resize(p.argmax, p.out.Size())
 	}
 	p.inShape = [4]int{n, c, h, w}
 	p.in, p.train = x, train
-	tensor.ParallelFor(n, x.Size(), poolForward, p)
+	// A window is the work unit, forward and backward: at GOMAXPROCS 2
+	// the pool runs serial up to 2^16 windows (SmallScale's conv1 has
+	// 32k), where a fan-out stopped losing (DESIGN.md §3.9).
+	tensor.ParallelFor(n, p.out.Size(), poolForward, p)
 	p.in = nil
 	p.armed = train
 	return p.out
 }
 
-// poolForward pools images [lo,hi) of a MaxPool2D Forward. Each window
-// keeps its first strict maximum, selected with a bit mask rather than a
-// branch, starting from its first element's index against −Inf: NaN
-// never compares greater, and a window where nothing beats −Inf yields
-// its first element. The windows of an output row advance together, up
-// to poolRun at a time, each taking its elements in row-major order.
+// poolForward pools images [lo,hi) of a MaxPool2D Forward
+// (tensor.MaxPoolPlanes): each window keeps its first strict maximum,
+// or its first element when nothing beats −Inf.
 func poolForward(ctx any, lo, hi int) {
 	p := ctx.(*MaxPool2D)
 	c, h, w := p.inShape[1], p.inShape[2], p.inShape[3]
-	oh, ow := p.out.Dim(2), p.out.Dim(3)
-	kh, kw, sh, sw := p.kernelH, p.kernelW, p.strideH, p.strideW
-	src := p.in.Data()
-	dst := p.out.Data()[lo*c*oh*ow : hi*c*oh*ow]
 	var argmax []int
 	if p.train {
-		argmax = p.argmax[lo*c*oh*ow : hi*c*oh*ow]
+		argmax = p.argmax
 	}
-	var bests [poolRun]float64
-	var idxs [poolRun]int
-	di := 0
-	for plane := lo * c * h * w; plane < hi*c*h*w; plane += h * w {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox += poolRun {
-				best, idx := bests[:min(poolRun, ow-ox)], idxs[:min(poolRun, ow-ox)]
-				first := plane + oy*sh*w + ox*sw
-				for j := range best {
-					best[j], idx[j] = math.Inf(-1), first+j*sw
-				}
-				for row := first; row < first+kh*w; row += w {
-					for at := row; at < row+kw; at++ {
-						poolStep(best, idx, src, at, sw)
-					}
-				}
-				for j, i := range idx {
-					dst[di+j] = src[i]
-				}
-				if argmax != nil {
-					copy(argmax[di:], idx)
-				}
-				di += len(idx)
-			}
-		}
-	}
+	tensor.MaxPoolPlanes(p.out.Data(), argmax, p.in.Data(), lo*c, hi*c, h, w, p.kernelH, p.kernelW, p.strideH, p.strideW)
 }
-
-// poolStep offers window j of a run its element at + j·stride: the
-// window keeps it, and its index, when it is strictly greater than the
-// window's best so far.
-func poolStep(best []float64, idx []int, src []float64, at, stride int) {
-	idx = idx[:len(best)]
-	for j, b := range best {
-		v := src[at]
-		m := -b2u(v > b)
-		best[j] = math.Float64frombits(math.Float64bits(b)&^m | math.Float64bits(v)&m)
-		idx[j] = idx[j]&^int(m) | at&int(m)
-		at += stride
-	}
-}
-
-// poolRun is how many windows of an output row poolForward advances
-// together; their bests and indices live on its stack.
-const poolRun = 64
 
 // Backward implements Layer.
 func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
@@ -163,24 +112,19 @@ func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	p.dx = tensor.Reuse(p.dx, p.inShape[:]...)
 	p.in = grad
-	tensor.ParallelFor(p.inShape[0], p.dx.Size(), poolBackward, p)
+	tensor.ParallelFor(p.inShape[0], grad.Size(), poolBackward, p)
 	p.in = nil
 	p.armed = false
 	return p.dx
 }
 
-// poolBackward zeroes images [lo,hi) of a MaxPool2D's input gradient and
-// routes their output gradients into them. Every argmax of an image lies
-// in that image, so each image is summed in the serial order.
+// poolBackward writes images [lo,hi) of a MaxPool2D's input gradient
+// (tensor.MaxPoolGradPlanes). Every argmax of an image lies in that
+// image, so each image is summed in the serial order.
 func poolBackward(ctx any, lo, hi int) {
 	p := ctx.(*MaxPool2D)
-	in := p.dx.Size() / p.inShape[0]
-	out := len(p.argmax) / p.inShape[0]
-	dst := p.dx.Data()
-	clear(dst[lo*in : hi*in])
-	for i, g := range p.in.Data()[lo*out : hi*out] {
-		dst[p.argmax[lo*out+i]] += g
-	}
+	c, h, w := p.inShape[1], p.inShape[2], p.inShape[3]
+	tensor.MaxPoolGradPlanes(p.dx.Data(), p.in.Data(), p.argmax, lo*c, hi*c, h, w, p.kernelH, p.kernelW, p.strideH, p.strideW)
 }
 
 var _ Layer = (*MaxPool2D)(nil)

@@ -180,7 +180,7 @@ func TestPaperCNNCutIndex(t *testing.T) {
 	if idx, err := m.CutIndex(0); err != nil || idx != 0 {
 		t.Fatalf("CutIndex(0) = %d, %v", idx, err)
 	}
-	// cut=1 → conv1, relu1, pool1 (3 layers).
+	// cut=1 → conv1, pool1, relu1 (3 layers).
 	if idx, err := m.CutIndex(1); err != nil || idx != 3 {
 		t.Fatalf("CutIndex(1) = %d, %v", idx, err)
 	}

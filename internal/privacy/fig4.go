@@ -41,7 +41,9 @@ func (r *Fig4Result) Monotone() bool {
 // l1.png).
 //
 // model must be a Fig-3 CNN whose first block is Conv2D → (optional
-// BatchNorm) → ReLU → MaxPool2D, which BuildPaperCNN guarantees.
+// BatchNorm) → ReLU and MaxPool2D, which BuildPaperCNN guarantees. It
+// runs the pool before the ReLU, which gives the bits of the paper's
+// drawn ReLU → MaxPool2D, so "l1" is Fig 4(c)'s activation either way.
 func RunFig4(model *nn.PaperCNN, img *tensor.Tensor, outDir string) (*Fig4Result, error) {
 	s := img.Shape()
 	if len(s) != 3 {
@@ -58,7 +60,7 @@ func RunFig4(model *nn.PaperCNN, img *tensor.Tensor, outDir string) (*Fig4Result
 		return nil, err
 	}
 	// Forward through the first block, capturing after the first Conv2D
-	// and after the block's final layer (the max-pool).
+	// and after the block's final layer.
 	var afterConv, afterBlock *tensor.Tensor
 	x := batch
 	for i := 0; i < blockEnd; i++ {

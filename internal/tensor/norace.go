@@ -7,3 +7,9 @@ const raceEnabled = false
 
 // raceTile is a no-op without the race detector (see race.go).
 func raceTile(out, a, b, init []float64) {}
+
+// racePool is a no-op without the race detector (see race.go).
+func racePool(dst []float64, argmax []int, src []float64) {}
+
+// racePoolGrad is a no-op without the race detector (see race.go).
+func racePoolGrad(dx, grad []float64, argmax []int) {}

@@ -6,13 +6,19 @@ import (
 	"sync/atomic"
 )
 
-// parallelThreshold is the minimum volume of work — multiply-adds for
-// the matmuls, elements written or read for the copies, transforms and
-// elementwise layers — before a kernel is fanned out; below it the
-// serial path wins. A fan-out costs a worker's wake-up, a few µs; 2^16
+// parallelThreshold is the minimum volume of work before a kernel is
+// fanned out; below it the serial path wins. Each caller picks its unit:
+// multiply-adds for the matmuls and the convolution, elements copied
+// for ConcatRows and SplitRows, elements for nn's ReLU and windows for
+// its max-pool. The units are not one cost: on a 2-CPU host 2^16
 // multiply-adds take ≈ 8 µs on the AVX2 tile and ≈ 45 µs on the Go tile
-// (gemm.go) on a 2-CPU host. The tiny test scale's largest kernel (55k
-// multiply-adds) stays serial.
+// (gemm.go), and a ReLU forward over 2^16 elements ≈ 170 µs. A fan-out
+// costs a worker's wake-up, and a caller that did every range itself
+// still waits for the worker it woke; at GOMAXPROCS 2, ReLU
+// forward+backward and pool forward+backward measured serial-faster
+// below 2^16 elements or windows, about even at 2^16 and 1.2–1.5×
+// faster fanned at 2^17 (DESIGN.md §3.9). The tiny test scale's largest
+// kernel (55k multiply-adds) stays serial.
 const parallelThreshold = 1 << 16
 
 // ParallelFor runs body(ctx, lo, hi) over contiguous ranges that

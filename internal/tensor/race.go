@@ -24,6 +24,31 @@ func raceTile(out, a, b, init []float64) {
 	}
 }
 
+// racePool tells the race detector about the memory the pool kernel is
+// about to touch: the reads of src and the writes of dst and argmax.
+func racePool(dst []float64, argmax []int, src []float64) {
+	raceRead(src)
+	if len(dst) > 0 {
+		runtime.RaceWriteRange(unsafe.Pointer(&dst[0]), len(dst)*8)
+	}
+	if len(argmax) > 0 {
+		runtime.RaceWriteRange(unsafe.Pointer(&argmax[0]), len(argmax)*int(unsafe.Sizeof(argmax[0])))
+	}
+}
+
+// racePoolGrad tells the race detector about the memory the pool
+// gradient kernel is about to touch: the reads of grad and argmax and
+// the writes of dx.
+func racePoolGrad(dx, grad []float64, argmax []int) {
+	raceRead(grad)
+	if len(argmax) > 0 {
+		runtime.RaceReadRange(unsafe.Pointer(&argmax[0]), len(argmax)*int(unsafe.Sizeof(argmax[0])))
+	}
+	if len(dx) > 0 {
+		runtime.RaceWriteRange(unsafe.Pointer(&dx[0]), len(dx)*8)
+	}
+}
+
 func raceRead(s []float64) {
 	if len(s) > 0 {
 		runtime.RaceReadRange(unsafe.Pointer(&s[0]), len(s)*8)
