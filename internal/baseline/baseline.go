@@ -6,8 +6,6 @@
 package baseline
 
 import (
-	"fmt"
-
 	"github.com/stsl/stsl/internal/data"
 	"github.com/stsl/stsl/internal/mathx"
 	"github.com/stsl/stsl/internal/metrics"
@@ -31,10 +29,6 @@ type TrainConfig struct {
 	Steps int
 	// LR is the SGD learning rate (default 0.05).
 	LR float64
-	// Optimizer selects "sgd", "momentum" or "adam" (default "sgd").
-	Optimizer string
-	// Augment enables flip/crop augmentation.
-	Augment bool
 }
 
 func (c TrainConfig) withDefaults() TrainConfig {
@@ -47,23 +41,7 @@ func (c TrainConfig) withDefaults() TrainConfig {
 	if c.LR == 0 {
 		c.LR = 0.05
 	}
-	if c.Optimizer == "" {
-		c.Optimizer = "sgd"
-	}
 	return c
-}
-
-func newOptimizer(name string, lr float64) (opt.Optimizer, error) {
-	switch name {
-	case "sgd":
-		return opt.NewSGD(opt.Config{LR: lr})
-	case "momentum":
-		return opt.NewMomentum(opt.Config{LR: lr}, 0.9)
-	case "adam":
-		return opt.NewAdam(opt.Config{LR: lr})
-	default:
-		return nil, fmt.Errorf("baseline: unknown optimizer %q", name)
-	}
 }
 
 // Result reports a trained model with its learning curve.
@@ -80,20 +58,13 @@ func TrainCentralized(cfg TrainConfig, train *data.Dataset) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	optim, err := newOptimizer(cfg.Optimizer, cfg.LR)
+	optim, err := opt.NewSGD(opt.Config{LR: cfg.LR})
 	if err != nil {
 		return nil, err
 	}
 	batcher, err := data.NewBatcher(train, cfg.BatchSize, mathx.NewRNG(cfg.Seed+13))
 	if err != nil {
 		return nil, err
-	}
-	var aug *data.Augmenter
-	if cfg.Augment {
-		aug, err = data.NewAugmenter(2, mathx.NewRNG(cfg.Seed+29))
-		if err != nil {
-			return nil, err
-		}
 	}
 	curve, err := metrics.NewLossCurve(10)
 	if err != nil {
@@ -114,12 +85,8 @@ func TrainCentralized(cfg TrainConfig, train *data.Dataset) (*Result, error) {
 			if !ok {
 				break
 			}
-			x := batch.X
-			if aug != nil {
-				x = aug.Apply(x)
-			}
 			model.Net.ZeroGrad()
-			logits := model.Net.Forward(x, true)
+			logits := model.Net.Forward(batch.X, true)
 			loss, grad, err := nn.SoftmaxCrossEntropy(logits, batch.Y)
 			if err != nil {
 				return nil, err

@@ -67,21 +67,6 @@ func TestTrainCentralizedDeterminism(t *testing.T) {
 	}
 }
 
-func TestTrainCentralizedWithAugmentAndOptimizers(t *testing.T) {
-	train := genData(t, 64, 9)
-	for _, optName := range []string{"sgd", "momentum", "adam"} {
-		if _, err := TrainCentralized(TrainConfig{
-			Model: cfgModel(), Seed: 1, Epochs: 1, BatchSize: 16,
-			Optimizer: optName, Augment: true, LR: 0.01,
-		}, train); err != nil {
-			t.Fatalf("optimizer %s: %v", optName, err)
-		}
-	}
-	if _, err := TrainCentralized(TrainConfig{Model: cfgModel(), Optimizer: "nope"}, train); err == nil {
-		t.Fatal("unknown optimizer accepted")
-	}
-}
-
 func TestFedAvgLearnsAndAverages(t *testing.T) {
 	train := genData(t, 200, 11)
 	shards, err := data.PartitionIID(train, 4, mathx.NewRNG(1))

@@ -9,6 +9,7 @@ import (
 	"github.com/stsl/stsl/internal/mathx"
 	"github.com/stsl/stsl/internal/metrics"
 	"github.com/stsl/stsl/internal/nn"
+	"github.com/stsl/stsl/internal/opt"
 	"github.com/stsl/stsl/internal/tensor"
 )
 
@@ -92,7 +93,7 @@ func TrainFedAvg(cfg FedAvgConfig, shards []*data.Dataset) (*Result, error) {
 			if err := copyParams(rep.Net.Params(), global.Net.Params()); err != nil {
 				return nil, err
 			}
-			optim, err := newOptimizer("sgd", cfg.LR)
+			optim, err := opt.NewSGD(opt.Config{LR: cfg.LR})
 			if err != nil {
 				return nil, err
 			}

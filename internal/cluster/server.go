@@ -291,9 +291,8 @@ func (s *Server) worker() {
 				s.maybeCheckpoint(len(items))
 				continue
 			}
-			// The coalesced pass failed during pre-flight, before any
-			// model state mutated (ProcessBatch guarantees it — no
-			// optimiser step, no BatchNorm statistics update), so
+			// The coalesced pass failed during pre-flight, before the
+			// optimiser stepped (ProcessBatch guarantees it), so
 			// retrying item by item cannot double-apply anything — and
 			// it pins the failure on the malformed contribution
 			// instead of the batch.

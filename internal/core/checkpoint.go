@@ -30,9 +30,9 @@ var ckptCRCTable = crc32.MakeTable(crc32.Castagnoli)
 // the weight stack. Readers verify the CRC before trusting a byte, so
 // torn writes and bit rot are detected instead of silently restored. It
 // covers only the centralized side: end-systems are separate processes
-// that keep (and checkpoint) their own private stacks. Optimiser slot
-// state (momentum, Adam moments) is not included; plain SGD resumes
-// exactly, stateful optimisers restart their slots cold.
+// that keep (and checkpoint) their own private stacks. The server steps
+// with plain SGD, which keeps no state beyond the weights, so a restore
+// resumes training exactly.
 func (s *Server) SaveState(w io.Writer, gen, parent int) error {
 	// The payload is buffered first: the header must promise the exact
 	// length and CRC of what follows, which streaming cannot know yet.

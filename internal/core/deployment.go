@@ -31,8 +31,6 @@ type Config struct {
 	BatchSize int
 	// LR is the SGD learning rate used by both sides.
 	LR float64
-	// Optimizer selects "sgd", "momentum" or "adam" (default sgd).
-	Optimizer string
 	// QueuePolicy selects the server's scheduling discipline: "fifo",
 	// "staleness", "fair-rr" or "sync-rounds" (default fifo).
 	QueuePolicy string
@@ -62,9 +60,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LR == 0 {
 		c.LR = 0.05
-	}
-	if c.Optimizer == "" {
-		c.Optimizer = "sgd"
 	}
 	if c.QueuePolicy == "" {
 		c.QueuePolicy = "fifo"
@@ -101,7 +96,7 @@ func NewDeployment(cfg Config, shards []*data.Dataset) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	serverOpt, err := newOptimizer(cfg.Optimizer, cfg.LR)
+	serverOpt, err := opt.NewSGD(opt.Config{LR: cfg.LR})
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +127,7 @@ func NewDeployment(cfg Config, shards []*data.Dataset) (*Deployment, error) {
 		if err != nil {
 			return nil, err
 		}
-		clientOpt, err := newOptimizer(cfg.Optimizer, cfg.LR)
+		clientOpt, err := opt.NewSGD(opt.Config{LR: cfg.LR})
 		if err != nil {
 			return nil, err
 		}
@@ -153,19 +148,6 @@ func NewDeployment(cfg Config, shards []*data.Dataset) (*Deployment, error) {
 		Server:  server,
 		classes: shards[0].Classes,
 	}, nil
-}
-
-func newOptimizer(name string, lr float64) (opt.Optimizer, error) {
-	switch name {
-	case "sgd":
-		return opt.NewSGD(opt.Config{LR: lr})
-	case "momentum":
-		return opt.NewMomentum(opt.Config{LR: lr}, 0.9)
-	case "adam":
-		return opt.NewAdam(opt.Config{LR: lr})
-	default:
-		return nil, fmt.Errorf("core: unknown optimizer %q", name)
-	}
 }
 
 func newQueuePolicy(name string, clients int) (queue.Policy, error) {

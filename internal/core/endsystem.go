@@ -33,9 +33,6 @@ type EndSystem struct {
 	seq         int
 	epoch       int
 	outstanding int // seq awaiting gradient, -1 when none
-	// Augment, when non-nil, is applied to every batch before the
-	// forward pass (training-time augmentation).
-	Augment *data.Augmenter
 	// WireDType tags outgoing activation payloads: tensor.Float32 ships
 	// their elements at float32 width (half the wire bytes). The zero
 	// value ships float64.
@@ -88,11 +85,7 @@ func (e *EndSystem) ProduceBatch(now time.Duration) (*transport.Message, error) 
 			return nil, fmt.Errorf("core: end-system %d has an empty dataset", e.ID)
 		}
 	}
-	x := batch.X
-	if e.Augment != nil {
-		x = e.Augment.Apply(x)
-	}
-	act := e.Stack.Forward(x, true)
+	act := e.Stack.Forward(batch.X, true)
 	msg := &transport.Message{
 		Type:     transport.MsgActivation,
 		ClientID: e.ID,

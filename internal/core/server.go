@@ -173,11 +173,10 @@ func (s *Server) ProcessNextBatch(now time.Duration, max int) (replies []*transp
 // Failure paths are pre-flighted before the forward pass: stacking
 // compatibility, the combined shape against the stack's shape
 // inference, and label ranges are all checked first, so a failing
-// coalesced batch returns before the model mutates at all — no
-// optimiser step, and no BatchNorm running-statistics update either.
-// A caller that owns fault attribution (the live cluster worker) can
-// therefore retry the items one at a time without double-applying
-// updates or double-counting normalisation statistics.
+// coalesced batch returns before any layer runs, with no optimiser
+// step taken, and its error names the item at fault. A caller that
+// owns fault attribution (the live cluster worker) can therefore retry
+// the items one at a time without double-applying an update.
 func (s *Server) ProcessBatch(items []queue.Item, now time.Duration) ([]*transport.Message, error) {
 	switch len(items) {
 	case 0:
@@ -213,19 +212,18 @@ func (s *Server) ProcessBatch(items []queue.Item, now time.Duration) ([]*transpo
 	}
 
 	// Thread the per-sample shape through the stack's shape inference
-	// and range-check every label before running anything:
-	// Forward(train) mutates BatchNorm running statistics, so a batch
-	// that would fail later (bad geometry, out-of-range label) must be
-	// rejected while the model is still untouched — that is what makes
-	// the serial retry safe.
+	// and range-check every label before running anything: a batch that
+	// would fail later (bad geometry, out-of-range label) is rejected
+	// before the optimiser can step and with the offending item named —
+	// that is what makes the serial retry safe.
 	logitShape, err := s.Stack.OutShape(acts[0].Shape()[1:])
 	if err != nil {
 		return nil, fmt.Errorf("core: coalesced batch of %d does not fit the server stack: %w", len(items), err)
 	}
 	if len(logitShape) != 1 {
 		// The loss needs (N,classes) logits; a stack that cannot produce
-		// them would fail only after the training forward had mutated
-		// state, so reject it here where retrying stays safe.
+		// them would fail only after a wasted training forward, so
+		// reject it here.
 		return nil, fmt.Errorf("core: server stack emits per-sample shape %v, want (classes)", logitShape)
 	}
 	classes := logitShape[0]

@@ -1,8 +1,7 @@
 // Package data provides the datasets and data plumbing for the
 // reproduction: a deterministic procedural image generator (SynthCIFAR)
-// standing in for CIFAR-10 in this offline environment, a loader for the
-// real CIFAR-10 binary format when the files are available, mini-batch
-// iteration, normalisation, augmentation, and the IID / Dirichlet-skewed
+// standing in for CIFAR-10, whose files the repository does not carry,
+// mini-batch iteration, normalisation, and the IID / Dirichlet-skewed
 // partitioning used to shard training data across end-systems.
 package data
 

@@ -11,9 +11,8 @@ import (
 // SynthCIFAR is a deterministic, procedural stand-in for CIFAR-10: 10
 // visually distinct parametric texture classes rendered as C×H×W images in
 // [0,1] with per-sample geometry, colour jitter and additive noise. The
-// generator exists because this build environment is offline; the real
-// CIFAR-10 binary loader in cifar10.go is used instead when the files are
-// present. See DESIGN.md §2 for the substitution argument.
+// generator exists because the repository does not carry the CIFAR-10
+// files. See DESIGN.md §2 for the substitution argument.
 //
 // Class palette (all randomised per sample):
 //
@@ -32,12 +31,6 @@ type SynthCIFAR struct {
 	// Classes is fixed at 10 for the paper's workload but kept
 	// configurable for small test fixtures (must be ≤ 10).
 	Classes int
-}
-
-// DefaultSynthCIFAR returns the generator configured to mimic CIFAR-10
-// geometry.
-func DefaultSynthCIFAR() SynthCIFAR {
-	return SynthCIFAR{Height: 32, Width: 32, Channels: 3, Noise: 0.08, Classes: 10}
 }
 
 func (g SynthCIFAR) defaults() SynthCIFAR {

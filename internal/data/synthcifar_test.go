@@ -6,7 +6,7 @@ import (
 )
 
 func TestSynthCIFARDeterminism(t *testing.T) {
-	g := DefaultSynthCIFAR()
+	g := SynthCIFAR{}
 	a, err := g.Generate(20, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +33,7 @@ func TestSynthCIFARDeterminism(t *testing.T) {
 }
 
 func TestSynthCIFARPixelRange(t *testing.T) {
-	ds, err := DefaultSynthCIFAR().Generate(50, 1)
+	ds, err := (SynthCIFAR{}).Generate(50, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestSynthCIFARPixelRange(t *testing.T) {
 }
 
 func TestSynthCIFARGeometry(t *testing.T) {
-	ds, err := DefaultSynthCIFAR().Generate(5, 1)
+	ds, err := (SynthCIFAR{}).Generate(5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestSynthCIFARGeometry(t *testing.T) {
 }
 
 func TestSynthCIFARBalanced(t *testing.T) {
-	ds, err := DefaultSynthCIFAR().GenerateBalanced(7, 1)
+	ds, err := (SynthCIFAR{}).GenerateBalanced(7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,8 @@ func TestSynthCIFARClassSeparability(t *testing.T) {
 	}
 	dist := func(i, j int) float64 {
 		a, b := ds.Image(i), ds.Image(j)
-		return a.Sub(b).Norm2()
+		d := a.Sub(b)
+		return math.Sqrt(d.Dot(d))
 	}
 	var same, cross []float64
 	for i := 0; i < ds.Len(); i++ {
@@ -143,7 +144,7 @@ func TestSynthCIFARRejectsBadConfig(t *testing.T) {
 	if _, err := (SynthCIFAR{Classes: 11}).Generate(5, 1); err == nil {
 		t.Fatal("11 classes accepted")
 	}
-	if _, err := DefaultSynthCIFAR().Generate(-1, 1); err == nil {
+	if _, err := (SynthCIFAR{}).Generate(-1, 1); err == nil {
 		t.Fatal("negative count accepted")
 	}
 }

@@ -62,13 +62,17 @@ func TestRunTableITiny(t *testing.T) {
 		t.Fatalf("paper reference wrong: %v", res.Rows[0].PaperAccuracy)
 	}
 	out := res.Table.String()
-	for _, want := range []string{"Table I", "Nothing", "L1-L2"} {
+	for _, want := range []string{"Table I", "Nothing", "L1-L2", "71.09"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table missing %q:\n%s", want, out)
 		}
 	}
 	if !strings.Contains(res.Table.CSV(), "layers-at-end-systems,") {
 		t.Fatal("CSV header missing")
+	}
+	// The paper reports no cut-5 row: its cell is a gap, not 0.00.
+	if got := paperCell(5); got != "—" {
+		t.Fatalf("paper cell for cut 5 = %v, want —", got)
 	}
 }
 

@@ -34,9 +34,6 @@ type Scale struct {
 	// Epochs drives the centralized baseline's training length when no
 	// step-parity budget applies.
 	Epochs int
-	// Partition selects Table I's sharding: "iid" (paper's setting,
-	// default) or "dirichlet".
-	Partition string
 	// Repeats averages accuracy-reporting experiments over this many
 	// seeds (default 1). Seed variance at reduced scale is large enough
 	// to mask the cut-depth trend without averaging.

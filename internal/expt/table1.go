@@ -41,6 +41,16 @@ var paperTableI = map[int]float64{
 	4: 0.6566,
 }
 
+// paperCell renders the paper's Table I accuracy for a cut depth as a
+// percentage, or "—" where the paper has no matching row (cut 5), so a
+// missing value never reads as 0.00.
+func paperCell(cut int) any {
+	if p, ok := paperTableI[cut]; ok {
+		return p * 100
+	}
+	return "—"
+}
+
 // cutLabel renders the paper's row naming for a cut depth.
 func cutLabel(cut int) string {
 	switch cut {
@@ -86,9 +96,8 @@ func RunTableI(s Scale, seed uint64) (*TableIResult, error) {
 	}
 
 	addRow := func(label string, cut int, acc float64) {
-		paper := paperTableI[cut] * 100
 		res.Rows = append(res.Rows, TableIRow{Label: label, Cut: cut, Accuracy: acc, PaperAccuracy: paperTableI[cut]})
-		res.Table.AddRow(label, cut, acc*100, paper)
+		res.Table.AddRow(label, cut, acc*100, paperCell(cut))
 	}
 
 	// Row 0: centralized upper bound ("Nothing — all layers in server"),
@@ -113,15 +122,9 @@ func RunTableI(s Scale, seed uint64) (*TableIResult, error) {
 
 	// Rows 1..maxCut: split deployments with private client layers. The
 	// paper's Table I setting shards the training data across
-	// end-systems without label skew; "dirichlet" is available for the
-	// non-IID ablation.
+	// end-systems without label skew.
 	maxCut := len(s.Model.Defaults().Filters)
-	var shards []*data.Dataset
-	if s.Partition == "dirichlet" {
-		shards, err = data.PartitionDirichlet(train, s.Clients, s.Alpha, mathx.NewRNG(seed+2))
-	} else {
-		shards, err = data.PartitionIID(train, s.Clients, mathx.NewRNG(seed+2))
-	}
+	shards, err := data.PartitionIID(train, s.Clients, mathx.NewRNG(seed+2))
 	if err != nil {
 		return nil, err
 	}

@@ -33,20 +33,6 @@ func Std(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
 }
 
-// Min returns the minimum of xs. It panics on an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("mathx: Min of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the maximum of xs. It panics on an empty slice.
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -86,23 +72,6 @@ func Clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// LogSumExp computes log(Σ exp(x_i)) with the max-subtraction trick so the
-// result is finite for any finite inputs.
-func LogSumExp(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.Inf(-1)
-	}
-	m := Max(xs)
-	if math.IsInf(m, -1) {
-		return m
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += math.Exp(x - m)
-	}
-	return m + math.Log(s)
 }
 
 // Softmax writes the softmax of src into dst (which may alias src) and

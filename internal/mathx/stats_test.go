@@ -39,26 +39,14 @@ func TestVarianceAndStd(t *testing.T) {
 	}
 }
 
-func TestMinMaxArgMax(t *testing.T) {
+func TestMaxArgMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 7, 0}
-	if got := Min(xs); got != -1 {
-		t.Fatalf("Min = %v", got)
-	}
 	if got := Max(xs); got != 7 {
 		t.Fatalf("Max = %v", got)
 	}
 	if got := ArgMax(xs); got != 2 {
 		t.Fatalf("ArgMax = %v, want first of ties (2)", got)
 	}
-}
-
-func TestMinPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Min(nil) did not panic")
-		}
-	}()
-	Min(nil)
 }
 
 func TestClamp(t *testing.T) {
@@ -72,22 +60,6 @@ func TestClamp(t *testing.T) {
 		if got := Clamp(tc.x, tc.lo, tc.hi); got != tc.want {
 			t.Fatalf("Clamp(%v,%v,%v) = %v, want %v", tc.x, tc.lo, tc.hi, got, tc.want)
 		}
-	}
-}
-
-func TestLogSumExp(t *testing.T) {
-	// LSE of equal values a over n entries = a + log(n).
-	xs := []float64{2, 2, 2, 2}
-	want := 2 + math.Log(4)
-	if got := LogSumExp(xs); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("LogSumExp = %v, want %v", got, want)
-	}
-	// Huge values must not overflow.
-	if got := LogSumExp([]float64{1000, 1000}); math.IsInf(got, 1) {
-		t.Fatal("LogSumExp overflowed on large inputs")
-	}
-	if got := LogSumExp(nil); !math.IsInf(got, -1) {
-		t.Fatalf("LogSumExp(nil) = %v, want -Inf", got)
 	}
 }
 

@@ -1,29 +1,12 @@
 // Package metrics provides the evaluation metrics and result-table
-// rendering shared by the experiment harness: classification accuracy,
-// confusion matrices, per-class recall, and loss-curve tracking.
+// rendering shared by the experiment harness: confusion matrices (with
+// their accuracy and per-class recall) and loss-curve tracking.
 package metrics
 
 import (
 	"fmt"
 	"strings"
 )
-
-// Accuracy returns the fraction of predictions matching labels.
-func Accuracy(pred, labels []int) (float64, error) {
-	if len(pred) != len(labels) {
-		return 0, fmt.Errorf("metrics: %d predictions vs %d labels", len(pred), len(labels))
-	}
-	if len(pred) == 0 {
-		return 0, fmt.Errorf("metrics: empty prediction set")
-	}
-	correct := 0
-	for i, p := range pred {
-		if p == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(pred)), nil
-}
 
 // ConfusionMatrix counts (true class, predicted class) pairs.
 type ConfusionMatrix struct {

@@ -5,22 +5,6 @@ import (
 	"testing"
 )
 
-func TestAccuracy(t *testing.T) {
-	acc, err := Accuracy([]int{1, 2, 3, 4}, []int{1, 2, 0, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc != 0.75 {
-		t.Fatalf("Accuracy = %v", acc)
-	}
-	if _, err := Accuracy([]int{1}, []int{1, 2}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, err := Accuracy(nil, nil); err == nil {
-		t.Fatal("empty accepted")
-	}
-}
-
 func TestConfusionMatrix(t *testing.T) {
 	cm, err := NewConfusionMatrix(3)
 	if err != nil {

@@ -119,56 +119,4 @@ func b2u(b bool) uint64 {
 	return u
 }
 
-// Tanh applies the hyperbolic tangent elementwise. It is provided for
-// completeness: no network the repository builds uses it (the privacy
-// module's reconstruction decoder is Dense+ReLU+Dense). Unlike the layers
-// BuildPaperCNN emits it allocates its output on every call.
-type Tanh struct {
-	name   string
-	cached *tensor.Tensor
-}
-
-// NewTanh constructs a Tanh activation layer.
-func NewTanh(name string) *Tanh { return &Tanh{name: name} }
-
-// Name implements Layer.
-func (l *Tanh) Name() string { return l.name }
-
-// Params implements Layer.
-func (l *Tanh) Params() []*Param { return nil }
-
-// OutShape implements Layer.
-func (l *Tanh) OutShape(in []int) ([]int, error) {
-	return append([]int(nil), in...), nil
-}
-
-// Forward implements Layer.
-func (l *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := x.Apply(math.Tanh)
-	if train {
-		l.cached = out
-	} else {
-		l.cached = nil
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (l *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if l.cached == nil {
-		panic(fmt.Sprintf("nn: tanh %s Backward without training Forward", l.name))
-	}
-	dx := grad.Clone()
-	data := dx.Data()
-	y := l.cached.Data()
-	for i := range data {
-		data[i] *= 1 - y[i]*y[i]
-	}
-	l.cached = nil
-	return dx
-}
-
-var (
-	_ Layer = (*ReLU)(nil)
-	_ Layer = (*Tanh)(nil)
-)
+var _ Layer = (*ReLU)(nil)

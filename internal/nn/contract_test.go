@@ -27,14 +27,6 @@ func TestLayerShapeContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bn, err := NewBatchNorm2D("b", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drop, err := NewDropout("dr", 0.5, r)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	cases := []struct {
 		name  string
@@ -44,11 +36,8 @@ func TestLayerShapeContract(t *testing.T) {
 		{"conv-same", conv, []int{3, 16, 16}},
 		{"conv-strided", convStride, []int{3, 16, 16}},
 		{"pool", pool, []int{3, 16, 16}},
-		{"batchnorm", bn, []int{3, 8, 8}},
 		{"relu", NewReLU("r"), []int{3, 8, 8}},
-		{"tanh", NewTanh("t"), []int{5}},
 		{"flatten", NewFlatten("f"), []int{3, 4, 4}},
-		{"dropout", drop, []int{7}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -90,10 +79,6 @@ func TestLayerBackwardShapeContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bn, err := NewBatchNorm2D("b", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	cases := []struct {
 		name  string
@@ -103,7 +88,6 @@ func TestLayerBackwardShapeContract(t *testing.T) {
 		{"conv", conv, []int{2, 2, 6, 6}},
 		{"pool", pool, []int{2, 2, 6, 6}},
 		{"dense", dense, []int{3, 8}},
-		{"batchnorm", bn, []int{2, 2, 4, 4}},
 		{"relu", NewReLU("r"), []int{2, 5}},
 		{"flatten", NewFlatten("f"), []int{2, 2, 3, 3}},
 	}
@@ -126,9 +110,8 @@ func TestBackwardWithoutForwardPanics(t *testing.T) {
 	conv, _ := NewConv2D(Conv2DConfig{Name: "c", In: 1, Out: 1, KernelH: 1, KernelW: 1}, r)
 	pool, _ := NewMaxPool2D("p", 2, 2, 0, 0)
 	dense, _ := NewDense("d", 2, 2, nil, r)
-	bn, _ := NewBatchNorm2D("b", 1)
 
-	layers := []Layer{conv, pool, dense, bn, NewReLU("r"), NewTanh("t"), NewFlatten("f")}
+	layers := []Layer{conv, pool, dense, NewReLU("r"), NewFlatten("f")}
 	for _, l := range layers {
 		l := l
 		t.Run(l.Name(), func(t *testing.T) {
@@ -250,32 +233,16 @@ func ownedLayers() []ownedLayer {
 		}
 		return p
 	}
-	bn := func(name string, ch int) *BatchNorm2D {
-		b, err := NewBatchNorm2D(name, ch)
-		if err != nil {
-			panic(err)
-		}
-		return b
-	}
-	drop := func(name string, seed uint64) *Dropout {
-		d, err := NewDropout(name, 0.3, mathx.NewRNG(seed))
-		if err != nil {
-			panic(err)
-		}
-		return d
-	}
 	return []ownedLayer{
 		{"conv", func() Layer { return conv("c", 3, 4, 1) }, []int{3, 8, 8}},
 		{"relu", func() Layer { return NewReLU("r") }, []int{3, 8, 8}},
 		{"pool", func() Layer { return pool("p") }, []int{3, 8, 8}},
 		{"flatten", func() Layer { return NewFlatten("f") }, []int{3, 4, 4}},
 		{"dense", func() Layer { return dense("d", 12, 5, 2) }, []int{12}},
-		{"batchnorm", func() Layer { return bn("b", 3) }, []int{3, 8, 8}},
-		{"dropout", func() Layer { return drop("dr", 3) }, []int{12}},
 		{"sequential", func() Layer {
 			s, err := NewSequential("s",
-				conv("c", 3, 4, 4), bn("b", 4), NewReLU("r1"), pool("p"), NewFlatten("f"),
-				dense("d1", 64, 8, 5), NewReLU("r2"), drop("dr", 6), dense("d2", 8, 3, 7))
+				conv("c", 3, 4, 4), NewReLU("r1"), pool("p"), NewFlatten("f"),
+				dense("d1", 64, 8, 5), NewReLU("r2"), dense("d2", 8, 3, 7))
 			if err != nil {
 				panic(err)
 			}
@@ -347,24 +314,11 @@ func TestBackwardResultSurvivesForward(t *testing.T) {
 }
 
 // syncState copies every bit of training state from src into dst, a
-// freshly built layer of the same construction: parameter values,
-// BatchNorm running statistics and the dropout RNG's position.
+// freshly built layer of the same construction: its parameter values,
+// the only state a layer keeps from one step to the next.
 func syncState(dst, src Layer) {
 	for i, p := range src.Params() {
 		dst.Params()[i].Value.CopyFrom(p.Value)
-	}
-	switch s := src.(type) {
-	case *Sequential:
-		for i, l := range s.Layers() {
-			syncState(dst.(*Sequential).Layers()[i], l)
-		}
-	case *BatchNorm2D:
-		d := dst.(*BatchNorm2D)
-		d.runMean.CopyFrom(s.runMean)
-		d.runVar.CopyFrom(s.runVar)
-	case *Dropout:
-		rng := *s.rng
-		dst.(*Dropout).rng = &rng
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package nn implements the neural-network layers, loss, and container
 // types needed to train the paper's Fig-3 CNN from scratch: Conv2D (a
 // channel-major lowering to a product), MaxPool2D, Dense, ReLU, Flatten,
-// Dropout, BatchNorm, and a numerically-stable softmax cross-entropy
-// loss.
+// and a numerically-stable softmax cross-entropy loss (plus the MSE the
+// privacy module's reconstruction decoder trains on). These are exactly
+// the layers BuildPaperCNN emits.
 //
 // Layers follow a define-by-run contract: Forward caches whatever it needs
 // for the matching Backward call. A layer instance therefore handles one
@@ -48,9 +49,9 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 // Layer is one differentiable stage of a network.
 //
 // Forward consumes a batch and returns the batch output; when train is
-// true the layer caches activations needed by Backward and applies
-// training-only behaviour (e.g. dropout). Backward consumes ∂L/∂output and
-// returns ∂L/∂input, accumulating parameter gradients as a side effect.
+// true the layer caches activations needed by Backward. Backward
+// consumes ∂L/∂output and returns ∂L/∂input, accumulating parameter
+// gradients as a side effect.
 // Backward must be called at most once per Forward, with the gradient of
 // the most recent Forward's output.
 //

@@ -240,7 +240,7 @@ func TestMaxPoolMatchesBranchingScan(t *testing.T) {
 // both NaNs, both infinities, ties and only non-positive values, and so
 // do the gradients; the windows are 2×2 stride 2 (the kernels' tiled
 // case, with and without rows the AVX2 kernel takes) and an overlapping
-// 3×2 stride 1, alone and behind the same Conv2D + BatchNorm2D weights.
+// 3×2 stride 1, alone and behind the same Conv2D weights.
 func TestPoolReLUCommute(t *testing.T) {
 	specials := []float64{math.NaN(), math.Float64frombits(0xfff8000000000001), math.Inf(1), math.Inf(-1),
 		math.Copysign(0, -1), 0, -1, -0.5, 0.5, 1, 2}
@@ -262,11 +262,7 @@ func TestPoolReLUCommute(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						bn, err := NewBatchNorm2D("b", 4)
-						if err != nil {
-							t.Fatal(err)
-						}
-						layers = append(layers, conv, bn)
+						layers = append(layers, conv)
 					}
 					pool, err := NewMaxPool2D("p", k[0], k[1], k[2], k[3])
 					if err != nil {
@@ -406,14 +402,6 @@ func TestReLUSpecialValues(t *testing.T) {
 	}
 }
 
-func TestTanhGradients(t *testing.T) {
-	r := mathx.NewRNG(8)
-	x := tensor.Randn(r, 1, 2, 5)
-	if _, err := CheckLayerGradients(NewTanh("t"), x, 1e-6, 1e-6); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFlattenRoundTrip(t *testing.T) {
 	f := NewFlatten("f")
 	x := tensor.FromSlice([]float64{1, 2, 3, 4, 5, 6, 7, 8}, 2, 2, 2, 1)
@@ -424,120 +412,5 @@ func TestFlattenRoundTrip(t *testing.T) {
 	dx := f.Backward(y)
 	if !dx.Equal(x, 0) {
 		t.Fatal("flatten backward did not restore shape/values")
-	}
-}
-
-func TestDropoutEvalIsIdentity(t *testing.T) {
-	r := mathx.NewRNG(9)
-	d, err := NewDropout("d", 0.5, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.Randn(r, 1, 4, 4)
-	y := d.Forward(x, false)
-	if !y.Equal(x, 0) {
-		t.Fatal("eval-mode dropout changed values")
-	}
-}
-
-func TestDropoutTrainStatistics(t *testing.T) {
-	r := mathx.NewRNG(10)
-	const p = 0.3
-	d, err := NewDropout("d", p, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.Full(1, 100, 100)
-	y := d.Forward(x, true)
-	zeros := 0
-	for _, v := range y.Data() {
-		if v == 0 {
-			zeros++
-		} else if math.Abs(v-1/(1-p)) > 1e-12 {
-			t.Fatalf("surviving element has value %v, want %v", v, 1/(1-p))
-		}
-	}
-	frac := float64(zeros) / float64(y.Size())
-	if math.Abs(frac-p) > 0.02 {
-		t.Fatalf("dropped fraction = %v, want ≈%v", frac, p)
-	}
-	// Inverted dropout keeps the expected sum.
-	if mean := y.Mean(); math.Abs(mean-1) > 0.05 {
-		t.Fatalf("post-dropout mean = %v, want ≈1", mean)
-	}
-}
-
-func TestDropoutRejectsBadProbability(t *testing.T) {
-	r := mathx.NewRNG(1)
-	for _, p := range []float64{-0.1, 1, 1.5} {
-		if _, err := NewDropout("d", p, r); err == nil {
-			t.Fatalf("probability %v accepted", p)
-		}
-	}
-}
-
-func TestBatchNormTrainNormalises(t *testing.T) {
-	r := mathx.NewRNG(11)
-	bn, err := NewBatchNorm2D("bn", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.Randn(r, 3, 4, 2, 5, 5)
-	// Shift one channel far from zero.
-	data := x.Data()
-	for img := 0; img < 4; img++ {
-		base := img * 2 * 25
-		for i := 0; i < 25; i++ {
-			data[base+i] += 100
-		}
-	}
-	y := bn.Forward(x, true)
-	// Per-channel output must be ≈ zero-mean unit-variance (gamma=1, beta=0).
-	yd := y.Data()
-	for ch := 0; ch < 2; ch++ {
-		var vals []float64
-		for img := 0; img < 4; img++ {
-			base := (img*2 + ch) * 25
-			vals = append(vals, yd[base:base+25]...)
-		}
-		if m := mathx.Mean(vals); math.Abs(m) > 1e-9 {
-			t.Fatalf("channel %d mean = %v", ch, m)
-		}
-		if s := mathx.Std(vals); math.Abs(s-1) > 1e-3 {
-			t.Fatalf("channel %d std = %v", ch, s)
-		}
-	}
-}
-
-func TestBatchNormGradients(t *testing.T) {
-	r := mathx.NewRNG(12)
-	bn, err := NewBatchNorm2D("bn", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.Randn(r, 1, 3, 2, 4, 4)
-	if _, err := CheckLayerGradients(bn, x, 1e-5, 1e-4); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBatchNormEvalUsesRunningStats(t *testing.T) {
-	r := mathx.NewRNG(13)
-	bn, err := NewBatchNorm2D("bn", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Train on many batches so running stats converge toward N(5, 4).
-	for i := 0; i < 200; i++ {
-		x := tensor.Randn(r, 2, 8, 1, 4, 4)
-		x.ApplyInPlace(func(v float64) float64 { return v + 5 })
-		bn.Forward(x, true)
-	}
-	// Eval on a known constant input: output should be ≈ (5-5)/2 = 0 for
-	// input 5.
-	x := tensor.Full(5, 1, 1, 2, 2)
-	y := bn.Forward(x, false)
-	if m := y.Mean(); math.Abs(m) > 0.2 {
-		t.Fatalf("eval output mean = %v, want ≈0", m)
 	}
 }

@@ -22,12 +22,6 @@ type PaperCNNConfig struct {
 	Hidden int
 	// Classes is the output dimension (default 10).
 	Classes int
-	// Dropout, when positive, inserts a dropout layer before the final
-	// dense layer (an extension; the paper's network has none).
-	Dropout float64
-	// BatchNorm, when true, inserts BatchNorm2D after every convolution
-	// (an extension used by ablation benchmarks).
-	BatchNorm bool
 }
 
 // Defaults returns cfg with unset fields replaced by the paper's values.
@@ -68,7 +62,7 @@ type PaperCNN struct {
 }
 
 // BuildPaperCNN constructs the Fig-3 CNN with weights initialised from r.
-// Each block is Conv2D → (BatchNorm2D) → MaxPool2D → ReLU, which computes
+// Each block is Conv2D → MaxPool2D → ReLU, which computes
 // the drawn Conv2D → ReLU → MaxPool2D bit for bit (TestPoolReLUCommute).
 func BuildPaperCNN(cfg PaperCNNConfig, r *mathx.RNG) (*PaperCNN, error) {
 	cfg = cfg.Defaults()
@@ -92,19 +86,11 @@ func BuildPaperCNN(cfg PaperCNNConfig, r *mathx.RNG) (*PaperCNN, error) {
 		if err != nil {
 			return nil, err
 		}
-		layers = append(layers, conv)
-		if cfg.BatchNorm {
-			bn, err := NewBatchNorm2D(fmt.Sprintf("bn%d", i+1), f)
-			if err != nil {
-				return nil, err
-			}
-			layers = append(layers, bn)
-		}
 		pool, err := NewMaxPool2D(fmt.Sprintf("pool%d", i+1), 2, 2, 0, 0)
 		if err != nil {
 			return nil, err
 		}
-		layers = append(layers, pool, NewReLU(fmt.Sprintf("relu%d", i+1)))
+		layers = append(layers, conv, pool, NewReLU(fmt.Sprintf("relu%d", i+1)))
 		blocks = append(blocks, len(layers))
 		inC = f
 		h /= 2
@@ -117,13 +103,6 @@ func BuildPaperCNN(cfg PaperCNNConfig, r *mathx.RNG) (*PaperCNN, error) {
 		return nil, err
 	}
 	layers = append(layers, fc1, NewReLU("relu_fc1"))
-	if cfg.Dropout > 0 {
-		drop, err := NewDropout("dropout", cfg.Dropout, r.Split())
-		if err != nil {
-			return nil, err
-		}
-		layers = append(layers, drop)
-	}
 	fc2, err := NewDense("fc2", cfg.Hidden, cfg.Classes, nil, r)
 	if err != nil {
 		return nil, err

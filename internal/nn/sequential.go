@@ -48,9 +48,6 @@ func (s *Sequential) Name() string { return s.name }
 // the returned slice.
 func (s *Sequential) Layers() []Layer { return s.layers }
 
-// Len returns the number of layers.
-func (s *Sequential) Len() int { return len(s.layers) }
-
 // Forward implements Layer.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	for _, l := range s.layers {
@@ -84,10 +81,6 @@ func (s *Sequential) BackwardParams(grad *tensor.Tensor) {
 		s.layers[0].Backward(grad)
 	}
 }
-
-// backwardParams lets a nested Sequential skip its first layer's input
-// gradient too.
-func (s *Sequential) backwardParams(grad *tensor.Tensor) { s.BackwardParams(grad) }
 
 // paramBackwarder is a layer that can run Backward without computing its
 // input gradient: backwardParams accumulates the same parameter

@@ -226,34 +226,6 @@ func TestPaperCNNRejectsTooManyBlocks(t *testing.T) {
 	}
 }
 
-func TestPaperCNNWithExtensions(t *testing.T) {
-	r := mathx.NewRNG(13)
-	m, err := BuildPaperCNN(PaperCNNConfig{
-		Height: 8, Width: 8,
-		Filters:   []int{4, 8},
-		Hidden:    16,
-		Dropout:   0.5,
-		BatchNorm: true,
-	}, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.Randn(r, 1, 2, 3, 8, 8)
-	y := m.Net.Forward(x, true)
-	if s := y.Shape(); s[1] != 10 {
-		t.Fatalf("forward shape = %v", s)
-	}
-	// Backward must thread through bn + dropout without panicking.
-	loss, grad, err := SoftmaxCrossEntropy(y, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loss <= 0 {
-		t.Fatalf("loss = %v", loss)
-	}
-	m.Net.Backward(grad)
-}
-
 func TestSequentialTrainingReducesLoss(t *testing.T) {
 	// A tiny end-to-end sanity check: a 2-layer MLP must fit 8 random
 	// points in a few hundred SGD steps.

@@ -1,10 +1,11 @@
-// Package opt implements the first-order optimisers and learning-rate
-// schedules used to train the split network: plain SGD, SGD with momentum,
-// and Adam, plus constant/step/cosine schedules, weight decay and global
-// gradient-norm clipping.
+// Package opt implements the two first-order optimisers the repository
+// trains with: plain SGD, which both sides of every split deployment and
+// every baseline use, and Adam, which the privacy module's
+// reconstruction-attack decoder uses.
 //
-// An Optimizer owns per-parameter state keyed by the *nn.Param pointer, so
-// the same optimiser instance must be used for the lifetime of a model.
+// Adam owns per-parameter state keyed by the *nn.Param pointer, so the
+// same instance must be used for the lifetime of a model. SGD keeps no
+// state, so a restored model resumes it exactly.
 package opt
 
 import (
@@ -21,55 +22,19 @@ type Optimizer interface {
 	// updates their values. It does not zero the gradients; callers
 	// decide when to clear (allowing gradient accumulation).
 	Step(params []*nn.Param)
-	// LR returns the learning rate the next Step will use.
-	LR() float64
-	// SetLR overrides the learning rate (schedules call this per epoch).
-	SetLR(lr float64)
 }
 
 // Config collects options shared by all optimisers.
 type Config struct {
-	// LR is the initial learning rate. Required, must be positive.
+	// LR is the learning rate. Required, must be positive.
 	LR float64
-	// WeightDecay, when positive, applies decoupled L2 decay
-	// (value -= lr·wd·value) before the gradient step.
-	WeightDecay float64
-	// ClipNorm, when positive, rescales the global gradient norm of each
-	// Step call to at most this value.
-	ClipNorm float64
 }
 
 func (c Config) validate() error {
 	if c.LR <= 0 {
 		return fmt.Errorf("opt: learning rate must be positive, got %v", c.LR)
 	}
-	if c.WeightDecay < 0 {
-		return fmt.Errorf("opt: weight decay must be non-negative, got %v", c.WeightDecay)
-	}
-	if c.ClipNorm < 0 {
-		return fmt.Errorf("opt: clip norm must be non-negative, got %v", c.ClipNorm)
-	}
 	return nil
-}
-
-// clipGlobal rescales gradients so their joint L2 norm is at most maxNorm.
-func clipGlobal(params []*nn.Param, maxNorm float64) {
-	if maxNorm <= 0 {
-		return
-	}
-	total := 0.0
-	for _, p := range params {
-		n := p.Grad.Norm2()
-		total += n * n
-	}
-	norm := math.Sqrt(total)
-	if norm <= maxNorm {
-		return
-	}
-	scale := maxNorm / norm
-	for _, p := range params {
-		p.Grad.ScaleInPlace(scale)
-	}
 }
 
 // SGD is plain stochastic gradient descent.
@@ -87,64 +52,10 @@ func NewSGD(cfg Config) (*SGD, error) {
 
 // Step implements Optimizer.
 func (o *SGD) Step(params []*nn.Param) {
-	clipGlobal(params, o.cfg.ClipNorm)
 	for _, p := range params {
-		if o.cfg.WeightDecay > 0 {
-			p.Value.ScaleInPlace(1 - o.cfg.LR*o.cfg.WeightDecay)
-		}
 		p.Value.AXPY(-o.cfg.LR, p.Grad)
 	}
 }
-
-// LR implements Optimizer.
-func (o *SGD) LR() float64 { return o.cfg.LR }
-
-// SetLR implements Optimizer.
-func (o *SGD) SetLR(lr float64) { o.cfg.LR = lr }
-
-// Momentum is SGD with classical (heavy-ball) momentum.
-type Momentum struct {
-	cfg  Config
-	beta float64
-	vel  map[*nn.Param]*tensor.Tensor
-}
-
-// NewMomentum constructs a momentum optimiser; beta is the velocity decay
-// (typically 0.9).
-func NewMomentum(cfg Config, beta float64) (*Momentum, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if beta < 0 || beta >= 1 {
-		return nil, fmt.Errorf("opt: momentum beta %v out of [0,1)", beta)
-	}
-	return &Momentum{cfg: cfg, beta: beta, vel: make(map[*nn.Param]*tensor.Tensor)}, nil
-}
-
-// Step implements Optimizer.
-func (o *Momentum) Step(params []*nn.Param) {
-	clipGlobal(params, o.cfg.ClipNorm)
-	for _, p := range params {
-		v, ok := o.vel[p]
-		if !ok {
-			v = tensor.New(p.Value.Shape()...)
-			o.vel[p] = v
-		}
-		if o.cfg.WeightDecay > 0 {
-			p.Value.ScaleInPlace(1 - o.cfg.LR*o.cfg.WeightDecay)
-		}
-		// v = beta·v + grad; value -= lr·v
-		v.ScaleInPlace(o.beta)
-		v.AddInPlace(p.Grad)
-		p.Value.AXPY(-o.cfg.LR, v)
-	}
-}
-
-// LR implements Optimizer.
-func (o *Momentum) LR() float64 { return o.cfg.LR }
-
-// SetLR implements Optimizer.
-func (o *Momentum) SetLR(lr float64) { o.cfg.LR = lr }
 
 // Adam is the Adam optimiser (Kingma & Ba, 2015) with bias correction.
 type Adam struct {
@@ -171,7 +82,6 @@ func NewAdam(cfg Config) (*Adam, error) {
 
 // Step implements Optimizer.
 func (o *Adam) Step(params []*nn.Param) {
-	clipGlobal(params, o.cfg.ClipNorm)
 	o.t++
 	bc1 := 1 - math.Pow(o.beta1, float64(o.t))
 	bc2 := 1 - math.Pow(o.beta2, float64(o.t))
@@ -183,9 +93,6 @@ func (o *Adam) Step(params []*nn.Param) {
 			o.v[p] = tensor.New(p.Value.Shape()...)
 		}
 		v := o.v[p]
-		if o.cfg.WeightDecay > 0 {
-			p.Value.ScaleInPlace(1 - o.cfg.LR*o.cfg.WeightDecay)
-		}
 		md, vd, gd, pd := m.Data(), v.Data(), p.Grad.Data(), p.Value.Data()
 		for i, g := range gd {
 			md[i] = o.beta1*md[i] + (1-o.beta1)*g
@@ -197,15 +104,8 @@ func (o *Adam) Step(params []*nn.Param) {
 	}
 }
 
-// LR implements Optimizer.
-func (o *Adam) LR() float64 { return o.cfg.LR }
-
-// SetLR implements Optimizer.
-func (o *Adam) SetLR(lr float64) { o.cfg.LR = lr }
-
 // Interface compliance checks.
 var (
 	_ Optimizer = (*SGD)(nil)
-	_ Optimizer = (*Momentum)(nil)
 	_ Optimizer = (*Adam)(nil)
 )

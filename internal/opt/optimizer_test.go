@@ -27,14 +27,8 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewSGD(Config{LR: -1}); err == nil {
 		t.Fatal("negative LR accepted")
 	}
-	if _, err := NewSGD(Config{LR: 0.1, WeightDecay: -1}); err == nil {
-		t.Fatal("negative weight decay accepted")
-	}
-	if _, err := NewSGD(Config{LR: 0.1, ClipNorm: -1}); err == nil {
-		t.Fatal("negative clip norm accepted")
-	}
-	if _, err := NewMomentum(Config{LR: 0.1}, 1.0); err == nil {
-		t.Fatal("beta=1 accepted")
+	if _, err := NewAdam(Config{LR: 0}); err == nil {
+		t.Fatal("zero Adam LR accepted")
 	}
 }
 
@@ -58,10 +52,6 @@ func TestOptimizersConvergeOnQuadratic(t *testing.T) {
 			o, _ := NewSGD(Config{LR: 0.1})
 			return o
 		},
-		"momentum": func() Optimizer {
-			o, _ := NewMomentum(Config{LR: 0.05}, 0.9)
-			return o
-		},
 		"adam": func() Optimizer {
 			o, _ := NewAdam(Config{LR: 0.3})
 			return o
@@ -75,78 +65,10 @@ func TestOptimizersConvergeOnQuadratic(t *testing.T) {
 				quadGrad(p)
 				o.Step([]*nn.Param{p})
 			}
-			if norm := p.Value.Norm2(); norm > 1e-2 {
+			if norm := math.Sqrt(p.Value.Dot(p.Value)); norm > 1e-2 {
 				t.Fatalf("%s did not converge: ‖x‖ = %v", name, norm)
 			}
 		})
-	}
-}
-
-func TestWeightDecayShrinksWeights(t *testing.T) {
-	p := quadParam([]float64{1})
-	o, err := NewSGD(Config{LR: 0.1, WeightDecay: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With zero gradient, only decay acts: x ← x·(1-lr·wd) = 0.95.
-	p.ZeroGrad()
-	o.Step([]*nn.Param{p})
-	if got := p.Value.At(0); math.Abs(got-0.95) > 1e-12 {
-		t.Fatalf("after decay x = %v, want 0.95", got)
-	}
-}
-
-func TestClipNormBoundsUpdate(t *testing.T) {
-	p := quadParam([]float64{0})
-	p.ZeroGrad()
-	p.Grad.Fill(100)
-	o, err := NewSGD(Config{LR: 1, ClipNorm: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Step([]*nn.Param{p})
-	// Gradient was clipped to norm 1, so |update| ≤ 1.
-	if got := math.Abs(p.Value.At(0)); got > 1+1e-12 {
-		t.Fatalf("clipped update magnitude = %v", got)
-	}
-}
-
-func TestClipNormGlobalAcrossParams(t *testing.T) {
-	a := quadParam([]float64{0, 0})
-	b := quadParam([]float64{0})
-	a.Grad.Fill(3)
-	b.Grad.Fill(4) // joint norm = sqrt(9+9+16) = sqrt(34)
-	clipGlobal([]*nn.Param{a, b}, 1)
-	total := a.Grad.Norm2()*a.Grad.Norm2() + b.Grad.Norm2()*b.Grad.Norm2()
-	if math.Abs(math.Sqrt(total)-1) > 1e-9 {
-		t.Fatalf("post-clip global norm = %v, want 1", math.Sqrt(total))
-	}
-}
-
-func TestClipNormNoopBelowThreshold(t *testing.T) {
-	p := quadParam([]float64{0})
-	p.Grad.Fill(0.5)
-	clipGlobal([]*nn.Param{p}, 10)
-	if got := p.Grad.At(0); got != 0.5 {
-		t.Fatalf("clip modified small gradient: %v", got)
-	}
-}
-
-func TestMomentumAcceleratesOverSGD(t *testing.T) {
-	// Same LR: after the same number of steps down a quadratic, momentum
-	// should be closer to the optimum.
-	run := func(o Optimizer) float64 {
-		p := quadParam([]float64{10})
-		for i := 0; i < 20; i++ {
-			quadGrad(p)
-			o.Step([]*nn.Param{p})
-		}
-		return math.Abs(p.Value.At(0))
-	}
-	sgd, _ := NewSGD(Config{LR: 0.02})
-	mom, _ := NewMomentum(Config{LR: 0.02}, 0.9)
-	if dm, ds := run(mom), run(sgd); dm >= ds {
-		t.Fatalf("momentum (%v) not faster than sgd (%v)", dm, ds)
 	}
 }
 
@@ -161,20 +83,6 @@ func TestAdamPerCoordinateScaling(t *testing.T) {
 	u0, u1 := math.Abs(p.Value.At(0)), math.Abs(p.Value.At(1))
 	if math.Abs(u0-u1)/u0 > 0.01 {
 		t.Fatalf("adam first-step updates differ: %v vs %v", u0, u1)
-	}
-}
-
-func TestSetLRTakesEffect(t *testing.T) {
-	o, _ := NewSGD(Config{LR: 0.1})
-	o.SetLR(0.01)
-	if got := o.LR(); got != 0.01 {
-		t.Fatalf("LR = %v", got)
-	}
-	p := quadParam([]float64{1})
-	quadGrad(p)
-	o.Step([]*nn.Param{p})
-	if got := p.Value.At(0); math.Abs(got-0.99) > 1e-12 {
-		t.Fatalf("after step with lr=0.01: %v", got)
 	}
 }
 

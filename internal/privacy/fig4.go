@@ -40,8 +40,8 @@ func (r *Fig4Result) Monotone() bool {
 // the three stages are also written as PNGs (original.png, conv_l1.png,
 // l1.png).
 //
-// model must be a Fig-3 CNN whose first block is Conv2D → (optional
-// BatchNorm) → ReLU and MaxPool2D, which BuildPaperCNN guarantees. It
+// model must be a Fig-3 CNN whose first block is Conv2D → ReLU and
+// MaxPool2D, which BuildPaperCNN guarantees. It
 // runs the pool before the ReLU, which gives the bits of the paper's
 // drawn ReLU → MaxPool2D, so "l1" is Fig 4(c)'s activation either way.
 func RunFig4(model *nn.PaperCNN, img *tensor.Tensor, outDir string) (*Fig4Result, error) {

@@ -29,7 +29,7 @@ func TestCorrelationProperties(t *testing.T) {
 		t.Fatalf("noise correlation = %v, %v", c, err)
 	}
 	// Constant map: zero correlation, no NaN.
-	if c, err := Correlation(a, tensor.Full(2, 8, 8)); err != nil || c != 0 {
+	if c, err := Correlation(a, constant(2, 8, 8)); err != nil || c != 0 {
 		t.Fatalf("constant correlation = %v, %v", c, err)
 	}
 	if _, err := Correlation(a, tensor.New(4, 4)); err == nil {
@@ -38,12 +38,12 @@ func TestCorrelationProperties(t *testing.T) {
 }
 
 func TestPSNR(t *testing.T) {
-	a := tensor.Full(0.5, 4, 4)
+	a := constant(0.5, 4, 4)
 	if p, err := PSNR(a, a.Clone()); err != nil || p != 100 {
 		t.Fatalf("identical PSNR = %v, %v", p, err)
 	}
 	// Uniform error of 0.1 → MSE 0.01 → PSNR 20 dB.
-	b := a.Apply(func(v float64) float64 { return v + 0.1 })
+	b := a.Clone().ApplyInPlace(func(v float64) float64 { return v + 0.1 })
 	p, err := PSNR(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestNormalizeUnitAndResize(t *testing.T) {
 		t.Fatalf("normalizeUnit = %v", n)
 	}
 	// Constant input normalises to zeros.
-	z := normalizeUnit(tensor.Full(5, 2, 2))
+	z := normalizeUnit(constant(5, 2, 2))
 	if z.MaxAbs() != 0 {
 		t.Fatalf("constant normalize = %v", z)
 	}
@@ -253,4 +253,11 @@ func TestReconstructionAttackValidation(t *testing.T) {
 	if _, err := ReconstructionAttack(AttackConfig{}, seq, empty, empty); err == nil {
 		t.Fatal("empty datasets accepted")
 	}
+}
+
+// constant returns a tensor of the given shape with every element v.
+func constant(v float64, shape ...int) *tensor.Tensor {
+	t := tensor.New(shape...)
+	t.Fill(v)
+	return t
 }

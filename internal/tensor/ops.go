@@ -53,14 +53,6 @@ func (t *Tensor) Scale(s float64) *Tensor {
 	return out
 }
 
-// ScaleInPlace multiplies every element by s and returns t.
-func (t *Tensor) ScaleInPlace(s float64) *Tensor {
-	for i := range t.data {
-		t.data[i] *= s
-	}
-	return t
-}
-
 // AXPY performs t += a*x in place (the BLAS axpy idiom) and returns t.
 func (t *Tensor) AXPY(a float64, x *Tensor) *Tensor {
 	t.mustMatch(x, "AXPY")
@@ -68,15 +60,6 @@ func (t *Tensor) AXPY(a float64, x *Tensor) *Tensor {
 		t.data[i] += a * v
 	}
 	return t
-}
-
-// Apply returns a new tensor with f applied to every element.
-func (t *Tensor) Apply(f func(float64) float64) *Tensor {
-	out := t.Clone()
-	for i, v := range out.data {
-		out.data[i] = f(v)
-	}
-	return out
 }
 
 // ApplyInPlace applies f to every element in place and returns t.
@@ -114,15 +97,6 @@ func (t *Tensor) MaxAbs() float64 {
 		}
 	}
 	return m
-}
-
-// Norm2 returns the Euclidean (Frobenius) norm of t.
-func (t *Tensor) Norm2() float64 {
-	s := 0.0
-	for _, v := range t.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // Dot returns the inner product of t and o viewed as flat vectors.

@@ -123,15 +123,6 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 	return t
 }
 
-// Full returns a tensor of the given shape with every element set to v.
-func Full(v float64, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.data {
-		t.data[i] = v
-	}
-	return t
-}
-
 // Rand returns a tensor with elements drawn uniformly from [lo, hi).
 func Rand(r *mathx.RNG, lo, hi float64, shape ...int) *Tensor {
 	t := New(shape...)
