@@ -1,9 +1,6 @@
 package overload
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // RTTEstimator tracks a smoothed round-trip (or inter-arrival) time and
 // its variance with the TCP retransmission-timeout recurrence (RFC 6298):
@@ -15,9 +12,9 @@ import (
 // RunClient feeds it gradient round trips so its wait timeout adapts to
 // the server's actual service latency instead of a fixed worst case.
 //
-// Safe for concurrent use.
+// It is not safe for concurrent use: its one user, the end-system's
+// clientState, runs on RunClient's actor goroutine.
 type RTTEstimator struct {
-	mu      sync.Mutex
 	srtt    time.Duration
 	rttvar  time.Duration
 	samples int
@@ -47,7 +44,6 @@ func (e *RTTEstimator) Observe(sample time.Duration) {
 	if sample <= 0 {
 		return
 	}
-	e.mu.Lock()
 	if e.samples == 0 {
 		e.srtt = sample
 		e.rttvar = sample / 2
@@ -60,14 +56,11 @@ func (e *RTTEstimator) Observe(sample time.Duration) {
 		e.srtt = (7*e.srtt + sample) / 8
 	}
 	e.samples++
-	e.mu.Unlock()
 }
 
 // Timeout returns SRTT + 4·RTTVAR clamped to [min, max]; max before any
 // samples exist.
 func (e *RTTEstimator) Timeout() time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.samples == 0 {
 		return e.max
 	}
@@ -83,14 +76,10 @@ func (e *RTTEstimator) Timeout() time.Duration {
 
 // SRTT returns the smoothed sample, 0 before the first.
 func (e *RTTEstimator) SRTT() time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.srtt
 }
 
 // Samples reports how many observations have been folded in.
 func (e *RTTEstimator) Samples() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.samples
 }

@@ -55,18 +55,26 @@ func (g ConvGeom) Validate() error {
 // outputs, never a reduction (see ParallelFor).
 
 // ConvWork is a convolution's workspace. Conv2DInto writes Padded, the
-// input inside its zero border (N × C × Hp × Wp), and
-// AddConv2DParamGrads reads it. Scratch holds each range's lowered
-// matrices while an image is convolved, and the filter gradient's bias
-// sums, and nothing between calls. Both belong to the kernels, which
-// size them: a caller only sets one to nil, to free it — Padded only
-// when no AddConv2DParamGrads is pending, since that reads it.
+// input inside its zero border (N × C × Hp × Wp) and a zero tail of
+// padTail elements, and AddConv2DParamGrads reads it. Scratch holds each
+// range's lowered matrices while an image is convolved, and the filter
+// gradient's bias sums, and nothing between calls. Both belong to the
+// kernels, which size them: a caller only sets one to nil, to free it —
+// Padded only when no AddConv2DParamGrads is pending, since that reads
+// it.
 type ConvWork struct {
 	Padded  []float64
 	Scratch []float64
-	// taps holds the tap offsets of the last call's geometry.
-	taps []int
+	// offs holds the tap offsets of the last call's geometry followed by
+	// its output-position offsets (see offsets).
+	offs []int
 }
+
+// padTail is how far past the last padded image ws.Padded runs: the
+// filter gradient's tap-row kernel loads four adjacent taps where a row
+// has kW ≥ 1, so its last row's load ends up to three elements past the
+// last element a tap reads.
+const padTail = 3
 
 // Conv2DInto convolves x (N, C, H, W) with the filters w (outC, K) and
 // adds the bias b (outC), writing out (N, outC, outH, outW), and leaves
@@ -82,7 +90,8 @@ func Conv2DInto(out *Tensor, ws *ConvWork, x, w, b *Tensor, g ConvGeom) *Tensor 
 		panic(fmt.Sprintf("tensor: Conv2DInto bias %v does not match %d filters", b.shape, outC))
 	}
 	n, p := x.shape[0], g.OutHeight()*g.OutWidth()
-	ws.Padded = grow(ws.Padded, n*g.paddedLen())
+	ws.Padded = grow(ws.Padded, n*g.paddedLen()+padTail)
+	clear(ws.Padded[n*g.paddedLen():])
 	out = Reuse(out, n, outC, g.OutHeight(), g.OutWidth())
 	mustNotAlias("Conv2DInto", out, x, w, b)
 	ws.forImages(n, n*outC*k*p, operands{dst: out.data, padded: ws.Padded, a: x.data, b: w.data, bias: b.data, m: outC, g: g}, conv2DBody)
@@ -125,18 +134,18 @@ func AddConv2DParamGrads(dw, db, grad *Tensor, ws *ConvWork, g ConvGeom) {
 			grad.shape, db.shape, g, outC))
 	}
 	n, p := grad.shape[0], g.OutHeight()*g.OutWidth()
-	if len(ws.Padded) != n*g.paddedLen() {
+	if len(ws.Padded) != n*g.paddedLen()+padTail {
 		panic(fmt.Sprintf("tensor: AddConv2DParamGrads padded input of %d elements is not that of %d images under geometry %+v",
 			len(ws.Padded), n, g))
 	}
 	ws.Scratch = grow(ws.Scratch, outC)
-	ws.taps = g.tapOffsets(ws.taps)
-	forOperands(outC, n*outC*k*p/4, operands{dst: dw.data, bias: db.data, a: grad.data, padded: ws.Padded, scratch: ws.Scratch, taps: ws.taps, n: n, g: g}, convParamGradBody)
+	taps, pos := ws.offsets(g)
+	forOperands(outC, n*outC*k*p/4, operands{dst: dw.data, bias: db.data, a: grad.data, padded: ws.Padded, scratch: ws.Scratch, taps: taps, pos: pos, n: n, g: g}, convParamGradBody)
 }
 
 // nzChunk is how many nonzero gradient entries the filter gradient
-// applies in one pass down the taps. It is a power of two: nzList.collect
-// masks its index with nzChunk − 1.
+// applies in one pass down the taps. It is a power of two:
+// nzList.collectGo masks its index with nzChunk − 1.
 const nzChunk = 128
 
 // colsBlock sets the filter gradient's image blocks: block =
@@ -151,13 +160,15 @@ const colsBlock = 1 << 15
 // of an AddConv2DParamGrads. It walks the images in blocks of
 // colsBlock/(K·P), and lists each channel's nonzero entries across a
 // whole block, so small outputs still make long lists. The list is
-// applied whenever it holds nzChunk entries and at the block's end. The
-// bias sums ride along, one per channel in the scratch.
+// applied whenever it holds nzChunk entries and at the block's end, and
+// each application adds the listed entries to the channel's bias sum, in
+// the scratch. Leaving the zeros out of that sum keeps its bits: it
+// starts at +0, so it is never −0, and adding ±0 to anything else
+// returns it unchanged.
 func convParamGradBody(ctx any, lo, hi int) {
 	op := ctx.(*operands)
 	g, n, outC := op.g, op.n, len(op.bias)
-	k, oh, ow := g.taps(), g.OutHeight(), g.OutWidth()
-	p, img, wp := oh*ow, g.paddedLen(), g.paddedW()
+	k, p, img := g.taps(), len(op.pos), g.paddedLen()
 	dbs := op.scratch[lo:hi]
 	clear(dbs)
 	var nz nzList
@@ -166,22 +177,18 @@ func convParamGradBody(ctx any, lo, hi int) {
 		for o := lo; o < hi; o++ {
 			dw, db, cnt := op.dst[o*k:(o+1)*k], dbs[o-lo], 0
 			for i := b0; i < min(b0+block, n); i++ {
-				plane := op.a[(i*outC+o)*p : (i*outC+o+1)*p]
-				for oy := 0; oy < oh; oy++ {
-					row, at := plane[oy*ow:(oy+1)*ow], i*img+oy*g.StrideH*wp
-					for len(row) > 0 {
-						var r int
-						r, cnt, db = nz.collect(row, at, g.StrideW, cnt, db)
-						row, at = row[r:], at+r*g.StrideW
-						if cnt == nzChunk {
-							addTapDots(dw, op.padded, nz.v[:], nz.off[:], op.taps)
-							cnt = 0
-						}
+				plane, pos := op.a[(i*outC+o)*p:(i*outC+o+1)*p], op.pos
+				for len(plane) > 0 {
+					var r int
+					r, cnt = nz.collect(plane, pos, i*img, cnt)
+					plane, pos = plane[r:], pos[r:]
+					if cnt == nzChunk {
+						db = addTapDots(dw, op.padded, nz.v[:], nz.off[:], op.taps, g.KernelW, db)
+						cnt = 0
 					}
 				}
 			}
-			addTapDots(dw, op.padded, nz.v[:cnt], nz.off[:cnt], op.taps)
-			dbs[o-lo] = db
+			dbs[o-lo] = addTapDots(dw, op.padded, nz.v[:cnt], nz.off[:cnt], op.taps, g.KernelW, db)
 		}
 	}
 	for o := lo; o < hi; o++ {
@@ -197,22 +204,34 @@ type nzList struct {
 	off [nzChunk]int
 }
 
-// collect lists the nonzero entries of row, the first at offset at and
-// the rest step apart, after the n already listed, and stops when the
-// list is full. It returns how many entries of row it read, the new
-// count, and db plus every entry read. The count stays in a register:
-// every entry is written, and only a nonzero one is kept (the mask
-// drops the bounds checks).
-func (l *nzList) collect(row []float64, at, step, n int, db float64) (int, int, float64) {
+// collect lists the nonzero entries (NaN included) of row after the n
+// already listed, and stops when the list is full. Entry i of row sits
+// at offset base + pos[i]. It returns how many entries of row it read
+// and the new count. The kernel (nzScan) takes whole quads while a quad
+// cannot overfill the list, and collectGo the rest, so the list is full
+// at exactly the entry where collectGo alone would fill it.
+func (l *nzList) collect(row []float64, pos []int, base, n int) (int, int) {
+	r, n := l.scan(row, pos, base, n)
+	if n == nzChunk {
+		return r, n
+	}
+	i, n := l.collectGo(row[r:], pos[r:], base, n)
+	return r + i, n
+}
+
+// collectGo is collect on the Go scan. The count stays in a register:
+// every entry is written, and only a nonzero one is kept (the mask drops
+// the bounds checks).
+func (l *nzList) collectGo(row []float64, pos []int, base, n int) (int, int) {
+	pos = pos[:len(row)]
 	for i, x := range row {
-		l.v[n&(nzChunk-1)], l.off[n&(nzChunk-1)] = x, at+i*step
+		l.v[n&(nzChunk-1)], l.off[n&(nzChunk-1)] = x, base+pos[i]
 		n += nonzero(x)
-		db += x
 		if n == nzChunk {
-			return i + 1, n, db
+			return i + 1, n
 		}
 	}
-	return len(row), n, db
+	return len(row), n
 }
 
 // nonzero returns 1 for a nonzero x (NaN included) and 0 for ±0; the
@@ -227,9 +246,24 @@ func nonzero(x float64) int {
 
 // addTapDots adds to each filter-gradient tap dw[t] the products of the
 // listed gradient entries v with the padded input xp at their offsets
-// off plus the tap's offset taps[t], four taps to a pass over the list.
-func addTapDots(dw, xp, v []float64, off, taps []int) {
+// off plus the tap's offset taps[t], and returns db plus the entries, in
+// list order. Taps come in rows of kW adjacent offsets (tapOffsets); the
+// kernel (tapRows) takes rows of up to four, addTapDotsGo the rest.
+func addTapDots(dw, xp, v []float64, off, taps []int, kw int, db float64) float64 {
+	if s, ok := tapRows(dw, xp, v, off, taps, kw, db); ok {
+		return s
+	}
+	return addTapDotsGo(dw, xp, v, off, taps, db)
+}
+
+// addTapDotsGo is addTapDots on Go loops, four taps to a pass over the
+// list. Every tap's sum starts at +0 and adds its products in list
+// order, and is then added to dw[t].
+func addTapDotsGo(dw, xp, v []float64, off, taps []int, db float64) float64 {
 	off, taps = off[:len(v)], taps[:len(dw)]
+	for _, x := range v {
+		db += x
+	}
 	t := 0
 	for ; t+4 <= len(dw); t += 4 {
 		// Four taps cut to one length, so one bounds check covers them.
@@ -256,6 +290,7 @@ func addTapDots(dw, xp, v []float64, off, taps []int) {
 		}
 		dw[t] += s
 	}
+	return db
 }
 
 // Conv2DInputGradInto computes into dx (N, C, H, W) the gradient of a
@@ -285,7 +320,7 @@ func Conv2DInputGradInto(dx *Tensor, ws *ConvWork, grad, w *Tensor, g ConvGeom) 
 // that starts at +0 never changes its bits.
 func convInputGradBody(ctx any, lo, hi int) {
 	op := ctx.(*operands)
-	g, outC, k := op.g, op.m, op.g.taps()
+	g, outC, k, kw := op.g, op.m, op.g.taps(), op.g.KernelW
 	l := g.grid()
 	pg, in := l.size(), g.Channels*g.Height*g.Width
 	s := op.slot(lo)
@@ -298,8 +333,8 @@ func convInputGradBody(ctx any, lo, hi int) {
 		}
 		gemm(dcols, op.b, grid, nil, k, outC, pg, 1, k)
 		clear(dxp)
-		for t, at := range op.taps {
-			l.addRow(dxp[at:], dcols[t*pg:(t+1)*pg])
+		for t := 0; t < k; t += kw {
+			l.addTapRow(dxp[op.taps[t]:], dcols[t*pg:(t+kw)*pg], kw)
 		}
 		g.unpad(op.dst[i*in:(i+1)*in], dxp)
 	}
@@ -313,8 +348,8 @@ func (ws *ConvWork) forImages(n, work int, op operands, body func(ctx any, lo, h
 	op.n, op.parts = n, partsFor(n, work)
 	l := g.grid()
 	ws.Scratch = grow(ws.Scratch, op.parts*((g.taps()+op.m)*l.size()+g.paddedLen()))
-	ws.taps = g.tapOffsets(ws.taps)
-	op.scratch, op.taps = ws.Scratch, ws.taps
+	op.scratch = ws.Scratch
+	op.taps, _ = ws.offsets(g)
 	runOperands(n, op.parts, op, body)
 }
 
@@ -367,6 +402,35 @@ func (g ConvGeom) grid() grid {
 
 // size returns the grid's length, oh·w.
 func (l *grid) size() int { return l.oh * l.w }
+
+// offsets returns g's tap offsets (tapOffsets) and output-position
+// offsets (posOffsets), both in ws.offs, which one allocation serves
+// per geometry: an end-system that lives for one short session pays one.
+func (ws *ConvWork) offsets(g ConvGeom) (taps, pos []int) {
+	k, p := g.taps(), g.OutHeight()*g.OutWidth()
+	if cap(ws.offs) < k+p {
+		ws.offs = make([]int, k+p)
+	}
+	ws.offs = ws.offs[:k+p]
+	return g.tapOffsets(ws.offs[:k:k]), g.posOffsets(ws.offs[k:])
+}
+
+// posOffsets returns in dst (reused when long enough) the offset of each
+// output position (oy, ox), in row-major order, from output position
+// (0, 0) in a padded image: oy·strideH·Wp + ox·strideW.
+func (g ConvGeom) posOffsets(dst []int) []int {
+	oh, ow := g.OutHeight(), g.OutWidth()
+	if cap(dst) < oh*ow {
+		dst = make([]int, 0, oh*ow)
+	}
+	dst = dst[:0]
+	for oy := 0; oy < oh; oy++ {
+		for ox := 0; ox < ow; ox++ {
+			dst = append(dst, oy*g.StrideH*g.paddedW()+ox*g.StrideW)
+		}
+	}
+	return dst
+}
 
 // tapOffsets returns in dst (reused when long enough) where each tap
 // t = (c, ky, kx) of output position (0, 0) lies in a padded image.
@@ -422,6 +486,21 @@ func (l *grid) lower(row, src []float64) {
 		for ox := range out {
 			out[ox] = in[ox*l.sw]
 		}
+	}
+}
+
+// addTapRow adds one tap row's kw rows of a lowered gradient, taps
+// (c, ky, 0 … kw − 1), into dst, the padded dx from the row's first tap
+// on. Every element gains its taps in ascending order, as from addRow
+// tap by tap; on a wide grid the kernel (tapRowAdd) adds all kw at
+// once.
+func (l *grid) addTapRow(dst, rows []float64, kw int) {
+	pg := l.size()
+	if l.wide && tapRowAdd(dst, rows, pg, kw) {
+		return
+	}
+	for kx := 0; kx < kw; kx++ {
+		l.addRow(dst[kx:], rows[kx*pg:(kx+1)*pg])
 	}
 }
 

@@ -1,9 +1,12 @@
+//go:build amd64 && !purego
+
 package tensor
 
 import "fmt"
 
-// useAVX2 selects gemmAVX2 for gemm. It is fixed at package init from
-// CPUID; only tests change it, to time or check the Go tile.
+// useAVX2 selects the AVX2 kernels: gemmAVX2 for gemm, the pool's and
+// the convolution backward's. It is fixed at package init from CPUID;
+// only tests change it, to time or check the Go twins.
 var useAVX2 = hasAVX2()
 
 // gemm is described in gemm.go.

@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 #include "textflag.h"
 
 // The tiles keep one accumulator per output element in YMM registers:

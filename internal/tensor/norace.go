@@ -13,3 +13,12 @@ func racePool(dst []float64, argmax []int, src []float64) {}
 
 // racePoolGrad is a no-op without the race detector (see race.go).
 func racePoolGrad(dx, grad []float64, argmax []int) {}
+
+// raceTapRows is a no-op without the race detector (see race.go).
+func raceTapRows(dw, xp []float64, taps []int) {}
+
+// raceScan is a no-op without the race detector (see race.go).
+func raceScan(row []float64, pos []int) {}
+
+// raceAdd is a no-op without the race detector (see race.go).
+func raceAdd(dst, src []float64) {}

@@ -85,10 +85,10 @@ func runOperands(n, parts int, op operands, body func(ctx any, lo, hi int)) {
 type operands struct {
 	dst, a, b []float64
 	// padded, scratch and bias are a convolution's padded input, its
-	// ranges' scratch and its bias (or bias gradient), taps its tap
-	// offsets and parts its split.
+	// ranges' scratch and its bias (or bias gradient), taps and pos its
+	// tap and output-position offsets and parts its split.
 	padded, scratch, bias []float64
-	taps                  []int
+	taps, pos             []int
 	m, k, n, parts        int
 	g                     ConvGeom
 }

@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 package tensor
 
 // maxPool2x2 pools the 2×2 stride-2 windows of planes [p0, p1) of src

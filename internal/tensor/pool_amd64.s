@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 #include "textflag.h"
 
 // pool2x2 handles four windows per iteration. Two loads per input row

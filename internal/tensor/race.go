@@ -19,21 +19,15 @@ func raceTile(out, a, b, init []float64) {
 	raceRead(a)
 	raceRead(b)
 	raceRead(init)
-	if len(out) > 0 {
-		runtime.RaceWriteRange(unsafe.Pointer(&out[0]), len(out)*8)
-	}
+	raceWrite(out)
 }
 
 // racePool tells the race detector about the memory the pool kernel is
 // about to touch: the reads of src and the writes of dst and argmax.
 func racePool(dst []float64, argmax []int, src []float64) {
 	raceRead(src)
-	if len(dst) > 0 {
-		runtime.RaceWriteRange(unsafe.Pointer(&dst[0]), len(dst)*8)
-	}
-	if len(argmax) > 0 {
-		runtime.RaceWriteRange(unsafe.Pointer(&argmax[0]), len(argmax)*int(unsafe.Sizeof(argmax[0])))
-	}
+	raceWrite(dst)
+	raceWriteInts(argmax)
 }
 
 // racePoolGrad tells the race detector about the memory the pool
@@ -41,16 +35,56 @@ func racePool(dst []float64, argmax []int, src []float64) {
 // the writes of dx.
 func racePoolGrad(dx, grad []float64, argmax []int) {
 	raceRead(grad)
-	if len(argmax) > 0 {
-		runtime.RaceReadRange(unsafe.Pointer(&argmax[0]), len(argmax)*int(unsafe.Sizeof(argmax[0])))
-	}
-	if len(dx) > 0 {
-		runtime.RaceWriteRange(unsafe.Pointer(&dx[0]), len(dx)*8)
-	}
+	raceReadInts(argmax)
+	raceWrite(dx)
+}
+
+// raceTapRows tells the race detector about the memory the filter
+// gradient's tap-row kernel is about to touch: the reads of xp and taps
+// and the writes of dw. The nonzero list it also reads lives on its
+// caller's stack, where no other goroutine can reach it, and reporting
+// it would move it to the heap.
+func raceTapRows(dw, xp []float64, taps []int) {
+	raceRead(xp)
+	raceReadInts(taps)
+	raceWrite(dw)
+}
+
+// raceScan tells the race detector about the memory the nonzero scan is
+// about to read: row and pos. The list it writes lives on its caller's
+// stack (see raceTapRows).
+func raceScan(row []float64, pos []int) {
+	raceRead(row)
+	raceReadInts(pos)
+}
+
+// raceAdd tells the race detector about the memory the tap-row add
+// kernel is about to touch: the reads of src and the writes of dst.
+func raceAdd(dst, src []float64) {
+	raceRead(src)
+	raceWrite(dst)
 }
 
 func raceRead(s []float64) {
 	if len(s) > 0 {
 		runtime.RaceReadRange(unsafe.Pointer(&s[0]), len(s)*8)
+	}
+}
+
+func raceWrite(s []float64) {
+	if len(s) > 0 {
+		runtime.RaceWriteRange(unsafe.Pointer(&s[0]), len(s)*8)
+	}
+}
+
+func raceReadInts(s []int) {
+	if len(s) > 0 {
+		runtime.RaceReadRange(unsafe.Pointer(&s[0]), len(s)*int(unsafe.Sizeof(s[0])))
+	}
+}
+
+func raceWriteInts(s []int) {
+	if len(s) > 0 {
+		runtime.RaceWriteRange(unsafe.Pointer(&s[0]), len(s)*int(unsafe.Sizeof(s[0])))
 	}
 }
